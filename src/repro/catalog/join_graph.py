@@ -60,6 +60,10 @@ class JoinGraph:
             self._add_predicate(predicate, validate)
         self._predicates_tuple = tuple(self._predicates)
         self._components = self._compute_components()
+        self._neighbor_masks = tuple(
+            sum(1 << neighbor for neighbor in self._adjacency[vertex])
+            for vertex in range(len(self._relations))
+        )
 
     @staticmethod
     def _check_relation(index: int, relation: Relation) -> None:
@@ -154,6 +158,12 @@ class JoinGraph:
         Returned for read-only use on hot paths; do not mutate.
         """
         return self._adjacency[index]
+
+    @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Adjacency as bitmasks: bit ``k`` of entry ``v`` is set when
+        ``v`` and ``k`` share a predicate."""
+        return self._neighbor_masks
 
     def degree(self, index: int) -> int:
         """Degree of ``index`` in the join graph (the paper's ``deg(k)``)."""

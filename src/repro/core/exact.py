@@ -355,12 +355,7 @@ def _branch_and_bound(
     """
     n = graph.n_relations
     full = (1 << n) - 1
-    neighbor_masks: list[int] = []
-    for vertex in range(n):
-        mask = 0
-        for neighbor in sorted(graph.neighbors(vertex)):
-            mask |= 1 << neighbor
-        neighbor_masks.append(mask)
+    neighbor_masks = graph.neighbor_masks
     component_of = [0] * n
     component_masks: list[int] = []
     for index, component in enumerate(graph.components):

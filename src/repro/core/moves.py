@@ -13,13 +13,17 @@ neighbor that would introduce a cross product is rejected and the draw is
 retried; after ``max_tries`` failures the move generator gives up and
 raises :class:`NoValidMove` (which only happens on degenerate graphs whose
 valid space is a single order).
+
+Proposals are judged by :func:`move_validity` before any neighbor is
+built: on a connected graph it checks only the span a move permutes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from typing import Callable, Iterator
 
 from repro.catalog.join_graph import JoinGraph
 from repro.plans.join_order import JoinOrder
@@ -59,6 +63,94 @@ class Move:
 
     def __str__(self) -> str:
         return f"{self.kind}({self.i},{self.j})"
+
+
+class _SpanCheck:
+    """Move validity from one order of a connected graph, span by span.
+
+    A swap or insert at ``(i, j)`` permutes only the relations at
+    positions ``lo = min(i, j)`` through ``hi = max(i, j)``.  Each
+    position before ``lo`` keeps its relation and its predecessors; each
+    position after ``hi`` keeps its relation and the *set* of its
+    predecessors.  On a connected graph a position is valid when its
+    relation joins some predecessor, so positions outside the span keep
+    the verdict they have in the current order, and a move is valid iff
+    no position outside its span is invalid now and every position of
+    the permuted span joins what precedes it.
+
+    One bitmask pass over the current order records, per position, the
+    union of its predecessors' neighbor masks (``reach``) and the range
+    of positions where the order itself is invalid, so the check is
+    exact for any input order, valid or not.
+    """
+
+    __slots__ = ("positions", "masks", "reach", "first_bad", "last_bad")
+
+    def __init__(self, order: JoinOrder, graph: JoinGraph) -> None:
+        positions = order.positions
+        if len(positions) != graph.n_relations:
+            raise ValueError(
+                f"order over {len(positions)} relations does not match graph "
+                f"with {graph.n_relations}"
+            )
+        masks = graph.neighbor_masks
+        reach: list[int] = []
+        first_bad = len(positions)
+        last_bad = -1
+        mask = 0
+        for position, relation in enumerate(positions):
+            reach.append(mask)
+            if position and not (mask >> relation) & 1:
+                if last_bad < 0:
+                    first_bad = position
+                last_bad = position
+            mask |= masks[relation]
+        self.positions = positions
+        self.masks = masks
+        self.reach = reach
+        self.first_bad = first_bad
+        self.last_bad = last_bad
+
+    def __call__(self, move: Move) -> bool:
+        i, j = move.i, move.j
+        lo, hi = (i, j) if i < j else (j, i)
+        if self.first_bad < lo or self.last_bad > hi:
+            return False
+        if lo == hi:
+            # The order is unchanged: valid iff it has no invalid position.
+            return self.last_bad < 0
+        positions = self.positions
+        if move.kind == "swap":
+            span = (positions[hi],) + positions[lo + 1 : hi] + (positions[lo],)
+        elif i < j:
+            span = positions[i + 1 : j + 1] + (positions[i],)
+        else:
+            span = (positions[i],) + positions[j:i]
+        masks = self.masks
+        if lo:
+            reach = self.reach[lo]
+        else:
+            # Position 0 has no predecessors to join.
+            reach = masks[span[0]]
+            span = span[1:]
+        for relation in span:
+            if not (reach >> relation) & 1:
+                return False
+            reach |= masks[relation]
+        return True
+
+
+def move_validity(order: JoinOrder, graph: JoinGraph) -> Callable[[Move], bool]:
+    """A predicate telling whether ``move.apply(order)`` is a valid order.
+
+    Connected graphs get the span check of :class:`_SpanCheck`, which
+    builds no neighbor; a disconnected graph's validity also depends on
+    how whole components are laid out, so it keeps the full
+    :func:`~repro.plans.validity.is_valid_order` check.
+    """
+    if graph.is_connected:
+        return _SpanCheck(order, graph)
+    return lambda move: is_valid_order(move.apply(order), graph)
 
 
 def _format_moves(moves: list[Move], limit: int = 16) -> str:
@@ -121,13 +213,13 @@ class MoveSet:
         the full retry allowance.  The :class:`NoValidMove` message lists
         the rejected moves, making the degenerate neighborhood diagnosable.
         """
+        valid = move_validity(order, graph)
         rejected: list[Move] = []
         fail_fast_after = min(8, self.max_tries)
         for attempt in range(1, self.max_tries + 1):
             move = self.propose_move(order, rng)
-            candidate = move.apply(order)
-            if candidate != order and is_valid_order(candidate, graph):
-                return move, candidate
+            if valid(move):
+                return move, move.apply(order)
             rejected.append(move)
             if attempt == fail_fast_after and not self.has_any_valid_neighbor(
                 order, graph
@@ -162,24 +254,24 @@ class MoveSet:
         return next(self.neighbors(order, graph), None) is not None
 
     def neighbors(self, order: JoinOrder, graph: JoinGraph) -> Iterator[JoinOrder]:
-        """Every distinct valid neighbor (exhaustive — tests only)."""
+        """Every distinct valid neighbor, swaps first, then inserts.
+
+        A move with ``i != j`` always changes the order, so no neighbor
+        equals ``order`` itself.
+        """
         n = len(order)
+        valid = move_validity(order, graph)
         seen: set[JoinOrder] = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                candidate = order.swap(i, j)
-                if candidate not in seen and is_valid_order(candidate, graph):
-                    seen.add(candidate)
-                    yield candidate
-        for source in range(n):
-            for target in range(n):
-                if source == target:
-                    continue
-                candidate = order.insert(source, target)
-                if (
-                    candidate != order
-                    and candidate not in seen
-                    and is_valid_order(candidate, graph)
-                ):
+        swaps = (Move("swap", i, j) for i in range(n) for j in range(i + 1, n))
+        inserts = (
+            Move("insert", source, target)
+            for source in range(n)
+            for target in range(n)
+            if source != target
+        )
+        for move in chain(swaps, inserts):
+            if valid(move):
+                candidate = move.apply(order)
+                if candidate not in seen:
                     seen.add(candidate)
                     yield candidate

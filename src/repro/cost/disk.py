@@ -20,13 +20,19 @@ re-read by the next join.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from repro.cost.base import CostModel
 from repro.utils.validation import check_positive
 
 
 class DiskCostModel(CostModel):
-    """Page-I/O cost of a Grace hash join plus a small CPU term."""
+    """Page-I/O cost of a Grace hash join plus a small CPU term.
+
+    ``memory_pages`` must be at least 3: a partitioning pass splits the
+    inner operand into ``memory_pages - 1`` buckets, and a fanout below 2
+    would never make it fit.
+    """
 
     name = "disk"
 
@@ -38,8 +44,11 @@ class DiskCostModel(CostModel):
         cpu_weight: float = 0.01,
     ) -> None:
         self.memory_pages = int(check_positive("memory_pages", memory_pages))
-        if self.memory_pages < 2:
-            raise ValueError("memory_pages must be at least 2 for partitioning")
+        if self.memory_pages < 3:
+            raise ValueError(
+                "memory_pages must be at least 3 (a partitioning fanout of "
+                "memory_pages - 1 >= 2)"
+            )
         self.tuples_per_page = check_positive("tuples_per_page", tuples_per_page)
         self.io_cost = check_positive("io_cost", io_cost)
         self.cpu_weight = check_positive("cpu_weight", cpu_weight)
@@ -61,6 +70,29 @@ class DiskCostModel(CostModel):
             return 0
         fanout = self.memory_pages - 1
         return max(1, math.ceil(math.log(inner_pages / self.memory_pages, fanout)))
+
+    def inner_terms(
+        self, cardinalities: Sequence[float]
+    ) -> tuple[list[float], list[float]]:
+        """Per-relation ``(inner_pages, io_factors)`` for compiled walks.
+
+        The inner operand of an outer-linear join is always a base
+        relation, so its page count and the ``2 * passes + 1`` I/O
+        multiplier of :meth:`join_cost` depend only on the catalog.  Both
+        are derived with this model's own methods, so a compiled walk that
+        reads them prices a join bitwise like :meth:`join_cost`.  A
+        non-finite cardinality gets placeholder terms ``(1.0, 1.0)``: the
+        propagating walk raises
+        :class:`~repro.cost.cardinality.CostOverflowError` before it
+        could price a join with that relation as the inner operand.
+        """
+        inner_pages: list[float] = []
+        io_factors: list[float] = []
+        for cardinality in cardinalities:
+            pages = self.pages(cardinality) if math.isfinite(cardinality) else 1.0
+            inner_pages.append(pages)
+            io_factors.append(float(2 * self.partition_passes(pages) + 1))
+        return inner_pages, io_factors
 
     def join_cost(
         self, outer_size: float, inner_size: float, result_size: float

@@ -43,6 +43,7 @@ stock models all price joins positively).
 from __future__ import annotations
 
 import math
+from math import ceil
 from typing import Sequence
 
 from repro.catalog.join_graph import JoinGraph
@@ -52,6 +53,7 @@ from repro.cost.cardinality import (
     CostOverflowError,
     clamp_cardinality,
 )
+from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
 
 __all__ = [
@@ -82,6 +84,11 @@ class QueryContext:
     own_distinct)`` triples in the same order as
     ``graph.adjacency(k).items()`` — preserving that order keeps the
     selectivity product bitwise identical to the full estimator's.
+
+    Both stock models are compiled: the walk prices their joins inline,
+    replicating ``join_cost`` term for term, instead of calling it.  The
+    check is on the exact type, because a subclass may override
+    ``join_cost``; any other model is priced through its own method.
     """
 
     __slots__ = (
@@ -93,6 +100,7 @@ class QueryContext:
         "degrees",
         "join_cost",
         "_memory_constants",
+        "_disk_constants",
     )
 
     def __init__(self, graph: JoinGraph, model: CostModel) -> None:
@@ -122,16 +130,25 @@ class QueryContext:
             self.adjacency.append(entries)
             self.degrees.append(len(entries))
         self.join_cost = model.join_cost
-        # Fast path for the default model: inlining the three-term formula
-        # saves a Python call per join.  The expression replicates
-        # MainMemoryCostModel.join_cost term for term, so results stay
-        # bitwise identical.  Exact-type check: a subclass may override.
         self._memory_constants: tuple[float, float, float] | None = None
+        self._disk_constants: (
+            tuple[float, int, float, float, list[float], list[float]] | None
+        ) = None
         if type(model) is MainMemoryCostModel:
             self._memory_constants = (
                 model.build_cost,
                 model.probe_cost,
                 model.output_cost,
+            )
+        elif type(model) is DiskCostModel:
+            inner_pages, io_factors = model.inner_terms(self.cardinalities)
+            self._disk_constants = (
+                model.tuples_per_page,
+                model.memory_pages,
+                model.io_cost,
+                model.cpu_weight,
+                inner_pages,
+                io_factors,
             )
 
 
@@ -302,6 +319,16 @@ class IncrementalEvaluator:
         memory = context._memory_constants
         if memory is not None:
             build_cost, probe_cost, output_cost = memory
+        disk = context._disk_constants
+        if disk is not None:
+            (
+                tuples_per_page,
+                memory_pages,
+                io_cost,
+                cpu_weight,
+                inner_pages,
+                io_factors,
+            ) = disk
 
         suffix_sizes: list[float] = []
         suffix_costs: list[float] = []
@@ -331,6 +358,12 @@ class IncrementalEvaluator:
             caps = self._caps[shared - 1].copy()
             unplaced = self._unplaced[shared - 1].copy()
             start = shared
+        if disk is not None:
+            # DiskCostModel.pages of the outer operand; each join's result
+            # pages then become the next join's outer pages.
+            outer_pages = float(ceil(size / tuples_per_page))
+            if outer_pages < 1.0:
+                outer_pages = 1.0
 
         # Mark the prefix as placed using a fresh stamp (O(prefix), no
         # O(n) clear).
@@ -382,6 +415,18 @@ class IncrementalEvaluator:
                     + probe_cost * size
                     + output_cost * result
                 )
+            elif disk is not None:
+                # DiskCostModel.join_cost, term for term.
+                result_pages = float(ceil(result / tuples_per_page))
+                if result_pages < 1.0:
+                    result_pages = 1.0
+                io = io_factors[inner] * (outer_pages + inner_pages[inner])
+                if result_pages > memory_pages:
+                    io += 2 * result_pages
+                running += io_cost * io + cpu_weight * (
+                    size + inner_size + result
+                )
+                outer_pages = result_pages
             else:
                 running += join_cost(size, inner_size, result)
             joins += 1

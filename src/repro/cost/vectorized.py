@@ -24,10 +24,12 @@ in one array sweep per join position instead of one object walk per plan.
                           selectivity by exactly ``1.0``, a bit-exact identity)
 ========================  =====================================================
 
-For the disk model, per-relation ``inner_pages[r]`` and ``passes[r]`` are
-precomputed *with the scalar model's own methods* (the inner operand of an
-outer-linear plan is always a base relation), so page rounding and the
-``log``-based pass count agree with the scalar walk to the last bit.
+For the disk model, per-relation ``inner_pages[r]`` and ``io_factors[r]``
+(``2 * passes + 1``) come from :meth:`~repro.cost.disk.DiskCostModel.inner_terms`,
+the helper the scalar :class:`~repro.cost.incremental.QueryContext` also
+compiles (the inner operand of an outer-linear plan is always a base
+relation), so page rounding and the ``log``-based pass count agree with
+the scalar walk to the last bit.
 
 **Parity contract.**  ``batch_plan_cost(orders)[b]`` is bitwise equal to
 ``model.plan_cost(orders[b], graph)`` for every plan on which the scalar
@@ -168,19 +170,12 @@ class ArrayContext:
             self._memory_pages = float(model.memory_pages)
             self._io_cost = model.io_cost
             self._cpu_weight = model.cpu_weight
-            # The inner operand of an outer-linear join is always a base
-            # relation: its page count and partition passes depend only on
-            # the catalog, so both are precomputed here *with the scalar
-            # model's own methods* — the kernel never re-derives them.
-            inner_pages = [
-                model.pages(card) if math.isfinite(card) else 1.0
-                for card in cards
-            ]
+            # Inner pages and I/O factors come from the same helper the
+            # scalar QueryContext compiles, so the kernel never re-derives
+            # them.
+            inner_pages, io_factors = model.inner_terms(cards)
             self._inner_pages = np.array(inner_pages, dtype=np.float64)
-            self._passes = np.array(
-                [float(model.partition_passes(pages)) for pages in inner_pages],
-                dtype=np.float64,
-            )
+            self._io_factors = np.array(io_factors, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Batch pricing
@@ -357,8 +352,7 @@ class ArrayContext:
             1.0, np.ceil(outer_size / self._tuples_per_page)
         )
         inner_pages = self._inner_pages[inner]
-        passes = self._passes[inner]
-        io = (2.0 * passes + 1.0) * (outer_pages + inner_pages)
+        io = self._io_factors[inner] * (outer_pages + inner_pages)
         result_pages = np.maximum(
             1.0, np.ceil(result / self._tuples_per_page)
         )

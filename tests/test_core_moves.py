@@ -5,11 +5,13 @@ import random
 import pytest
 
 import repro.core.moves as moves_module
-from repro.core.moves import Move, MoveSet, NoValidMove
+from repro.catalog.join_graph import JoinGraph
+from repro.catalog.predicates import JoinPredicate
+from repro.core.moves import Move, MoveSet, NoValidMove, move_validity
 from repro.plans.join_order import JoinOrder
-from repro.plans.validity import is_valid_order, valid_orders
+from repro.plans.validity import is_valid_order, random_valid_order, valid_orders
 
-from tests.conftest import chain_graph, star_graph
+from tests.conftest import make_relations, star_graph, two_component_graph
 
 
 class TestPropose:
@@ -116,7 +118,7 @@ class TestDegeneratePath:
         """A single-order valid space is detected by the exhaustive scan
         after the first burst of failed draws, not after max_tries."""
         monkeypatch.setattr(
-            moves_module, "is_valid_order", lambda order, graph: False
+            moves_module, "move_validity", lambda order, graph: _never_valid
         )
         move_set = MoveSet(max_tries=64)
         draws = CountingRandom(5)
@@ -134,7 +136,7 @@ class TestDegeneratePath:
         """When neighbors exist but draws keep missing, the final error
         lists every rejected move."""
         monkeypatch.setattr(
-            moves_module, "is_valid_order", lambda order, graph: False
+            moves_module, "move_validity", lambda order, graph: _never_valid
         )
         move_set = MoveSet(max_tries=3)
         monkeypatch.setattr(
@@ -147,6 +149,11 @@ class TestDegeneratePath:
         message = str(info.value)
         assert "3 tries" in message
         assert "rejected:" in message
+
+
+def _never_valid(move):
+    """A validity predicate that rejects every move."""
+    return False
 
 
 class CountingRandom(random.Random):
@@ -193,3 +200,104 @@ class TestReachability:
         assert len(neighbors) == len(set(neighbors))
         assert all(is_valid_order(n, chain) for n in neighbors)
         assert order not in neighbors
+
+
+def _random_connected_graph(rng: random.Random, n: int):
+    """A random spanning tree over ``n`` relabelled vertices plus extra edges."""
+    label = rng.sample(range(n), n)
+    edges = set()
+    for child in range(1, n):
+        a, b = label[rng.randrange(child)], label[child]
+        edges.add((min(a, b), max(a, b)))
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    relations = make_relations([rng.randint(10, 1000) for _ in range(n)])
+    predicates = [JoinPredicate(a, b, 5, 5) for a, b in sorted(edges)]
+    return JoinGraph(relations, predicates)
+
+
+def _all_moves(n: int):
+    for kind in ("swap", "insert"):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    yield Move(kind, i, j)
+
+
+def _start_orders(graph, rng: random.Random):
+    """Two valid orders and two arbitrary permutations (mostly invalid)."""
+    n = graph.n_relations
+    orders = [random_valid_order(graph, rng) for _ in range(2)]
+    orders += [JoinOrder(rng.sample(range(n), n)) for _ in range(2)]
+    return orders
+
+
+class TestSpanValidity:
+    """move_validity agrees with the full is_valid_order check."""
+
+    def test_agrees_with_full_check_on_connected_graphs(self):
+        rng = random.Random(2024)
+        checked = invalid_starts = rejected = 0
+        for _ in range(40):
+            graph = _random_connected_graph(rng, rng.randint(2, 12))
+            for order in _start_orders(graph, rng):
+                invalid_starts += not is_valid_order(order, graph)
+                valid = move_validity(order, graph)
+                for move in _all_moves(graph.n_relations):
+                    expected = is_valid_order(move.apply(order), graph)
+                    assert valid(move) == expected, (order, move)
+                    checked += 1
+                    rejected += not expected
+        # Both verdicts, and invalid start orders, were exercised.
+        assert checked > 10_000
+        assert invalid_starts > 0 and 0 < rejected < checked
+
+    def test_disconnected_graphs_take_the_full_check(self, monkeypatch, two_components):
+        calls = []
+
+        def spy(order, graph):
+            calls.append(order)
+            return is_valid_order(order, graph)
+
+        monkeypatch.setattr(moves_module, "is_valid_order", spy)
+        rng = random.Random(5)
+        for order in _start_orders(two_components, rng):
+            valid = move_validity(order, two_components)
+            for move in _all_moves(two_components.n_relations):
+                calls.clear()
+                assert valid(move) == is_valid_order(move.apply(order), two_components)
+                assert calls == [move.apply(order)]
+
+    def test_connected_graphs_skip_the_full_check(self, monkeypatch, chain):
+        def forbidden(order, graph):
+            raise AssertionError("full check called on a connected graph")
+
+        monkeypatch.setattr(moves_module, "is_valid_order", forbidden)
+        rng = random.Random(8)
+        order = JoinOrder([0, 1, 2, 3, 4])
+        for _ in range(50):
+            _, order = MoveSet().random_valid_move(order, chain, rng)
+
+    @pytest.mark.parametrize("connected", (True, False))
+    def test_random_valid_move_keeps_the_draw_stream(self, connected):
+        """The same moves and rng state as applying and fully checking
+        every proposal, the way the walk behaved before the span check."""
+        rng = random.Random(31)
+        move_set = MoveSet()
+        for _ in range(10):
+            if connected:
+                graph = _random_connected_graph(rng, rng.randint(3, 20))
+            else:
+                graph = two_component_graph()
+            order = random_valid_order(graph, rng)
+            fast, reference = random.Random(7), random.Random(7)
+            for _ in range(100):
+                move, neighbor = move_set.random_valid_move(order, graph, fast)
+                while True:
+                    expected = move_set.propose_move(order, reference)
+                    if is_valid_order(expected.apply(order), graph):
+                        break
+                assert move == expected
+                assert fast.getstate() == reference.getstate()
+                order = neighbor

@@ -13,16 +13,22 @@ in budget-compatibility mode.
 
 from __future__ import annotations
 
+import copy
+import math
 import random
 
 import pytest
 
+from repro.catalog.join_graph import JoinGraph
+from repro.catalog.predicates import JoinPredicate
+from repro.catalog.relation import Relation
 from repro.core.budget import Budget
 from repro.core.combinations import MethodParams
 from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
 from repro.core.optimizer import optimize
 from repro.core.state import DeltaEvaluator, Evaluator, PER_JOIN, PER_PLAN
+from repro.cost.cardinality import MAX_CARDINALITY, CostOverflowError
 from repro.cost.disk import DiskCostModel
 from repro.cost.incremental import (
     IncrementalEvaluator,
@@ -31,7 +37,7 @@ from repro.cost.incremental import (
 )
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
-from repro.plans.validity import random_valid_order
+from repro.plans.validity import random_valid_order, valid_orders
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
 
@@ -125,6 +131,134 @@ class TestDifferentialRandomWalks:
         """The harness covers >= 10k moves across >= 20 graphs per model."""
         assert len(RANDOM_GRAPHS) >= 20
         assert len(RANDOM_GRAPHS) * MOVES_PER_GRAPH >= 10_000
+
+
+# ----------------------------------------------------------------------
+# Disk-model parity at the formula's edges
+# ----------------------------------------------------------------------
+
+#: The default model plus small ones whose page and memory boundaries lie
+#: at catalog-sized cardinalities.
+DISK_EDGE_MODELS = (
+    DiskCostModel(),
+    DiskCostModel(memory_pages=4, tuples_per_page=10),
+    DiskCostModel(memory_pages=3, tuples_per_page=1.0),
+)
+
+
+def _boundary_cards(model):
+    """Cardinalities one below, at and one above 1, 2, ``memory_pages``
+    and ``memory_pages + 1`` pages of ``model``."""
+    cards = set()
+    for pages in (1, 2, model.memory_pages, model.memory_pages + 1):
+        edge = pages * model.tuples_per_page
+        cards.update(card for card in (edge - 1, edge, edge + 1) if card >= 1)
+    return sorted(cards)
+
+
+def _chain_of(cards, distinct):
+    """A chain over ``cards``; each predicate side has ``min(distinct,
+    card)`` distinct values, so ``distinct=inf`` makes every join's result
+    the smaller operand and ``distinct=1`` makes it the product."""
+    relations = [Relation(f"r{i}", card) for i, card in enumerate(cards)]
+    predicates = [
+        JoinPredicate(
+            i, i + 1, min(distinct, cards[i]), min(distinct, cards[i + 1])
+        )
+        for i in range(len(cards) - 1)
+    ]
+    return JoinGraph(relations, predicates)
+
+
+def _assert_orders_match(graph, model):
+    """Every valid order, each walked from the previous one's prefix."""
+    engine = IncrementalEvaluator(graph, model)
+    orders = list(valid_orders(graph))
+    for order in orders:
+        cost, _ = engine.evaluate(order.positions)
+        assert cost == model.plan_cost(order, graph), order
+        engine.commit(order.positions)
+    return orders
+
+
+class TestDiskParityEdges:
+    @pytest.mark.parametrize("model", DISK_EDGE_MODELS, ids=repr)
+    @pytest.mark.parametrize("distinct", (math.inf, 1), ids=("min", "product"))
+    def test_page_and_memory_boundaries(self, model, distinct):
+        cards = _boundary_cards(model)
+        memory = model.memory_pages
+        passes = set()
+        result_pages = set()
+        for a, first in enumerate(cards):
+            for b, second in enumerate(cards):
+                third = cards[(a + b) % len(cards)]
+                graph = _chain_of([first, second, third], distinct)
+                for order in _assert_orders_match(graph, model):
+                    detail = model.plan_cost_detail(order, graph)
+                    result_pages.update(
+                        model.pages(size) for size in detail.prefix_sizes
+                    )
+                passes.update(
+                    model.partition_passes(model.pages(card))
+                    for card in (first, second, third)
+                )
+        # Inner pages at memory_pages (no pass) and one above (one pass).
+        assert {0, 1} <= passes
+        if distinct == math.inf:
+            # Results at and just above memory: materialisation off and on.
+            assert {memory, memory + 1} <= result_pages
+
+    @pytest.mark.parametrize("model", DISK_EDGE_MODELS, ids=repr)
+    @pytest.mark.parametrize(
+        "cards",
+        (
+            [1e100, 1e100, 1e100, 1e100],
+            [MAX_CARDINALITY, MAX_CARDINALITY, 2.0],
+            [MAX_CARDINALITY / 2, 3.0, MAX_CARDINALITY],
+        ),
+        ids=("clamped-chain", "at-max", "below-max"),
+    )
+    def test_sizes_near_max_cardinality(self, model, cards):
+        graph = _chain_of(cards, 1)
+        _assert_orders_match(graph, model)
+        sizes = {
+            size
+            for order in valid_orders(graph)
+            for size in model.plan_cost_detail(order, graph).prefix_sizes
+        }
+        assert MAX_CARDINALITY in sizes
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_nonfinite_cardinality_raises_on_both_paths(self, model):
+        relations = list(chain_graph().relations)
+        poisoned = copy.copy(relations[2])
+        object.__setattr__(poisoned, "base_cardinality", math.inf)
+        relations[2] = poisoned
+        graph = JoinGraph(
+            relations, list(chain_graph().predicates), validate=False
+        )
+        for order in valid_orders(graph):
+            with pytest.raises(CostOverflowError) as full:
+                model.plan_cost(order, graph)
+            with pytest.raises(CostOverflowError) as engine:
+                IncrementalEvaluator(graph, model).evaluate(order.positions)
+            # Same exception at the same join.
+            assert str(engine.value) == str(full.value)
+
+    @pytest.mark.parametrize("base", (MainMemoryCostModel, DiskCostModel))
+    def test_join_cost_override_priced_through_its_own_method(self, base):
+        class Doubled(base):
+            def join_cost(self, outer_size, inner_size, result_size):
+                return 2.0 * super().join_cost(
+                    outer_size, inner_size, result_size
+                )
+
+        model = Doubled()
+        graph = chain_graph()
+        for order in _assert_orders_match(graph, model):
+            assert model.plan_cost(order, graph) != base().plan_cost(
+                order, graph
+            )
 
 
 class TestEngineProtocol:

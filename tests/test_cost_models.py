@@ -88,6 +88,18 @@ class TestDiskModel:
         with pytest.raises(ValueError):
             DiskCostModel(memory_pages=1)
 
+    def test_rejects_unit_partition_fanout(self):
+        # Two pages would partition with a fanout of one bucket per pass,
+        # which never shrinks the inner operand.
+        with pytest.raises(ValueError, match="at least 3"):
+            DiskCostModel(memory_pages=2)
+
+    def test_smallest_memory_partitions(self):
+        model = DiskCostModel(memory_pages=3, tuples_per_page=10)
+        # fanout 2, memory 3 pages: 3 * 2^k >= 100 pages needs k = 6.
+        assert model.partition_passes(100) == 6
+        assert model.join_cost(1e6, 1e6, 1e6) > 0
+
     def test_plan_cost_positive(self, chain):
         model = DiskCostModel()
         assert model.plan_cost(JoinOrder([0, 1, 2, 3, 4]), chain) > 0
