@@ -25,7 +25,7 @@ import pytest
 from bench_utils import save_and_print, write_bench_json
 
 from repro.core.budget import Budget
-from repro.core.state import PER_PLAN, DeltaEvaluator
+from repro.core.state import DeltaEvaluator
 from repro.core.moves import MoveSet
 from repro.cost.memory import MainMemoryCostModel
 from repro.plans.validity import random_valid_order
@@ -51,13 +51,8 @@ class GuardFreeDeltaEvaluator(DeltaEvaluator):
     """
 
     def evaluate(self, order):
-        if self.charge_mode == PER_PLAN:
-            self.budget.charge(float(self.graph.n_joins))
-            cost, joins = self.engine.rebase(order.positions)
-        else:
-            self._require_budget()
-            cost, joins = self.engine.rebase(order.positions)
-            self.budget.charge(max(1.0, float(joins)))
+        self.budget.charge(float(self.graph.n_joins))
+        cost, joins = self.engine.rebase(order.positions)
         self.n_joins_evaluated += joins
         self.n_evaluations += 1
         self._record(order, cost)
@@ -65,17 +60,10 @@ class GuardFreeDeltaEvaluator(DeltaEvaluator):
         return cost
 
     def evaluate_candidate(self, order, upper_bound=None, first_changed=None):
-        if self.charge_mode == PER_PLAN:
-            self.budget.charge(float(self.graph.n_joins))
-            cost, joins = self.engine.evaluate(
-                order.positions, self._safe_bound(upper_bound), first_changed
-            )
-        else:
-            self._require_budget()
-            cost, joins = self.engine.evaluate(
-                order.positions, self._safe_bound(upper_bound), first_changed
-            )
-            self.budget.charge(max(1.0, float(joins)))
+        self.budget.charge(float(self.graph.n_joins))
+        cost, joins = self.engine.evaluate(
+            order.positions, self._safe_bound(upper_bound), first_changed
+        )
         self.n_joins_evaluated += joins
         self.n_evaluations += 1
         if cost is None:
@@ -106,9 +94,7 @@ def _prepare_walk(n_joins: int, n_moves: int, seed: int):
 
 def _time_walk(evaluator_cls, graph, model, steps) -> float:
     """Seconds for one replay of the walk through ``evaluator_cls``."""
-    evaluator = evaluator_cls(
-        graph, model, Budget(float("inf")), charge_mode=PER_PLAN
-    )
+    evaluator = evaluator_cls(graph, model, Budget(float("inf")))
     t0 = time.perf_counter()
     for current, candidate, first_changed, incumbent in steps:
         evaluator.prime(current)
@@ -151,9 +137,7 @@ def _verify_equivalence(n_joins: int = 30, n_moves: int = 120) -> None:
     graph, model, steps = _prepare_walk(n_joins, n_moves, seed=7)
     outputs = []
     for evaluator_cls in (DeltaEvaluator, GuardFreeDeltaEvaluator):
-        evaluator = evaluator_cls(
-            graph, model, Budget(float("inf")), charge_mode=PER_PLAN
-        )
+        evaluator = evaluator_cls(graph, model, Budget(float("inf")))
         costs = []
         for current, candidate, first_changed, incumbent in steps:
             evaluator.prime(current)

@@ -65,12 +65,7 @@ DEFAULT_TOOL_TABLE: dict[str, Any] = {
         },
         "PURE001": {
             "include": ["src/repro/core", "src/repro/cost"],
-            "entrypoints": [
-                "batch_plan_cost",
-                "extend_state",
-                "plan_cost",
-                "price_batch",
-            ],
+            "entrypoints": ["extend_state", "plan_cost"],
         },
         "DET005": {
             "include": [
@@ -90,8 +85,6 @@ DEFAULT_TOOL_TABLE: dict[str, Any] = {
                     "ValueError",
                 ],
                 "cost.incremental.extend_state": ["CostOverflowError"],
-                "vectorized.batch_plan_cost": ["InjectedFault", "ValueError"],
-                "BatchEvaluator.price_batch": ["InjectedFault", "ValueError"],
                 "core.optimizer.optimize": [
                     "BudgetExhausted",
                     "CostOverflowError",

@@ -5,8 +5,8 @@ here consume the fixpoint summaries of :class:`~repro.analysis.callgraph.
 CallGraph` and enforce *transitive* contracts:
 
 * **PURE001** — declared-pure costing entrypoints (``plan_cost``,
-  ``batch_plan_cost``, ``price_batch``, ``extend_state``) must be free of
-  mutation, RNG, clock, IO, and blocking through every reachable callee;
+  ``extend_state``) must be free of mutation, RNG, clock, IO, and
+  blocking through every reachable callee;
 * **DET005** — an ordered construct must not consume the result of a
   function that (transitively) returns an unordered iterable, the
   cross-function escape hatch DET003 cannot see;
@@ -101,10 +101,10 @@ class ProjectRule:
 class DeclaredPureRule(ProjectRule):
     """PURE001: declared-pure costing entrypoints stay transitively pure.
 
-    The differential invariants (incremental ≡ full, batched ≡ scalar,
-    traced ≡ untraced) all assume that pricing a plan is a pure function
-    of its inputs.  Any hidden effect — an RNG draw, a clock read, a
-    mutation of shared state — reachable from a pricing entrypoint makes
+    The differential invariants (incremental ≡ full, traced ≡ untraced)
+    all assume that pricing a plan is a pure function of its inputs.
+    Any hidden effect — an RNG draw, a clock read, a mutation of shared
+    state — reachable from a pricing entrypoint makes
     "evaluate the same plan twice" a different experiment the second
     time, and no differential test can be trusted again.
     """
@@ -112,18 +112,13 @@ class DeclaredPureRule(ProjectRule):
     code: str = "PURE001"
     name: str = "declared-pure"
     description: str = (
-        "declared-pure costing entrypoints (plan_cost, batch_plan_cost, "
-        "price_batch, extend_state) must be transitively free of "
-        "mutation, RNG, clock, IO, and blocking effects"
+        "declared-pure costing entrypoints (plan_cost, extend_state) "
+        "must be transitively free of mutation, RNG, clock, IO, and "
+        "blocking effects"
     )
     default_options: dict = field(
         default_factory=lambda: {
-            "entrypoints": [
-                "batch_plan_cost",
-                "extend_state",
-                "plan_cost",
-                "price_batch",
-            ]
+            "entrypoints": ["extend_state", "plan_cost"]
         }
     )
 

@@ -56,7 +56,6 @@ from typing import Sequence
 from repro.core.budget import DEFAULT_UNITS_PER_N2
 from repro.core.combinations import PAPER_METHODS, available_method_names, make_strategy
 from repro.core.optimizer import optimize
-from repro.core.state import PER_JOIN, PER_PLAN
 from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
 from repro.experiments import figures as figures_module
@@ -108,21 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="price every candidate with a full plan-cost walk instead of "
         "the prefix-cached incremental engine (see docs/performance.md)",
-    )
-    evaluation.add_argument(
-        "--batch-costing",
-        action="store_true",
-        help="price candidate batches through the vectorized kernel "
-        "(repro.cost.vectorized); bit-identical results, fastest with "
-        "numpy installed (see docs/performance.md)",
-    )
-    evaluation.add_argument(
-        "--budget-accounting",
-        choices=(PER_PLAN, PER_JOIN),
-        default=PER_PLAN,
-        help="work-unit pricing: 'per-plan' charges N joins per candidate "
-        "(paper-compatible default); 'per-join' charges only joins "
-        "actually evaluated",
     )
 
     parallelism = argparse.ArgumentParser(add_help=False)
@@ -488,8 +472,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         resilient=args.resilient,
         max_retries=args.max_retries,
         incremental=args.incremental,
-        batch_costing=args.batch_costing,
-        budget_accounting=args.budget_accounting,
         workers=args.workers,
         restarts=args.restarts,
         trace=tracer,
@@ -550,8 +532,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         time_factor=args.time_factor,
         seed=args.seed,
         incremental=args.incremental,
-        batch_costing=args.batch_costing,
-        budget_accounting=args.budget_accounting,
         workers=args.workers,
         failure_log=failure_log,
     )
@@ -687,8 +667,6 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         time_factor=args.time_factor,
         seed=args.seed,
         incremental=args.incremental,
-        batch_costing=args.batch_costing,
-        budget_accounting=args.budget_accounting,
         workers=args.workers,
         failure_log=failure_log,
     )
@@ -836,8 +814,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
         resilient=args.resilient,
         max_retries=args.max_retries,
         incremental=args.incremental,
-        batch_costing=args.batch_costing,
-        budget_accounting=args.budget_accounting,
         workers=args.workers,
         restarts=args.restarts,
         trace=tracer,

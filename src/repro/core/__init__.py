@@ -14,15 +14,7 @@
 
 from repro.core.budget import Budget, BudgetExhausted, WallClockBudget
 from repro.core.moves import Move, MoveSet, NoValidMove
-from repro.core.state import (
-    BatchEvaluator,
-    DeltaEvaluator,
-    Evaluation,
-    Evaluator,
-    PER_JOIN,
-    PER_PLAN,
-    TargetReached,
-)
+from repro.core.state import DeltaEvaluator, Evaluation, Evaluator, TargetReached
 from repro.core.augmentation import AugmentationCriterion
 from repro.core.dynamic_programming import DPResult, dp_optimal_order
 from repro.core.bushy_search import bushy_iterative_improvement
@@ -39,9 +31,6 @@ __all__ = [
     "Evaluation",
     "Evaluator",
     "DeltaEvaluator",
-    "BatchEvaluator",
-    "PER_PLAN",
-    "PER_JOIN",
     "AugmentationCriterion",
     "DPResult",
     "dp_optimal_order",

@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.batching import BatchSizer, speculate_moves
 from repro.core.budget import BudgetExhausted
 from repro.core.moves import MoveSet, NoValidMove
 from repro.core.state import Evaluation, Evaluator
@@ -93,75 +92,29 @@ def initial_temperature(
     acceptance fraction is meant to describe.  When no uphill neighbor is
     found, a temperature proportional to the start cost is used.
     """
-    if evaluator.supports_batch:
-        uphill = _sample_uphill_batched(
-            start, start_cost, evaluator, move_set, rng, sample_size
-        )
-    else:
-        uphill = []
-        for _ in range(sample_size):
-            try:
-                move, neighbor = move_set.random_valid_move(
-                    start, evaluator.graph, rng
-                )
-            except NoValidMove:
-                break
-            # Candidates share the start's prefix; none is committed, so
-            # the anchor stays on the start state for the whole sample.
-            delta = (
-                evaluator.evaluate_candidate(
-                    neighbor, first_changed=move.first_changed
-                )
-                - start_cost
+    uphill = []
+    for _ in range(sample_size):
+        try:
+            move, neighbor = move_set.random_valid_move(
+                start, evaluator.graph, rng
             )
-            if delta > 0:
-                uphill.append(delta)
+        except NoValidMove:
+            break
+        # Candidates share the start's prefix; none is committed, so the
+        # anchor stays on the start state for the whole sample.
+        delta = (
+            evaluator.evaluate_candidate(
+                neighbor, first_changed=move.first_changed
+            )
+            - start_cost
+        )
+        if delta > 0:
+            uphill.append(delta)
     if uphill:
         uphill.sort()
         median_uphill = uphill[len(uphill) // 2]
         return median_uphill / -math.log(schedule.initial_acceptance)
     return max(start_cost, 1.0)
-
-
-def _sample_uphill_batched(
-    start: JoinOrder,
-    start_cost: float,
-    evaluator: Evaluator,
-    move_set: MoveSet,
-    rng: random.Random,
-    sample_size: int,
-) -> list[float]:
-    """Uphill deltas of the temperature sample, priced in one sweep.
-
-    Every sampled neighbor is consumed unconditionally (the scalar sample
-    evaluates each one and commits none), so the speculation is never
-    discarded and the RNG ends at the scalar stream position without any
-    restore.  A :class:`~repro.core.moves.NoValidMove` mid-sample simply
-    truncates the sample, as the scalar ``break`` does.
-    """
-    speculated, _ = speculate_moves(
-        start, evaluator.graph, move_set, rng, sample_size
-    )
-    if not speculated:
-        return []
-    costs, saturations = evaluator.price_batch(
-        [spec.neighbor.positions for spec in speculated]
-    )
-    uphill: list[float] = []
-    for index, spec in enumerate(speculated):
-        try:
-            cost = evaluator.consume(
-                spec.neighbor, costs[index], saturations[index]
-            )
-        # boundary: restore the RNG snapshot, then re-raise — nothing
-        # is swallowed; the walk stops exactly where the scalar one would.
-        except BaseException:
-            rng.setstate(spec.state_after_move)
-            raise
-        delta = cost - start_cost
-        if delta > 0:
-            uphill.append(delta)
-    return uphill
 
 
 def simulated_annealing(
@@ -203,87 +156,64 @@ def simulated_annealing(
         )
         chains_without_improvement = 0
         chain_index = 0
-        sizer = BatchSizer() if evaluator.supports_batch else None
         while True:
-            if sizer is not None:
-                current, current_cost, best, accepted, improved, halted = (
-                    _chain_batched(
-                        current,
-                        current_cost,
-                        best,
-                        evaluator,
-                        move_set,
-                        rng,
-                        chain_length,
-                        temperature,
-                        bound_pruning,
-                        sizer,
+            accepted = 0
+            for _ in range(chain_length):
+                try:
+                    move, neighbor = move_set.random_valid_move(
+                        current, graph, rng
                     )
-                )
-                if improved:
-                    chains_without_improvement = -1
-                if halted:
-                    # NoValidMove mid-chain: stop like the scalar walk,
-                    # before any chain stats are emitted.
+                except NoValidMove:
                     return best
-            else:
-                accepted = 0
-                for _ in range(chain_length):
-                    try:
-                        move, neighbor = move_set.random_valid_move(
-                            current, graph, rng
-                        )
-                    except NoValidMove:
-                        return best
-                    if bound_pruning:
-                        draw = rng.random()
-                        threshold = (
-                            current_cost - temperature * math.log(draw)
-                            if draw > 0.0
-                            else math.inf
-                        )
-                        neighbor_cost = evaluator.evaluate_candidate(
-                            neighbor,
-                            upper_bound=threshold,
-                            first_changed=move.first_changed,
-                        )
-                        accept = neighbor_cost is not None and (
-                            neighbor_cost <= current_cost
-                            or neighbor_cost < threshold
+                if bound_pruning:
+                    draw = rng.random()
+                    threshold = (
+                        current_cost - temperature * math.log(draw)
+                        if draw > 0.0
+                        else math.inf
+                    )
+                    neighbor_cost = evaluator.evaluate_candidate(
+                        neighbor,
+                        upper_bound=threshold,
+                        first_changed=move.first_changed,
+                    )
+                    accept = neighbor_cost is not None and (
+                        neighbor_cost <= current_cost
+                        or neighbor_cost < threshold
+                    )
+                else:
+                    neighbor_cost = evaluator.evaluate_candidate(
+                        neighbor, first_changed=move.first_changed
+                    )
+                    delta = neighbor_cost - current_cost
+                    accept = delta <= 0 or rng.random() < math.exp(
+                        -delta / temperature
+                    )
+                if accept:
+                    evaluator.commit_candidate(neighbor)
+                    prev_cost = current_cost
+                    current, current_cost = neighbor, neighbor_cost
+                    accepted += 1
+                    if current_cost < best.cost:
+                        best = Evaluation(current, current_cost)
+                        chains_without_improvement = -1
+                if tracer.enabled:
+                    if accept:
+                        tracer.metrics.inc("moves_accepted")
+                        tracer.emit(
+                            obs_events.MOVE,
+                            outcome=obs_events.ACCEPTED,
+                            cost=current_cost,
+                            delta=current_cost - prev_cost,
                         )
                     else:
-                        neighbor_cost = evaluator.evaluate_candidate(
-                            neighbor, first_changed=move.first_changed
-                        )
-                        delta = neighbor_cost - current_cost
-                        accept = delta <= 0 or rng.random() < math.exp(
-                            -delta / temperature
-                        )
-                    if accept:
-                        evaluator.commit_candidate(neighbor)
-                        prev_cost = current_cost
-                        current, current_cost = neighbor, neighbor_cost
-                        accepted += 1
-                        if current_cost < best.cost:
-                            best = Evaluation(current, current_cost)
-                            chains_without_improvement = -1
-                    if tracer.enabled:
-                        if accept:
-                            tracer.metrics.inc("moves_accepted")
-                            tracer.emit(
-                                obs_events.MOVE,
-                                outcome=obs_events.ACCEPTED,
-                                cost=current_cost,
-                                delta=current_cost - prev_cost,
-                            )
+                        if neighbor_cost is None:
+                            outcome = obs_events.PRUNED
+                            tracer.metrics.inc("moves_pruned")
                         else:
-                            if neighbor_cost is None:
-                                outcome = obs_events.PRUNED
-                                tracer.metrics.inc("moves_pruned")
-                            else:
-                                outcome = obs_events.REJECTED
-                                tracer.metrics.inc("moves_rejected")
-                            tracer.emit(obs_events.MOVE, outcome=outcome)
+                            outcome = obs_events.REJECTED
+                            tracer.metrics.inc("moves_rejected")
+                        tracer.emit(obs_events.MOVE, outcome=outcome)
             chains_without_improvement += 1
             acceptance_ratio = accepted / chain_length
             if tracer.enabled:
@@ -319,130 +249,3 @@ def simulated_annealing(
             raise
         return evaluator.best
 
-
-def _chain_batched(
-    current: JoinOrder,
-    current_cost: float,
-    best: Evaluation,
-    evaluator: Evaluator,
-    move_set: MoveSet,
-    rng: random.Random,
-    chain_length: int,
-    temperature: float,
-    bound_pruning: bool,
-    sizer: BatchSizer,
-) -> tuple[JoinOrder, float, Evaluation, int, bool, bool]:
-    """One temperature chain with kernel-priced move batches.
-
-    Speculates ``(move, u)`` pairs under the all-rejected assumption: a
-    *rejected* move is always an uphill move, which consumes both draws in
-    the scalar stream, so rejected speculations line up exactly.  On
-    acceptance the RNG is restored to the snapshot the scalar walk would
-    be at — after the move draw for a downhill accept (classic mode never
-    drew ``u`` there), after the uniform otherwise — and the rest of the
-    batch is discarded.  In ``bound_pruning`` mode the scalar walk draws
-    ``u`` before pricing unconditionally, so every path runs through
-    ``state_after_u``.
-
-    Returns ``(current, current_cost, best, accepted, improved, halted)``;
-    ``halted`` reports a :class:`~repro.core.moves.NoValidMove` reached
-    with every prior speculation rejected — the caller returns ``best``
-    exactly as the scalar chain does.
-    """
-    graph = evaluator.graph
-    tracer = evaluator.tracer
-    accepted = 0
-    improved = False
-    moves_done = 0
-    while moves_done < chain_length:
-        limit = min(sizer.size, chain_length - moves_done)
-        speculated, exhausted = speculate_moves(
-            current, graph, move_set, rng, limit, draw_uniform=True
-        )
-        if speculated:
-            costs, saturations = evaluator.price_batch(
-                [spec.neighbor.positions for spec in speculated]
-            )
-        took = False
-        for consumed, spec in enumerate(speculated, start=1):
-            index = consumed - 1
-            if bound_pruning:
-                draw = spec.u
-                threshold = (
-                    current_cost - temperature * math.log(draw)
-                    if draw > 0.0
-                    else math.inf
-                )
-                try:
-                    neighbor_cost = evaluator.consume(
-                        spec.neighbor,
-                        costs[index],
-                        saturations[index],
-                        upper_bound=threshold,
-                    )
-                # boundary: restore the RNG snapshot, then re-raise —
-                # nothing is swallowed.
-                except BaseException:
-                    rng.setstate(spec.state_after_u)
-                    raise
-                accept = neighbor_cost is not None and (
-                    neighbor_cost <= current_cost
-                    or neighbor_cost < threshold
-                )
-                restore = spec.state_after_u
-            else:
-                try:
-                    neighbor_cost = evaluator.consume(
-                        spec.neighbor, costs[index], saturations[index]
-                    )
-                # boundary: restore the RNG snapshot, then re-raise —
-                # nothing is swallowed.
-                except BaseException:
-                    rng.setstate(spec.state_after_move)
-                    raise
-                delta = neighbor_cost - current_cost
-                if delta <= 0:
-                    accept = True
-                    restore = spec.state_after_move
-                else:
-                    accept = spec.u < math.exp(-delta / temperature)
-                    restore = spec.state_after_u
-            moves_done += 1
-            if accept:
-                evaluator.commit_candidate(spec.neighbor)
-                prev_cost = current_cost
-                current, current_cost = spec.neighbor, neighbor_cost
-                accepted += 1
-                if current_cost < best.cost:
-                    best = Evaluation(current, current_cost)
-                    improved = True
-            if tracer.enabled:
-                if accept:
-                    tracer.metrics.inc("moves_accepted")
-                    tracer.emit(
-                        obs_events.MOVE,
-                        outcome=obs_events.ACCEPTED,
-                        cost=current_cost,
-                        delta=current_cost - prev_cost,
-                    )
-                else:
-                    if neighbor_cost is None:
-                        outcome = obs_events.PRUNED
-                        tracer.metrics.inc("moves_pruned")
-                    else:
-                        outcome = obs_events.REJECTED
-                        tracer.metrics.inc("moves_rejected")
-                    tracer.emit(obs_events.MOVE, outcome=outcome)
-            if accept:
-                rng.setstate(restore)
-                sizer.shrink(consumed)
-                took = True
-                break
-        if took:
-            continue
-        if exhausted:
-            # Every speculation this batch was rejected, so the failing
-            # draw really is the walk's next draw.
-            return current, current_cost, best, accepted, improved, True
-        sizer.grow()
-    return current, current_cost, best, accepted, improved, False

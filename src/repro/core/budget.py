@@ -74,11 +74,22 @@ class Budget:
         time_factor: float,
         units_per_n2: float = DEFAULT_UNITS_PER_N2,
     ) -> "Budget":
-        """The paper's ``time_factor * N^2`` limit, in work units."""
+        """The paper's ``time_factor * N^2`` limit, in work units.
+
+        The limit must be finite: an infinite one (``time_factor=inf``, or
+        a product that overflows) would never stop the search.  Use
+        :meth:`unlimited` to ask for that on purpose.
+        """
         check_positive("n_joins", n_joins)
         check_positive("time_factor", time_factor)
         check_positive("units_per_n2", units_per_n2)
-        return cls(limit=time_factor * n_joins * n_joins * units_per_n2)
+        limit = time_factor * n_joins * n_joins * units_per_n2
+        if not math.isfinite(limit):
+            raise ValueError(
+                f"time limit {time_factor!r} * {n_joins}^2 * {units_per_n2!r} "
+                "units is not finite"
+            )
+        return cls(limit=limit)
 
     @classmethod
     def unlimited(cls) -> "Budget":

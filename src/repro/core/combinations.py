@@ -49,7 +49,7 @@ from repro.core.iterative import improvement_run, multi_start_improvement
 from repro.core.kbz import DEFAULT_WEIGHT, kbz_orders
 from repro.core.local_improvement import best_strategy_for_budget, local_improve
 from repro.core.moves import MoveSet
-from repro.core.state import Evaluation, Evaluator, PER_PLAN
+from repro.core.state import Evaluation, Evaluator
 from repro.obs import events as obs_events
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import random_valid_order
@@ -128,32 +128,12 @@ class RandomSamplingStrategy(Strategy):
     name = "RANDOM"
     description = "random sampling of valid join orders (SG88 baseline)"
 
-    #: Starts priced per kernel sweep on a batch-capable evaluator.
-    batch_size = 64
-
     def run(self, evaluator, rng, params):
         try:
-            if evaluator.supports_batch:
-                self._run_batched(evaluator, rng)
-                return
             for start in self._random_starts(evaluator, rng):
                 evaluator.evaluate(start)
         except BudgetExhausted:
             pass
-
-    def _run_batched(self, evaluator, rng):
-        """Sample in batches: evaluation draws nothing from the RNG, so
-        pre-generating a batch of starts consumes the exact scalar stream."""
-        while True:
-            starts = [
-                random_valid_order(evaluator.graph, rng)
-                for _ in range(self.batch_size)
-            ]
-            costs, saturations = evaluator.price_batch(
-                [start.positions for start in starts]
-            )
-            for index, start in enumerate(starts):
-                evaluator.consume(start, costs[index], saturations[index])
 
 
 class PerturbationWalkStrategy(Strategy):
@@ -551,8 +531,6 @@ def compare_methods(
     params: MethodParams | None = None,
     workers: int | None = None,
     incremental: bool = True,
-    batch_costing: bool = False,
-    budget_accounting: str = PER_PLAN,
     stop_at_bound: bool = False,
     bound_tolerance: float = 1.05,
     failure_log=None,
@@ -588,8 +566,6 @@ def compare_methods(
                 stop_at_bound=stop_at_bound,
                 bound_tolerance=bound_tolerance,
                 incremental=incremental,
-                batch_costing=batch_costing,
-                budget_accounting=budget_accounting,
             )
             for name in methods
         }
@@ -611,8 +587,6 @@ def compare_methods(
             units_per_n2=units_per_n2,
             params=params,
             incremental=incremental,
-            batch_costing=batch_costing,
-            budget_accounting=budget_accounting,
             stop_at_bound=stop_at_bound,
             bound_tolerance=bound_tolerance,
         )

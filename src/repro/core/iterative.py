@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 
-from repro.core.batching import BatchSizer, speculate_moves
 from repro.core.budget import BudgetExhausted
 from repro.core.moves import MoveSet, NoValidMove
 from repro.core.state import Evaluation, Evaluator
@@ -54,10 +53,6 @@ def improvement_run(
     instead of a descent that begins above a plan already in hand.  The
     bound an in-progress descent uses is unchanged: the incumbent's cost
     is always the tightest sound bound for an acceptance-driven walk.
-
-    Batch-capable evaluators descend through :func:`_descend_batched`
-    (speculated neighbor runs priced per kernel sweep); the candidate
-    stream and RNG draws are identical either way.
     """
     if patience is None:
         patience = default_patience(evaluator.graph.n_relations)
@@ -76,22 +71,6 @@ def improvement_run(
     else:
         current_cost = start_cost
         evaluator.prime(start)
-    if evaluator.supports_batch:
-        return _descend_batched(
-            current, current_cost, evaluator, move_set, rng, patience
-        )
-    return _descend(current, current_cost, evaluator, move_set, rng, patience)
-
-
-def _descend(
-    current: JoinOrder,
-    current_cost: float,
-    evaluator: Evaluator,
-    move_set: MoveSet,
-    rng: random.Random,
-    patience: int,
-) -> Evaluation:
-    """The scalar greedy descent (one candidate priced per draw)."""
     tracer = evaluator.tracer
     depth = 0  # accepted moves this descent (improvement_depth histogram)
     failures = 0
@@ -138,98 +117,6 @@ def _descend(
                     if neighbor_cost is None
                     else "moves_rejected"
                 )
-    if tracer.enabled:
-        tracer.metrics.observe("improvement_depth", float(depth))
-    return Evaluation(current, current_cost)
-
-
-def _descend_batched(
-    current: JoinOrder,
-    current_cost: float,
-    evaluator: Evaluator,
-    move_set: MoveSet,
-    rng: random.Random,
-    patience: int,
-) -> Evaluation:
-    """The batched greedy descent — same walk, kernel-priced neighbors.
-
-    Neighbors are speculated under the all-rejected assumption (II rejects
-    most samples near a local minimum), priced in one kernel sweep, and
-    consumed in draw order.  Accepting a move restores the RNG snapshot
-    taken right after that move's draw and discards the rest of the batch,
-    so the observable RNG stream — and with it the whole trajectory — is
-    bit-identical to :func:`_descend`.  The batch never outruns
-    ``patience``: its size is capped so the failure streak can complete
-    exactly at a batch boundary, where the scalar loop would stop too.
-    """
-    tracer = evaluator.tracer
-    graph = evaluator.graph
-    depth = 0
-    failures = 0
-    sizer = BatchSizer()
-    while failures < patience:
-        limit = min(sizer.size, patience - failures)
-        speculated, exhausted = speculate_moves(
-            current, graph, move_set, rng, limit
-        )
-        batch = evaluator.price_batch(
-            [spec.neighbor.positions for spec in speculated]
-        ) if speculated else ([], [])
-        costs, saturations = batch
-        accepted = False
-        for consumed, spec in enumerate(speculated, start=1):
-            try:
-                neighbor_cost = evaluator.consume(
-                    spec.neighbor,
-                    costs[consumed - 1],
-                    saturations[consumed - 1],
-                    upper_bound=current_cost,
-                )
-            # boundary: restore the RNG snapshot, then re-raise — nothing
-            # is swallowed; budget/target/overflow stops propagate from
-            # the same candidate as in the scalar walk.
-            except BaseException:
-                rng.setstate(spec.state_after_move)
-                raise
-            if neighbor_cost is not None and neighbor_cost < current_cost:
-                evaluator.commit_candidate(spec.neighbor)
-                prev_cost = current_cost
-                current, current_cost = spec.neighbor, neighbor_cost
-                failures = 0
-                depth += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        obs_events.MOVE,
-                        outcome=obs_events.ACCEPTED,
-                        cost=neighbor_cost,
-                        delta=neighbor_cost - prev_cost,
-                    )
-                    tracer.metrics.inc("moves_accepted")
-                rng.setstate(spec.state_after_move)
-                sizer.shrink(consumed)
-                accepted = True
-                break
-            failures += 1
-            if tracer.enabled:
-                outcome = (
-                    obs_events.PRUNED
-                    if neighbor_cost is None
-                    else obs_events.REJECTED
-                )
-                tracer.emit(obs_events.MOVE, outcome=outcome)
-                tracer.metrics.inc(
-                    "moves_pruned"
-                    if neighbor_cost is None
-                    else "moves_rejected"
-                )
-        if accepted:
-            continue
-        if exhausted:
-            # The failing draw consumed the RNG exactly as the scalar
-            # walk's NoValidMove would — and with every prior speculation
-            # rejected, the walk really is at that draw.
-            break
-        sizer.grow()
     if tracer.enabled:
         tracer.metrics.observe("improvement_depth", float(depth))
     return Evaluation(current, current_cost)

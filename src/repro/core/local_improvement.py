@@ -105,49 +105,21 @@ def improve_pass(
         evaluator.prime(current.order)
         window = current.order.positions[position : position + window_size]
         best_in_window = current
-        if evaluator.supports_batch:
-            # The window's candidate set is deterministic (no RNG), so the
-            # whole window prices in one kernel sweep; consuming in
-            # enumeration order keeps charges and the tightening bound
-            # identical to the scalar loop.
-            candidates = [
-                candidate
-                for candidate_window in permutations(window)
-                if candidate_window != window
-                for candidate in (
-                    current.order.replace_segment(position, candidate_window),
-                )
-                if is_valid_order(candidate, graph)
-            ]
-            if candidates:
-                costs, saturations = evaluator.price_batch(
-                    [candidate.positions for candidate in candidates]
-                )
-                for index, candidate in enumerate(candidates):
-                    cost = evaluator.consume(
-                        candidate,
-                        costs[index],
-                        saturations[index],
-                        upper_bound=best_in_window.cost,
-                    )
-                    if cost is not None and cost < best_in_window.cost:
-                        best_in_window = Evaluation(candidate, cost)
-        else:
-            for candidate_window in permutations(window):
-                if candidate_window == window:
-                    continue
-                candidate = current.order.replace_segment(
-                    position, candidate_window
-                )
-                if not is_valid_order(candidate, graph):
-                    continue
-                cost = evaluator.evaluate_candidate(
-                    candidate,
-                    upper_bound=best_in_window.cost,
-                    first_changed=position,
-                )
-                if cost is not None and cost < best_in_window.cost:
-                    best_in_window = Evaluation(candidate, cost)
+        for candidate_window in permutations(window):
+            if candidate_window == window:
+                continue
+            candidate = current.order.replace_segment(
+                position, candidate_window
+            )
+            if not is_valid_order(candidate, graph):
+                continue
+            cost = evaluator.evaluate_candidate(
+                candidate,
+                upper_bound=best_in_window.cost,
+                first_changed=position,
+            )
+            if cost is not None and cost < best_in_window.cost:
+                best_in_window = Evaluation(candidate, cost)
         if tracer.enabled and best_in_window is not current:
             tracer.emit(
                 obs_events.MOVE,

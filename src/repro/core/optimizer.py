@@ -24,14 +24,7 @@ from repro.core.combinations import (
     available_method_names,
     make_strategy,
 )
-from repro.core.state import (
-    BatchEvaluator,
-    DeltaEvaluator,
-    Evaluator,
-    PER_JOIN,
-    PER_PLAN,
-    TargetReached,
-)
+from repro.core.state import DeltaEvaluator, Evaluator, TargetReached
 from repro.cost.base import CostModel
 from repro.cost.bounds import lower_bound
 from repro.cost.cardinality import prefix_cardinalities
@@ -100,6 +93,25 @@ def _method_label(method: str | Strategy) -> str:
     return method.name if isinstance(method, Strategy) else method.upper()
 
 
+def _single_relation_result(
+    graph: JoinGraph, method: str | Strategy
+) -> OptimizationResult:
+    """The only plan of a one-relation query: no join, nothing to price.
+
+    The method runs no search here, but its name is still validated.
+    """
+    make_strategy(method)
+    return OptimizationResult(
+        method=_method_label(method),
+        graph=graph,
+        order=JoinOrder([0]),
+        cost=0.0,
+        units_spent=0.0,
+        n_evaluations=0,
+        trajectory=(),
+    )
+
+
 def _optimize_connected(
     graph: JoinGraph,
     method: str | Strategy,
@@ -109,8 +121,6 @@ def _optimize_connected(
     params: MethodParams,
     target_cost: float | None = None,
     incremental: bool = True,
-    batch_costing: bool = False,
-    budget_accounting: str = PER_PLAN,
     record_floor: float | None = None,
     tracer: Tracer | None = None,
 ) -> Evaluator:
@@ -121,21 +131,12 @@ def _optimize_connected(
     # key on their registered name.
     rng_key = method if isinstance(method, str) else strategy.name
     rng = derive_rng(seed, "optimize", rng_key, graph.n_relations)
-    if batch_costing and BatchEvaluator.supports(model):
-        evaluator: Evaluator = BatchEvaluator(
+    if incremental and DeltaEvaluator.supports(model):
+        evaluator: Evaluator = DeltaEvaluator(
             graph,
             model,
             budget,
             target_cost=target_cost,
-            record_floor=record_floor,
-        )
-    elif incremental and DeltaEvaluator.supports(model):
-        evaluator = DeltaEvaluator(
-            graph,
-            model,
-            budget,
-            target_cost=target_cost,
-            charge_mode=budget_accounting,
             record_floor=record_floor,
         )
     else:
@@ -148,9 +149,6 @@ def _optimize_connected(
         )
     if tracer is not None:
         evaluator.tracer = tracer
-    if graph.n_relations == 1:
-        evaluator.best = None
-        return evaluator
     try:
         strategy.run(evaluator, rng, params)
     except (BudgetExhausted, TargetReached):
@@ -172,8 +170,6 @@ def optimize(
     resilient: bool = False,
     max_retries: int = 2,
     incremental: bool = True,
-    batch_costing: bool = False,
-    budget_accounting: str = PER_PLAN,
     workers: int | None = None,
     restarts: int | None = None,
     record_floor: float | None = None,
@@ -213,26 +209,9 @@ def optimize(
         (:class:`~repro.core.state.DeltaEvaluator`) when the cost model is
         eligible — models that override ``plan_cost``, and the resilient
         path, always use the full reference evaluator.  ``False`` forces
-        full re-costing everywhere (the reference oracle).
-    batch_costing:
-        Route the search through the vectorized batch evaluator
-        (:class:`~repro.core.state.BatchEvaluator`) when the cost model
-        is eligible: search loops speculate candidate batches and price
-        them in single kernel sweeps (:mod:`repro.cost.vectorized`),
-        with RNG draws and results bit-identical to the scalar path.
-        Takes precedence over ``incremental``; ineligible models fall
-        back exactly as ``incremental`` does, and without numpy the
-        kernel degrades to scalar per-row costing (same results, no
-        speedup).  Incompatible with per-join ``budget_accounting``
-        (the kernel always walks every join) and ignored on the
-        resilient path, which pins the reference evaluator.
-    budget_accounting:
-        ``"per-plan"`` (default) charges ``n_joins`` units per candidate
-        exactly like the full evaluator — the compatibility mode that
-        keeps published paper-reproduction budgets meaningful.
-        ``"per-join"`` charges only the joins the delta evaluator actually
-        walks, so prefix reuse and bound pruning buy more candidates per
-        budget.  Ignored when the full evaluator is in effect.
+        full re-costing everywhere (the reference oracle).  Both
+        evaluators charge ``n_joins`` units per candidate and return
+        bit-identical results.
     workers / restarts:
         Setting either routes the call through the multi-start
         orchestrator (:func:`repro.parallel.multi_start_optimize`):
@@ -265,12 +244,6 @@ def optimize(
     cost is finite, non-negative, and agrees with recomputation.
     """
     graph = query.graph if isinstance(query, Query) else query
-    if batch_costing and budget_accounting == PER_JOIN:
-        raise ValueError(
-            "batch_costing=True cannot be combined with per-join budget "
-            "accounting: the batch kernel always walks every join, so "
-            "per-join charges would just be per-plan charges in disguise"
-        )
     if model is None:
         model = MainMemoryCostModel()
     if params is None:
@@ -318,8 +291,6 @@ def optimize(
             restarts=restarts,
             workers=workers,
             incremental=incremental,
-            batch_costing=batch_costing,
-            budget_accounting=budget_accounting,
             stop_at_bound=stop_at_bound,
             bound_tolerance=bound_tolerance,
             tracer=tracer,
@@ -344,7 +315,9 @@ def optimize(
         )
         return _finish_trace(result, tracer, trace_path, budget)
 
-    if graph.is_connected:
+    if graph.n_relations == 1:
+        result = _single_relation_result(graph, method)
+    elif graph.is_connected:
         evaluator = _optimize_connected(
             graph,
             method,
@@ -354,8 +327,6 @@ def optimize(
             params,
             target_cost,
             incremental=incremental,
-            batch_costing=batch_costing,
-            budget_accounting=budget_accounting,
             record_floor=record_floor,
             tracer=tracer,
         )
@@ -381,8 +352,6 @@ def optimize(
             seed,
             params,
             incremental=incremental,
-            batch_costing=batch_costing,
-            budget_accounting=budget_accounting,
             tracer=tracer,
         )
     from repro.robustness.verify import verify_or_raise
@@ -435,8 +404,6 @@ def _optimize_disconnected(
     seed: int,
     params: MethodParams,
     incremental: bool = True,
-    batch_costing: bool = False,
-    budget_accounting: str = PER_PLAN,
     tracer: Tracer | None = None,
 ) -> OptimizationResult:
     """Postpone cross products: per-component search, then concatenation.
@@ -469,8 +436,6 @@ def _optimize_disconnected(
             budget=share,
             params=params,
             incremental=incremental,
-            batch_costing=batch_costing,
-            budget_accounting=budget_accounting,
             trace=tracer,
         )
         budget.spent = min(budget.limit, budget.spent + share.spent)

@@ -11,46 +11,31 @@ Two evaluators share that contract:
 
 * :class:`Evaluator` — the reference oracle: every candidate is priced by
   a full :meth:`~repro.cost.base.CostModel.plan_cost` walk.
-* :class:`DeltaEvaluator` — the production path: candidates are priced by
-  the prefix-cached :class:`~repro.cost.incremental.IncrementalEvaluator`,
-  with optional bound pruning, and the budget can be charged either per
-  plan (the paper's published accounting) or per join actually evaluated.
-* :class:`BatchEvaluator` — the array path: whole candidate batches are
-  priced by the vectorized kernel
-  (:class:`~repro.cost.vectorized.ArrayContext`), then adopted one by one
-  through :meth:`BatchEvaluator.consume` so budget charges, best/trajectory
-  updates, and early-stopping all happen in the scalar order.
+* :class:`DeltaEvaluator` — the production path for the models it
+  supports: candidates are priced by the prefix-cached
+  :class:`~repro.cost.incremental.IncrementalEvaluator`, with optional
+  bound pruning, and every candidate is charged per plan exactly like
+  the reference evaluator.
 
 The *candidate protocol* (:meth:`Evaluator.evaluate_candidate`,
 :meth:`Evaluator.commit_candidate`, :meth:`Evaluator.prime`) is what the
 search loops call; on the base evaluator it degrades to plain
-``evaluate``, so every strategy runs unchanged on either evaluator.  The
-*batch protocol* (:meth:`BatchEvaluator.price_batch` +
-:meth:`BatchEvaluator.consume`) is opt-in: loops check the evaluator's
-``supports_batch`` flag and fall back to the candidate protocol otherwise.
+``evaluate``, so every strategy runs unchanged on either evaluator.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.catalog.join_graph import JoinGraph
-from repro.core.budget import Budget, BudgetExhausted
+from repro.core.budget import Budget
 from repro.cost.base import CostModel
 from repro.cost.incremental import IncrementalEvaluator, supports_incremental
-from repro.cost.vectorized import ArrayContext
 from repro.obs import events as obs_events
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.plans.join_order import JoinOrder
-
-#: Budget-accounting modes accepted by :class:`DeltaEvaluator`.
-PER_PLAN = "per-plan"
-PER_JOIN = "per-join"
-CHARGE_MODES = (PER_PLAN, PER_JOIN)
-
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -76,10 +61,6 @@ class Evaluator:
     solution at or below it has been recorded — optimizers treat it like
     budget exhaustion and return the best solution found.
     """
-
-    #: Whether the batch protocol (``price_batch``/``consume``) is
-    #: available; search loops branch on this one attribute.
-    supports_batch = False
 
     def __init__(
         self,
@@ -223,18 +204,10 @@ class DeltaEvaluator(Evaluator):
     identical to :meth:`~repro.cost.base.CostModel.plan_cost`, so the base
     :class:`Evaluator` remains a drop-in reference oracle.
 
-    ``charge_mode`` selects the budget accounting:
-
-    ``"per-plan"`` (default, the compatibility mode)
-        Every evaluation — even a pruned one — charges ``n_joins`` units
-        up front, exactly like the reference evaluator, so published
-        paper-reproduction budgets and their BudgetExhausted points are
-        preserved bit for bit.
-    ``"per-join"``
-        Each evaluation charges the joins actually walked (floored at one
-        unit so repeated evaluations of the anchor still make progress),
-        after the walk.  Prefix reuse and pruning then translate into
-        more candidates per budget, which is the engine's whole point.
+    Every evaluation — even a pruned one — charges ``n_joins`` units up
+    front, exactly like the reference evaluator, so published
+    paper-reproduction budgets and their BudgetExhausted points are
+    preserved bit for bit.
 
     Pruned candidates are never recorded: the effective bound is clamped
     to at least the best recorded cost (and pruning is disabled until a
@@ -252,13 +225,8 @@ class DeltaEvaluator(Evaluator):
         model: CostModel,
         budget: Budget,
         target_cost: float | None = None,
-        charge_mode: str = PER_PLAN,
         record_floor: float | None = None,
     ) -> None:
-        if charge_mode not in CHARGE_MODES:
-            raise ValueError(
-                f"unknown charge_mode {charge_mode!r}; one of {CHARGE_MODES}"
-            )
         if not supports_incremental(model):
             raise ValueError(
                 f"cost model {model!r} overrides plan_cost and cannot be "
@@ -268,7 +236,6 @@ class DeltaEvaluator(Evaluator):
             graph, model, budget, target_cost=target_cost,
             record_floor=record_floor,
         )
-        self.charge_mode = charge_mode
         self.engine = IncrementalEvaluator(graph, model)
         #: Joins actually walked (full or aborted), across all evaluations.
         self.n_joins_evaluated = 0
@@ -279,13 +246,8 @@ class DeltaEvaluator(Evaluator):
 
     def evaluate(self, order: JoinOrder) -> float:
         """Full evaluation through the engine; re-anchors the prefix cache."""
-        if self.charge_mode == PER_PLAN:
-            self.budget.charge(float(self.graph.n_joins))
-            cost, joins = self.engine.rebase(order.positions)
-        else:
-            self._require_budget()
-            cost, joins = self.engine.rebase(order.positions)
-            self.budget.charge(max(1.0, float(joins)))
+        self.budget.charge(float(self.graph.n_joins))
+        cost, joins = self.engine.rebase(order.positions)
         self.n_joins_evaluated += joins
         self.n_evaluations += 1
         if self.tracer.enabled:
@@ -300,17 +262,10 @@ class DeltaEvaluator(Evaluator):
         upper_bound: float | None = None,
         first_changed: int | None = None,
     ) -> float | None:
-        if self.charge_mode == PER_PLAN:
-            self.budget.charge(float(self.graph.n_joins))
-            cost, joins = self.engine.evaluate(
-                order.positions, self._safe_bound(upper_bound), first_changed
-            )
-        else:
-            self._require_budget()
-            cost, joins = self.engine.evaluate(
-                order.positions, self._safe_bound(upper_bound), first_changed
-            )
-            self.budget.charge(max(1.0, float(joins)))
+        self.budget.charge(float(self.graph.n_joins))
+        cost, joins = self.engine.evaluate(
+            order.positions, self._safe_bound(upper_bound), first_changed
+        )
         self.n_joins_evaluated += joins
         self.n_evaluations += 1
         if cost is None:
@@ -327,12 +282,7 @@ class DeltaEvaluator(Evaluator):
         metrics = self.tracer.metrics
         metrics.inc("evaluations")
         metrics.inc("joins_walked", float(joins))
-        metrics.inc(
-            "joins_charged",
-            float(self.graph.n_joins)
-            if self.charge_mode == PER_PLAN
-            else max(1.0, float(joins)),
-        )
+        metrics.inc("joins_charged", float(self.graph.n_joins))
         if pruned:
             metrics.inc("pruned")
 
@@ -341,157 +291,3 @@ class DeltaEvaluator(Evaluator):
 
     def prime(self, order: JoinOrder) -> None:
         self.engine.prime(order.positions)
-
-    def _require_budget(self) -> None:
-        if self.budget.exhausted:
-            raise BudgetExhausted(
-                "budget exhausted before evaluation (per-join accounting)"
-            )
-
-
-class BatchEvaluator(Evaluator):
-    """Evaluator backed by the vectorized batch kernel.
-
-    Search loops that understand the batch protocol collect a window of
-    candidate orders, price them all at once through :meth:`price_batch`
-    (one :meth:`~repro.cost.vectorized.ArrayContext.batch_costs` sweep),
-    and then adopt each row in the original candidate order through
-    :meth:`consume`.  Splitting pricing from adoption keeps the observable
-    sequence — budget charges, ``best``/trajectory updates,
-    :class:`~repro.core.budget.BudgetExhausted` and :class:`TargetReached`
-    points — identical to the scalar evaluators: pricing touches no shared
-    state, and :meth:`consume` replays the scalar bookkeeping row by row.
-
-    Budget accounting is per-plan only (the reference oracle's mode): the
-    kernel always walks every join, so per-join accounting would gain
-    nothing and the published budgets stay bit-for-bit comparable.
-
-    A ``saturated`` row is one the kernel clamped to keep the batch
-    finite where the scalar walk raises
-    :class:`~repro.cost.cardinality.CostOverflowError`; :meth:`consume`
-    re-dispatches such rows to the scalar model so callers see the genuine
-    exception, not a poisoned float.
-
-    Without numpy the kernel degrades to a per-row scalar walk
-    (:attr:`~repro.cost.vectorized.ArrayContext.vectorized` is False) —
-    same results, no speedup.
-    """
-
-    supports_batch = True
-
-    #: Model eligibility test, mirroring ``DeltaEvaluator.supports``.
-    supports = staticmethod(supports_incremental)
-
-    def __init__(
-        self,
-        graph: JoinGraph,
-        model: CostModel,
-        budget: Budget,
-        target_cost: float | None = None,
-        record_floor: float | None = None,
-    ) -> None:
-        super().__init__(
-            graph, model, budget, target_cost=target_cost,
-            record_floor=record_floor,
-        )
-        self.context = ArrayContext(graph, model)
-        #: Kernel sweeps performed.
-        self.n_batches = 0
-        #: Rows the kernel flagged as saturated (scalar overflow).
-        self.n_saturated = 0
-        #: Consumed rows discarded by the bound emulation.
-        self.n_pruned = 0
-
-    def price_batch(
-        self, orders: Sequence[Sequence[int]]
-    ) -> tuple[list[float], list[bool]]:
-        """Price a batch of candidate orders in one kernel sweep.
-
-        Pricing is free and side-effect-free: nothing is charged, recorded,
-        or raised here.  Each returned ``(cost, saturated)`` row must be
-        fed back through :meth:`consume` (in candidate order) to take
-        effect; rows abandoned after a mid-batch stop are simply dropped,
-        exactly as the scalar path never evaluates them.
-        """
-        costs, saturated = self.context.batch_costs(orders, validate=False)
-        cost_list = [float(cost) for cost in costs]
-        flag_list = [bool(flag) for flag in saturated]
-        # detlint: ignore[PURE001] -- telemetry counter; outputs unaffected
-        self.n_batches += 1
-        n_saturated = sum(flag_list)
-        self.n_saturated += n_saturated
-        if self.tracer.enabled:
-            metrics = self.tracer.metrics
-            metrics.inc("batch_kernel_invocations")
-            metrics.observe("batch_size", float(len(cost_list)))
-            if n_saturated:
-                metrics.inc("batch_saturated_rows", float(n_saturated))
-        return cost_list, flag_list
-
-    def consume(
-        self,
-        order: JoinOrder,
-        cost: float,
-        saturated: bool,
-        upper_bound: float | None = None,
-    ) -> float | None:
-        """Adopt one priced row with the scalar evaluator's bookkeeping.
-
-        Charges ``n_joins`` up front (per-plan accounting), then either
-        re-raises the scalar :class:`CostOverflowError` for a saturated
-        row, prunes against ``upper_bound`` (``None`` return, not
-        recorded — the bound emulation matches ``DeltaEvaluator``), or
-        records the cost and checks the early-stopping target.
-        """
-        self.budget.charge(float(self.graph.n_joins))
-        if saturated:
-            # The kernel clamped this row; the scalar walk raises the
-            # genuine exception (and is the oracle if it disagrees).
-            cost = self.model.plan_cost(order, self.graph)
-        self.n_evaluations += 1
-        bound = self._safe_bound(upper_bound)
-        pruned = bound is not None and cost > bound
-        if pruned:
-            self.n_pruned += 1
-        else:
-            self._record(order, cost)
-        if self.tracer.enabled:
-            self._trace_consume(pruned)
-        self._check_target()
-        return None if pruned else cost
-
-    def evaluate_candidate(
-        self,
-        order: JoinOrder,
-        upper_bound: float | None = None,
-        first_changed: int | None = None,
-    ) -> float | None:
-        """Scalar fallback for loops that price candidates one at a time.
-
-        Identical bookkeeping to :meth:`consume`, priced by a scalar walk
-        — used by strategies (heuristics, WALK) that never batch.
-        ``first_changed`` is advisory and ignored: there is no prefix
-        cache here.
-        """
-        self.budget.charge(float(self.graph.n_joins))
-        cost = self.model.plan_cost(order, self.graph)
-        self.n_evaluations += 1
-        bound = self._safe_bound(upper_bound)
-        pruned = bound is not None and cost > bound
-        if pruned:
-            self.n_pruned += 1
-        else:
-            self._record(order, cost)
-        if self.tracer.enabled:
-            self._trace_consume(pruned)
-        self._check_target()
-        return None if pruned else cost
-
-    def _trace_consume(self, pruned: bool) -> None:
-        """Cold path: metric updates for one adopted row."""
-        metrics = self.tracer.metrics
-        metrics.inc("evaluations")
-        metrics.inc("joins_walked", float(self.graph.n_joins))
-        metrics.inc("joins_charged", float(self.graph.n_joins))
-        if pruned:
-            metrics.inc("pruned")

@@ -32,11 +32,6 @@ from repro.cost.methods import (
     SortMergeCostModel,
 )
 from repro.cost.static import StaticCostModel
-from repro.cost.vectorized import (
-    ArrayContext,
-    batch_plan_cost,
-    supports_vectorized,
-)
 
 __all__ = [
     "CostModel",
@@ -60,7 +55,4 @@ __all__ = [
     "join_result_cardinality",
     "prefix_cardinalities",
     "lower_bound",
-    "ArrayContext",
-    "batch_plan_cost",
-    "supports_vectorized",
 ]

@@ -57,10 +57,12 @@ class DiskCostModel(CostModel):
         """Pages needed to hold ``tuples`` tuples (at least one).
 
         Normalized to float64: ``math.ceil`` returns an arbitrary-precision
-        ``int``, whose exact integer arithmetic silently diverges from the
-        vectorized kernel's float64 above 2**53 — a regime where page
-        counts carry no ordering information anyway (cardinalities are
-        clamped long before costs matter there).
+        ``int``, whose exact integer arithmetic would silently diverge from
+        the float64 page counts of
+        :class:`~repro.cost.incremental.QueryContext`'s inline disk walk
+        above 2**53 — a regime where page counts carry no ordering
+        information anyway (cardinalities are clamped long before costs
+        matter there).
         """
         return max(1.0, float(math.ceil(tuples / self.tuples_per_page)))
 

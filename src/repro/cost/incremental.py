@@ -446,9 +446,11 @@ class IncrementalEvaluator:
             suffix_unplaced.append(unplaced.copy())
 
         if not math.isfinite(running):
+            # Formatted like JoinOrder, so the message matches plan_cost's.
+            order = "(" + " ".join(str(p) for p in positions) + ")"
             raise CostOverflowError(
                 f"{context.model.name} cost model produced non-finite plan "
-                f"cost {running!r} for order {positions}"
+                f"cost {running!r} for order {order}"
             )
         self._pending = (
             positions,

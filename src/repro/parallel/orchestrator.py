@@ -60,7 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 from repro.catalog.join_graph import JoinGraph, Query
 from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
 from repro.core.combinations import MethodParams, Strategy
-from repro.core.state import PER_PLAN
 from repro.cost.base import CostModel, CostOverflowError
 from repro.obs import events as obs_events
 from repro.obs.events import TraceEvent
@@ -118,8 +117,6 @@ class OptimizeJob:
     units_per_n2: float = DEFAULT_UNITS_PER_N2
     params: MethodParams | None = None
     incremental: bool = True
-    batch_costing: bool = False
-    budget_accounting: str = PER_PLAN
     record_floor: float | None = None
     stop_at_bound: bool = False
     bound_tolerance: float = 1.05
@@ -168,8 +165,6 @@ def run_job(job: OptimizeJob) -> JobOutcome:
             stop_at_bound=job.stop_at_bound,
             bound_tolerance=job.bound_tolerance,
             incremental=job.incremental,
-            batch_costing=job.batch_costing,
-            budget_accounting=job.budget_accounting,
             record_floor=job.record_floor,
             trace=tracer,
         )
@@ -277,8 +272,6 @@ def multi_start_optimize(
     restarts: int | None = None,
     workers: int | None = None,
     incremental: bool = True,
-    batch_costing: bool = False,
-    budget_accounting: str = PER_PLAN,
     stop_at_bound: bool = False,
     bound_tolerance: float = 1.05,
     crash_indices: tuple[int, ...] = (),
@@ -308,7 +301,7 @@ def multi_start_optimize(
     from repro.core.optimizer import (
         OptimizationResult,
         _method_label,
-        optimize,
+        _single_relation_result,
     )
     from repro.robustness.verify import verify_or_raise
 
@@ -332,12 +325,8 @@ def multi_start_optimize(
         budget = Budget.for_query(n_joins, time_factor, units_per_n2)
 
     if graph.n_relations == 1:
-        # Mirrors the legacy contract for trivial graphs (raises
-        # BudgetExhausted: there is nothing to evaluate).
-        result = optimize(
-            graph, method=method, model=model, seed=seed, budget=budget,
-            params=params,
-        )
+        # One plan and no join to price: there is nothing to restart.
+        result = _single_relation_result(graph, method)
         report = ParallelReport(
             restarts=0, workers=workers, share=0.0,
             prepass_cost=result.cost, best_bound=result.cost,
@@ -377,8 +366,6 @@ def multi_start_optimize(
             units_per_n2=units_per_n2,
             params=params,
             incremental=incremental,
-            batch_costing=batch_costing,
-            budget_accounting=budget_accounting,
             record_floor=floor,
             stop_at_bound=stop_at_bound,
             bound_tolerance=bound_tolerance,

@@ -30,12 +30,12 @@ escape, carrying the full failure log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.catalog.join_graph import JoinGraph
 from repro.core.budget import Budget
 from repro.core.combinations import MethodParams, Strategy, make_strategy
-from repro.core.optimizer import OptimizationResult
+from repro.core.optimizer import OptimizationResult, _single_relation_result
 from repro.core.state import Evaluator
 from repro.cost.base import CostModel
 from repro.cost.cardinality import prefix_cardinalities
@@ -302,14 +302,8 @@ def resilient_optimize(
         graph = sanitize_catalog(graph)
 
     if graph.n_relations == 1:
-        result = OptimizationResult(
-            method=method_name,
-            graph=graph,
-            order=JoinOrder([0]),
-            cost=0.0,
-            units_spent=0.0,
-            n_evaluations=0,
-            trajectory=(),
+        result = replace(
+            _single_relation_result(graph, method),
             degraded=bool(failures),
             failures=failures.as_tuple(),
         )

@@ -375,36 +375,6 @@ def test_include_restricts_and_allow_exempts() -> None:
     assert config.rule_applies("EXC001", "anything/at/all.py")
 
 
-def test_vectorized_module_is_inside_the_guarded_perimeter() -> None:
-    """The batch kernel must sit under every guard the scalar path has.
-
-    Both the detlint includes and the mypy strict list are directory- /
-    package-level (``src/repro/cost``, ``repro.cost.*``), so a new cost
-    module is covered automatically — this pins that down against a
-    future reorganisation moving the kernel outside the perimeter.
-    """
-    rel = "src/repro/cost/vectorized.py"
-    assert (REPO_ROOT / rel).is_file()
-    config = load_config(start=str(REPO_ROOT))
-    for rule in ("DET003", "OVF001"):
-        assert config.rule_applies(rule, rel), rule
-    tomllib = pytest.importorskip("tomllib")
-    table = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
-    overrides = table["tool"]["mypy"]["overrides"]
-    strict_patterns = [
-        pattern
-        for override in overrides
-        if override.get("disallow_untyped_defs")
-        for pattern in override["module"]
-    ]
-    from fnmatch import fnmatch
-
-    assert any(
-        fnmatch("repro.cost.vectorized", pattern)
-        for pattern in strict_patterns
-    ), strict_patterns
-
-
 def test_explicit_config_must_have_table(tmp_path: Path) -> None:
     empty = tmp_path / "pyproject.toml"
     empty.write_text("[project]\nname = 'x'\n")

@@ -687,7 +687,7 @@ def test_cache_invalidates_on_config_change(tmp_path: Path) -> None:
     pyproject.write_text(
         pyproject.read_text().replace(
             'entrypoints = ["plan_cost"]',
-            'entrypoints = ["plan_cost", "price_batch"]',
+            'entrypoints = ["plan_cost", "extend_state"]',
         )
     )
     result = run_project(root)

@@ -66,7 +66,7 @@ class TestOptimizeCommand:
 
 
 class TestEvaluationFlags:
-    """--no-incremental / --budget-accounting (see docs/performance.md)."""
+    """--no-incremental (see docs/performance.md)."""
 
     BASE = ["optimize", "--joins", "10", "--time-factor", "1", "--seed", "3"]
 
@@ -76,15 +76,6 @@ class TestEvaluationFlags:
         assert main(self.BASE + ["--no-incremental"]) == 0
         reference = capsys.readouterr().out
         assert default == reference
-
-    def test_per_join_accounting_runs(self, capsys):
-        code = main(self.BASE + ["--budget-accounting", "per-join"])
-        assert code == 0
-        assert "plan cost" in capsys.readouterr().out
-
-    def test_unknown_accounting_rejected(self):
-        with pytest.raises(SystemExit):
-            main(self.BASE + ["--budget-accounting", "per-query"])
 
     def test_compare_accepts_flags(self, capsys):
         code = main(
@@ -96,8 +87,7 @@ class TestEvaluationFlags:
                 "1",
                 "--methods",
                 "II",
-                "--budget-accounting",
-                "per-join",
+                "--no-incremental",
             ]
         )
         assert code == 0
@@ -467,6 +457,35 @@ class TestExitCodes:
         code = main(["sql", "SELECT * FROM t", "--catalog", str(catalog)])
         assert code == 2
         assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("optimize", "compare", "gap"))
+    def test_infinite_time_factor_exits_two(self, command, capsys):
+        # An infinite budget would never stop II/IAI.
+        code = main([command, "--joins", "5", "--time-factor", "inf"])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ([], ["--workers", "2"]), ids=("serial", "w2"))
+    def test_sql_single_relation_exits_zero(self, tmp_path, capsys, workers):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(
+            '{"tables": {"orders": {"cardinality": 1000,'
+            ' "columns": {"status": {"distinct": 5}}}}}'
+        )
+        code = main(
+            [
+                "sql",
+                "SELECT * FROM orders o WHERE o.status = 'x'",
+                "--catalog",
+                str(catalog),
+                "--explain",
+            ]
+            + workers
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "plan cost : 0" in out
+        assert "join order: (0)" in out
 
     def test_sql_resilient_flag(self, tmp_path, capsys):
         catalog = tmp_path / "catalog.json"

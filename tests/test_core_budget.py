@@ -55,6 +55,19 @@ class TestBudget:
         b = Budget.for_query(10, time_factor=3.0)
         assert b.limit == pytest.approx(2 * a.limit)
 
+    @pytest.mark.parametrize(
+        "n_joins, time_factor, units_per_n2",
+        ((10, math.inf, 30.0), (10, 1e308, 30.0), (10**160, 1.0, 1.0)),
+        ids=("inf", "overflow", "overflow-n"),
+    )
+    def test_for_query_rejects_non_finite_limit(
+        self, n_joins, time_factor, units_per_n2
+    ):
+        # An infinite limit would never stop II/IAI; unlimited() is the
+        # explicit way to ask for one.
+        with pytest.raises(ValueError, match="not finite"):
+            Budget.for_query(n_joins, time_factor, units_per_n2)
+
     def test_unlimited_never_exhausts(self):
         budget = Budget.unlimited()
         budget.charge(1e18)

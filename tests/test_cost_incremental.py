@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.core.combinations import MethodParams
 from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
 from repro.core.optimizer import optimize
-from repro.core.state import DeltaEvaluator, Evaluator, PER_JOIN, PER_PLAN
+from repro.core.state import DeltaEvaluator, Evaluator
 from repro.cost.cardinality import MAX_CARDINALITY, CostOverflowError
 from repro.cost.disk import DiskCostModel
 from repro.cost.incremental import (
@@ -37,6 +38,7 @@ from repro.cost.incremental import (
 )
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
+from repro.plans.join_order import JoinOrder
 from repro.plans.validity import random_valid_order, valid_orders
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
@@ -261,6 +263,101 @@ class TestDiskParityEdges:
             )
 
 
+# ----------------------------------------------------------------------
+# Adversarial shapes: clamps, overflows and cross-product steps
+# ----------------------------------------------------------------------
+
+
+def _poisoned(graph, index, cardinality):
+    """A copy of ``graph`` with one relation's base cardinality replaced."""
+    relations = list(graph.relations)
+    bad = copy.copy(relations[index])
+    object.__setattr__(bad, "base_cardinality", cardinality)
+    relations[index] = bad
+    return JoinGraph(relations, list(graph.predicates), validate=False)
+
+
+def _huge_graph():
+    """Cardinalities big enough to trip the clamp and the inf product."""
+    relations = [
+        Relation("a", 10.0**200),
+        Relation("b", 10.0**160),
+        Relation("c", 1000.0),
+        Relation("d", 10.0**120),
+    ]
+    predicates = [
+        JoinPredicate(0, 1, 10.0**50, 10.0**40),
+        JoinPredicate(1, 2, 100.0, 50.0),
+        JoinPredicate(2, 3, 10.0, 10.0**60),
+    ]
+    return JoinGraph(relations, predicates)
+
+
+def _cross_product_graph():
+    """Sparse predicates: most orders hit cross-product (selectivity 1)."""
+    relations = [Relation(f"r{i}", float(50 + 13 * i)) for i in range(5)]
+    predicates = [JoinPredicate(0, 1, 7.0, 5.0), JoinPredicate(3, 4, 9.0, 4.0)]
+    return JoinGraph(relations, predicates, validate=False)
+
+
+def _assert_all_permutations_match(graph, model):
+    """Every permutation, invalid orders included, each priced from the
+    previous one's prefix: the engine returns ``plan_cost``'s float, or
+    raises the same :class:`CostOverflowError` with the same message.
+
+    Returns ``(priced, overflowed)`` counts.
+    """
+    engine = IncrementalEvaluator(graph, model)
+    priced = overflowed = 0
+    for permutation in permutations(range(graph.n_relations)):
+        order = JoinOrder(permutation)
+        try:
+            expected = model.plan_cost(order, graph)
+        except CostOverflowError as full:
+            with pytest.raises(CostOverflowError) as raised:
+                engine.evaluate(order.positions)
+            assert str(raised.value) == str(full), order
+            overflowed += 1
+            continue
+        cost, _ = engine.evaluate(order.positions)
+        assert cost == expected, order
+        engine.commit(order.positions)
+        priced += 1
+    return priced, overflowed
+
+
+class TestAdversarialShapes:
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_huge_cardinalities(self, model):
+        priced, overflowed = _assert_all_permutations_match(
+            _huge_graph(), model
+        )
+        # Both the clamp and the non-finite product are reached.
+        assert priced and overflowed
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_cross_product_steps(self, model):
+        priced, overflowed = _assert_all_permutations_match(
+            _cross_product_graph(), model
+        )
+        assert priced == 120 and not overflowed
+
+    @pytest.mark.parametrize(
+        "model",
+        (
+            MainMemoryCostModel(build_cost=1e300, output_cost=1e300),
+            DiskCostModel(cpu_weight=1e300),
+        ),
+        ids=lambda m: m.name,
+    )
+    def test_nonfinite_total(self, model):
+        # Sizes stay finite; only the summed cost leaves the float range,
+        # so both walks fail at their closing check.
+        graph = _poisoned(_poisoned(chain_graph(), 0, 10.0**140), 2, 10.0**140)
+        priced, overflowed = _assert_all_permutations_match(graph, model)
+        assert overflowed == 120 and not priced
+
+
 class TestEngineProtocol:
     def test_rejects_plan_cost_overriding_models(self):
         graph = chain_graph()
@@ -331,8 +428,16 @@ def _run_ii(evaluator, graph, seed):
         return evaluator.best
 
 
+def _assert_same_result(delta, reference):
+    assert delta.order == reference.order
+    assert delta.cost == reference.cost
+    assert delta.units_spent == reference.units_spent
+    assert delta.n_evaluations == reference.n_evaluations
+    assert delta.trajectory == reference.trajectory
+
+
 class TestEndToEndEquivalence:
-    """II/SA on DeltaEvaluator (compat mode) == reference Evaluator."""
+    """Search methods on DeltaEvaluator == reference Evaluator."""
 
     @pytest.mark.parametrize("method", ("II", "SA", "IAI", "WALK"))
     @pytest.mark.parametrize("n_joins", (8, 15))
@@ -344,14 +449,23 @@ class TestEndToEndEquivalence:
             method=method, seed=13, time_factor=2.0, units_per_n2=10.0
         )
         reference = optimize(graph, incremental=False, **kwargs)
-        delta = optimize(
-            graph, incremental=True, budget_accounting=PER_PLAN, **kwargs
-        )
-        assert delta.order == reference.order
-        assert delta.cost == reference.cost
-        assert delta.units_spent == reference.units_spent
-        assert delta.n_evaluations == reference.n_evaluations
-        assert delta.trajectory == reference.trajectory
+        delta = optimize(graph, incremental=True, **kwargs)
+        _assert_same_result(delta, reference)
+
+    @pytest.mark.parametrize(
+        "method",
+        (
+            "II", "SA", "SAA", "SAK", "IAI", "IKI", "IAL", "AGI", "KBI",
+            "2PO", "RANDOM", "WALK",
+        ),
+    )
+    def test_every_method_matches_full_evaluation(self, method):
+        # Default budget, so each method runs its full schedule.
+        query = generate_query(DEFAULT_SPEC, n_joins=9, seed=21)
+        kwargs = dict(method=method, seed=0, time_factor=2.0)
+        reference = optimize(query, incremental=False, **kwargs)
+        delta = optimize(query, incremental=True, **kwargs)
+        _assert_same_result(delta, reference)
 
     def test_improvement_run_identical_on_both_evaluators(self):
         graph = generate_query(DEFAULT_SPEC, n_joins=12, seed=3).graph
@@ -401,53 +515,8 @@ class TestBudgetAccounting:
         model = MainMemoryCostModel()
         budget_a, budget_b = Budget(limit=4000.0), Budget(limit=4000.0)
         _run_ii(Evaluator(graph, model, budget_a), graph, seed=1)
-        _run_ii(
-            DeltaEvaluator(graph, model, budget_b, charge_mode=PER_PLAN),
-            graph,
-            seed=1,
-        )
+        _run_ii(DeltaEvaluator(graph, model, budget_b), graph, seed=1)
         assert budget_a.spent == budget_b.spent
-
-    def test_per_join_charges_only_walked_joins(self):
-        graph = generate_query(DEFAULT_SPEC, n_joins=9, seed=5).graph
-        model = MainMemoryCostModel()
-        per_plan = Budget(limit=4000.0)
-        per_join = Budget(limit=4000.0)
-        _run_ii(
-            DeltaEvaluator(graph, model, per_plan, charge_mode=PER_PLAN),
-            graph,
-            seed=1,
-        )
-        delta = DeltaEvaluator(graph, model, per_join, charge_mode=PER_JOIN)
-        _run_ii(delta, graph, seed=1)
-        # Identical walk (same rng, same decisions), but per-join pays
-        # only for suffix walks — strictly cheaper on any non-trivial run.
-        assert per_join.spent < per_plan.spent
-        assert per_join.spent >= delta.n_evaluations  # >= 1 unit each
-
-    def test_per_join_buys_more_evaluations(self):
-        graph = generate_query(DEFAULT_SPEC, n_joins=15, seed=8).graph
-        model = MainMemoryCostModel()
-        limit = 40.0 * graph.n_joins
-        compat = DeltaEvaluator(
-            graph, model, Budget(limit=limit), charge_mode=PER_PLAN
-        )
-        _run_ii(compat, graph, seed=6)
-        per_join = DeltaEvaluator(
-            graph, model, Budget(limit=limit), charge_mode=PER_JOIN
-        )
-        _run_ii(per_join, graph, seed=6)
-        assert per_join.n_evaluations >= compat.n_evaluations
-
-    def test_unknown_charge_mode_rejected(self):
-        graph = chain_graph()
-        with pytest.raises(ValueError, match="charge_mode"):
-            DeltaEvaluator(
-                graph,
-                MainMemoryCostModel(),
-                Budget.unlimited(),
-                charge_mode="per-century",
-            )
 
 
 class TestResilientPathStaysOnOracle:

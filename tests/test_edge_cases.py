@@ -6,9 +6,11 @@ from repro.catalog.join_graph import JoinGraph
 from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
 from repro.core.budget import Budget
-from repro.core.optimizer import optimize
+from repro.core.combinations import compare_methods
+from repro.core.optimizer import available_methods, optimize
 from repro.core.state import Evaluator
 from repro.cost.base import CostModel
+from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import is_valid_order
@@ -35,6 +37,38 @@ class TestTinyQueries:
         graph = two_relation_graph()
         result = optimize(graph, method=method, time_factor=1, units_per_n2=10)
         assert is_valid_order(result.order, graph)
+
+    @pytest.mark.parametrize("workers", (None, 2), ids=("serial", "w2"))
+    @pytest.mark.parametrize(
+        "model", (MainMemoryCostModel(), DiskCostModel()), ids=lambda m: m.name
+    )
+    @pytest.mark.parametrize("method", available_methods())
+    def test_single_relation_every_method(self, method, model, workers):
+        # One relation has one plan and no join: every path returns it,
+        # equal to what the resilient fallback chain reports.
+        graph = JoinGraph([Relation("A", 100)], [])
+        result = optimize(graph, method=method, model=model, workers=workers)
+        assert result == optimize(
+            graph, method=method, model=model, resilient=True
+        )
+        assert result.order == JoinOrder([0])
+        assert result.cost == 0.0
+        assert result.units_spent == 0.0
+        assert result.n_evaluations == 0
+
+    @pytest.mark.parametrize("resilient", (False, True))
+    def test_single_relation_still_validates_method(self, resilient):
+        graph = JoinGraph([Relation("A", 100)], [])
+        with pytest.raises(ValueError, match="unknown method"):
+            optimize(graph, method="NOPE", resilient=resilient)
+
+    def test_single_relation_compare_methods(self):
+        graph = JoinGraph([Relation("A", 100)], [])
+        serial = compare_methods(graph, methods=("II", "SA", "EXACT"))
+        assert compare_methods(
+            graph, methods=("II", "SA", "EXACT"), workers=2
+        ) == serial
+        assert {result.cost for result in serial.values()} == {0.0}
 
     def test_two_singleton_components(self):
         graph = JoinGraph([Relation("A", 10), Relation("B", 20)], [])

@@ -1,0 +1,31 @@
+"""What importing the package costs every process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_does_not_load_numpy():
+    # The package depends on the standard library only; a module that
+    # imported numpy would add its load time and memory to every process,
+    # pool workers included.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (str(SRC), env.get("PYTHONPATH")) if path
+    )
+    probe = (
+        "import sys\n"
+        "import repro, repro.cli, repro.parallel\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert completed.stdout.strip() == "False"

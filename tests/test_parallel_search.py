@@ -106,19 +106,6 @@ class TestBitIdentityAcrossWorkers:
         # than the legacy single trajectory — it must not masquerade.
         assert orchestrated.n_evaluations != legacy.n_evaluations
 
-    def test_per_join_accounting(self):
-        query = _query(n_joins=6, seed=4)
-        kwargs = dict(
-            method="IAI",
-            seed=11,
-            time_factor=1.5,
-            restarts=3,
-            budget_accounting="per-join",
-        )
-        assert optimize(query, workers=1, **kwargs) == optimize(
-            query, workers=3, **kwargs
-        )
-
     def test_full_reference_evaluator(self):
         query = _query(n_joins=5, seed=6)
         kwargs = dict(
