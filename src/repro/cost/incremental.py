@@ -8,23 +8,24 @@ Re-deriving that unchanged prefix through
 spend most of their time.  This module removes the redundancy:
 
 * :class:`QueryContext` precompiles one query's catalog — relation
-  cardinalities, adjacency, and per-pair distinct-value counts flattened
-  into index-keyed tuples — so the inner costing loop performs no dict or
-  string lookups and never touches predicate objects.
-* :class:`IncrementalEvaluator` keeps per-position *prefix state* for an
-  anchor order (cumulative cost, intermediate size, and the
-  distinct-value caps of the propagating estimator) and prices a
-  candidate by recomputing only the suffix after the longest prefix it
-  shares with the anchor.  An ``upper_bound`` makes the walk abort the
-  moment its running total exceeds the bound — the incumbent's cost in
-  iterative improvement, the accept-threshold in simulated annealing.
+  cardinalities and one per-edge table of distinct-value constants,
+  flattened into index-keyed tuples — so the inner costing loop performs
+  no dict or string lookups and never touches predicate objects.
+* :class:`IncrementalEvaluator` keeps two numbers per position of an
+  anchor order — the intermediate size and the cumulative cost — plus
+  each relation's position in the anchor, and prices a candidate by
+  recomputing only the suffix after the longest prefix it shares with
+  the anchor.  An ``upper_bound`` makes the walk abort the moment its
+  running total exceeds the bound — the incumbent's cost in iterative
+  improvement, the accept-threshold in simulated annealing.
 
-**Exactness.**  The suffix walk replicates the arithmetic of
-:class:`~repro.cost.cardinality.PlanEstimator` and the base
-:meth:`~repro.cost.base.CostModel.plan_cost` operation for operation, in
-the same order, so a full (unaborted) evaluation returns the *bitwise
-identical* float the full evaluator returns.  The differential harness in
-``tests/test_cost_incremental.py`` enforces this along random walks.
+**Exactness.**  The walk keeps no distinct-value caps: it derives a
+placed neighbor's cap from the cached sizes when it reads the edge.
+``min`` and ``max`` only pick one of their operands, so every rounding
+step sees the same floats in the same order as in the base
+:meth:`~repro.cost.base.CostModel.plan_cost`, and a full (unaborted)
+evaluation returns the *bitwise identical* float.  The differential
+harness in ``tests/test_cost_incremental.py`` enforces this.
 
 **Eligibility.**  The engine reproduces the semantics of the *base*
 ``plan_cost`` (propagating estimator + sum of ``join_cost``).  Models
@@ -80,10 +81,11 @@ def supports_incremental(model: CostModel) -> bool:
 class QueryContext:
     """One query's catalog, precompiled for the incremental inner loop.
 
-    ``adjacency[k]`` is a tuple of ``(neighbor, neighbor_distinct,
-    own_distinct)`` triples in the same order as
-    ``graph.adjacency(k).items()`` — preserving that order keeps the
-    selectivity product bitwise identical to the full estimator's.
+    ``adjacency[k]`` holds one ``(neighbor, distinct, floor)`` triple per
+    edge, in ``graph.adjacency(k)`` order so the selectivity product stays
+    bitwise identical to the full estimator's.  ``distinct`` is
+    ``min(neighbor distinct, neighbor cardinality)``, the neighbor's cap
+    before any join lowers it; ``floor`` is ``max(1.0, own distinct)``.
 
     Both stock models are compiled: the walk prices their joins inline,
     replicating ``join_cost`` term for term, instead of calling it.  The
@@ -122,8 +124,11 @@ class QueryContext:
             entries = tuple(
                 (
                     neighbor,
-                    predicate.distinct_values(neighbor),
-                    predicate.distinct_values(relation),
+                    min(
+                        predicate.distinct_values(neighbor),
+                        self.cardinalities[neighbor],
+                    ),
+                    max(1.0, predicate.distinct_values(relation)),
                 )
                 for neighbor, predicate in graph.adjacency(relation).items()
             )
@@ -158,9 +163,9 @@ class IncrementalEvaluator:
     Usage: :meth:`rebase` on the walk's current order, then
     :meth:`evaluate` each candidate (optionally with ``upper_bound``),
     and :meth:`commit` when a candidate is accepted — the candidate's
-    states, computed during its evaluation, become the new anchor without
-    any re-walk.  The engine is pure costing: budget charging, best-plan
-    tracking, and trajectory recording stay in
+    sizes and costs, computed during its evaluation, become the new
+    anchor without any re-walk.  The engine is pure costing: budget
+    charging, best-plan tracking, and trajectory recording stay in
     :class:`repro.core.state.DeltaEvaluator`.
     """
 
@@ -169,16 +174,18 @@ class IncrementalEvaluator:
         n = self.context.n_relations
         # Anchor state: one entry per order position.
         self._positions: tuple[int, ...] | None = None
-        self._sizes: list[float] = []
+        self._sizes: list[float] = []  # intermediate size after position p
         self._costs: list[float] = []  # cumulative cost through position p
-        self._caps: list[dict[int, float]] = []
-        self._unplaced: list[dict[int, int]] = []
         self._total = 0.0
+        # Each relation's position in the anchor order.
+        self._at = [0] * n
         # Pending candidate (last successful evaluate), committable.
         self._pending: tuple | None = None
-        # Version-stamped placed markers avoid an O(n) clear per candidate.
-        self._placed_stamp = [0] * n
-        self._stamp = 0
+        # A relation placed in the current walk's suffix is marked
+        # ``base + position``; every earlier walk's marks lie below the
+        # current ``base``, so no O(n) clear is needed per candidate.
+        self._marks = [0] * n
+        self._base = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -244,20 +251,17 @@ class IncrementalEvaluator:
                 "nothing to commit: no candidate has been fully evaluated "
                 "since the last commit"
             )
-        positions, shared, sizes, costs, caps, unplaced, total = pending
+        positions, shared, sizes, costs, total = pending
         if order is not None and tuple(order) != positions:
             raise ValueError(
                 f"commit order mismatch: last evaluated {positions}, "
                 f"asked to commit {tuple(order)}"
             )
-        del self._sizes[shared:]
-        del self._costs[shared:]
-        del self._caps[shared:]
-        del self._unplaced[shared:]
-        self._sizes.extend(sizes)
-        self._costs.extend(costs)
-        self._caps.extend(caps)
-        self._unplaced.extend(unplaced)
+        at = self._at
+        for position in range(shared, len(positions)):
+            at[positions[position]] = position
+        self._sizes = sizes
+        self._costs = costs
         self._positions = positions
         self._total = total
         self._pending = None
@@ -330,34 +334,33 @@ class IncrementalEvaluator:
                 io_factors,
             ) = disk
 
-        suffix_sizes: list[float] = []
-        suffix_costs: list[float] = []
-        suffix_caps: list[dict[int, float]] = []
-        suffix_unplaced: list[dict[int, int]] = []
-
+        # Relations before ``shared`` sit where the anchor put them; the
+        # suffix is marked as the walk places it.  ``mins[q]`` is the
+        # smallest size from position ``q`` on: the estimator's cap of a
+        # relation placed at ``q``, before its cardinality is folded in.
+        at = self._at
+        marks = self._marks
+        self._base += n
+        base = self._base
         if shared == 0:
             first = positions[0]
             size = clamp_cardinality(
                 cardinalities[first], f"relation {first}"
             )
-            running = 0.0
-            caps: dict[int, float] = {}
-            unplaced: dict[int, int] = {}
-            degree = context.degrees[first]
-            if degree:
-                caps[first] = size
-                unplaced[first] = degree
-            suffix_sizes.append(size)
-            suffix_costs.append(0.0)
-            suffix_caps.append(caps.copy())
-            suffix_unplaced.append(unplaced.copy())
+            sizes = [size]
+            costs = [0.0]
+            marks[first] = base
             start = 1
         else:
-            size = self._sizes[shared - 1]
-            running = self._costs[shared - 1]
-            caps = self._caps[shared - 1].copy()
-            unplaced = self._unplaced[shared - 1].copy()
+            sizes = self._sizes[:shared]
+            costs = self._costs[:shared]
             start = shared
+        size = sizes[-1]
+        running = costs[-1]
+        mins = list(sizes)
+        for earlier in range(start - 2, -1, -1):
+            if mins[earlier + 1] < mins[earlier]:
+                mins[earlier] = mins[earlier + 1]
         if disk is not None:
             # DiskCostModel.pages of the outer operand; each join's result
             # pages then become the next join's outer pages.
@@ -365,35 +368,20 @@ class IncrementalEvaluator:
             if outer_pages < 1.0:
                 outer_pages = 1.0
 
-        # Mark the prefix as placed using a fresh stamp (O(prefix), no
-        # O(n) clear).
-        self._stamp += 1
-        stamp = self._stamp
-        placed = self._placed_stamp
-        for position in range(start):
-            placed[positions[position]] = stamp
-
         joins = 0
         for position in range(start, n):
             inner = positions[position]
             selectivity = 1.0
-            open_inner = 0
-            for neighbor, outer_distinct, inner_distinct in adjacency[inner]:
-                if placed[neighbor] != stamp:
-                    open_inner += 1
-                    continue
-                cap = caps.get(neighbor)
-                if cap is not None and cap < outer_distinct:
-                    outer_distinct = cap
-                larger = max(outer_distinct, inner_distinct, 1.0)
-                selectivity *= 1.0 / larger
-                # The outer side of this edge has one fewer unplaced edge.
-                count = unplaced.get(neighbor, 0) - 1
-                if count <= 0:
-                    unplaced.pop(neighbor, None)
-                    caps.pop(neighbor, None)
-                else:
-                    unplaced[neighbor] = count
+            for neighbor, distinct, floor in adjacency[inner]:
+                placed_at = at[neighbor]
+                if placed_at >= shared:
+                    placed_at = marks[neighbor] - base
+                    if placed_at < 0:
+                        continue  # not placed yet
+                smallest = mins[placed_at]
+                if smallest < distinct:
+                    distinct = smallest
+                selectivity *= 1.0 / (floor if floor > distinct else distinct)
 
             inner_size = cardinalities[inner]
             result = size * inner_size * selectivity
@@ -401,13 +389,6 @@ class IncrementalEvaluator:
                 result = clamp_cardinality(
                     result, f"joining relation {inner}"
                 )
-
-            if open_inner:
-                unplaced[inner] = open_inner
-                caps[inner] = inner_size if inner_size < result else result
-            for relation, cap in caps.items():
-                if cap > result:
-                    caps[relation] = result
 
             if memory is not None:
                 running += (
@@ -433,17 +414,20 @@ class IncrementalEvaluator:
             if upper_bound is not None and running > upper_bound:
                 # Every remaining join can only add cost, so the total
                 # already exceeds the bound: a strictly-less acceptance
-                # test must reject this candidate.  Abort before
-                # snapshotting — the candidate can never be committed.
+                # test must reject this candidate.  Abort — the candidate
+                # can never be committed.
                 self._pending = None
                 return None, joins
-            placed[inner] = stamp
+            marks[inner] = base + position
             size = result
-
-            suffix_sizes.append(size)
-            suffix_costs.append(running)
-            suffix_caps.append(caps.copy())
-            suffix_unplaced.append(unplaced.copy())
+            sizes.append(size)
+            costs.append(running)
+            # mins is non-decreasing, so only a tail can exceed the result.
+            lowered = position - 1
+            while lowered >= 0 and mins[lowered] > result:
+                mins[lowered] = result
+                lowered -= 1
+            mins.append(result)
 
         if not math.isfinite(running):
             # Formatted like JoinOrder, so the message matches plan_cost's.
@@ -452,15 +436,7 @@ class IncrementalEvaluator:
                 f"{context.model.name} cost model produced non-finite plan "
                 f"cost {running!r} for order {order}"
             )
-        self._pending = (
-            positions,
-            shared,
-            suffix_sizes,
-            suffix_costs,
-            suffix_caps,
-            suffix_unplaced,
-            running,
-        )
+        self._pending = (positions, shared, sizes, costs, running)
         return running, joins
 
 
@@ -472,10 +448,10 @@ class IncrementalEvaluator:
 # one order at a time.  A best-first branch-and-bound instead holds many
 # incomparable prefixes alive at once, so it needs the walk's state as a
 # value it can stash in a frontier and extend out of order.  PrefixState
-# is exactly one ``_walk`` step's snapshot; ``extend_state`` replicates
-# the step arithmetic operation for operation, so a chain of extensions
-# over a full order yields the bitwise-identical cost ``plan_cost``
-# returns (enforced by tests/test_core_exact.py).
+# keeps PlanEstimator's caps, because dominance compares them;
+# ``extend_state`` is PlanEstimator's step on the walk's per-edge table,
+# so a chain of extensions yields the bitwise-identical cost
+# ``plan_cost`` returns (enforced by tests/test_core_exact.py).
 
 
 class PrefixState:
@@ -528,9 +504,11 @@ def extend_state(
 ) -> PrefixState:
     """``state`` with relation ``inner`` joined next.
 
-    Replicates one iteration of the incremental walk's inner loop — same
-    operations, same order — so extension chains stay bitwise identical
-    to ``plan_cost``.  Raises
+    One :meth:`~repro.cost.cardinality.PlanEstimator.step` on
+    ``context.adjacency``; a cap is never above its relation's
+    cardinality, so the table's folded-in cardinality changes no
+    operand and extension chains stay bitwise identical to
+    ``plan_cost``.  Raises
     :class:`~repro.cost.cardinality.CostOverflowError` exactly where the
     full walk's clamp would.
     """
@@ -540,15 +518,14 @@ def extend_state(
     size = state.size
     selectivity = 1.0
     open_inner = 0
-    for neighbor, outer_distinct, inner_distinct in context.adjacency[inner]:
+    for neighbor, distinct, floor in context.adjacency[inner]:
         if not (mask >> neighbor) & 1:
             open_inner += 1
             continue
         cap = caps.get(neighbor)
-        if cap is not None and cap < outer_distinct:
-            outer_distinct = cap
-        larger = max(outer_distinct, inner_distinct, 1.0)
-        selectivity *= 1.0 / larger
+        if cap is not None and cap < distinct:
+            distinct = cap
+        selectivity *= 1.0 / (floor if floor > distinct else distinct)
         count = unplaced.get(neighbor, 0) - 1
         if count <= 0:
             unplaced.pop(neighbor, None)

@@ -10,8 +10,9 @@ tables).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_fraction, check_positive
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,8 @@ class ColumnStats:
 
     def __post_init__(self) -> None:
         check_positive("distinct", self.distinct)
+        if self.equality_selectivity is not None:
+            check_fraction("equality_selectivity", self.equality_selectivity)
 
     @property
     def selectivity(self) -> float:
@@ -80,21 +83,45 @@ class StatsCatalog:
         self._tables: dict[str, TableStats] = {}
 
     @classmethod
-    def from_dict(cls, document: dict) -> "StatsCatalog":
-        """Build a catalog from a JSON-shaped dictionary."""
-        catalog = cls()
+    def from_dict(cls, document: object) -> "StatsCatalog":
+        """Build a catalog from a JSON-shaped dictionary.
+
+        A document of the wrong shape, or a statistic that is not a
+        number in range (a JSON boolean is not a number), raises
+        :class:`ValueError` naming the table and the field; a missing
+        ``cardinality`` or ``distinct`` raises :class:`KeyError`.
+        """
+        if not isinstance(document, dict):
+            raise ValueError("catalog document must be a JSON object")
         tables = document.get("tables")
         if not isinstance(tables, dict):
             raise ValueError('catalog document needs a "tables" mapping')
+        catalog = cls()
         for name, entry in tables.items():
-            columns = {
-                column: ColumnStats(
-                    distinct=stats["distinct"],
-                    equality_selectivity=stats.get("equality_selectivity"),
+            if not isinstance(entry, dict):
+                raise ValueError(f"table {name!r} must be a JSON object, got {entry!r}")
+            column_entries = entry.get("columns", {})
+            if not isinstance(column_entries, dict):
+                raise ValueError(
+                    f"table {name!r} columns must be a JSON object, "
+                    f"got {column_entries!r}"
                 )
-                for column, stats in entry.get("columns", {}).items()
-            }
-            catalog.add_table(name, entry["cardinality"], columns)
+            columns: dict[str, ColumnStats] = {}
+            for column, stats in column_entries.items():
+                where = f"column {name}.{column}"
+                if not isinstance(stats, dict):
+                    raise ValueError(f"{where} must be a JSON object, got {stats!r}")
+                distinct = stats["distinct"]
+                _check_statistic(distinct, f"{where} distinct", check_positive)
+                selectivity = stats.get("equality_selectivity")
+                if selectivity is not None:
+                    _check_statistic(
+                        selectivity, f"{where} equality_selectivity", check_fraction
+                    )
+                columns[column] = ColumnStats(distinct, selectivity)
+            cardinality = entry["cardinality"]
+            _check_statistic(cardinality, f"table {name!r} cardinality", check_positive)
+            catalog.add_table(name, cardinality, columns)
         return catalog
 
     @classmethod
@@ -132,3 +159,13 @@ class StatsCatalog:
 
     def __len__(self) -> int:
         return len(self._tables)
+
+
+def _check_statistic(
+    value: object, where: str, check: Callable[[str, float], float]
+) -> None:
+    """Raise :class:`ValueError` naming ``where`` unless ``value`` is a
+    number (``bool`` excluded) that passes ``check``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    check(where, value)

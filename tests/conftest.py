@@ -92,6 +92,29 @@ def two_component_graph() -> JoinGraph:
     return JoinGraph(relations, predicates)
 
 
+def selected_graph() -> JoinGraph:
+    """Join columns with more distinct values than a selection leaves rows.
+
+    ``r1`` keeps 10 of its 1000 rows and ``r3`` 30 of its 300, yet their
+    join columns keep up to 600 and 250 distinct values.  The estimator
+    caps those counts at the relations' effective cardinalities, so a
+    walk that derives caps from sizes alone misprices some orders.
+    """
+    relations = [
+        Relation("r0", 2000),
+        Relation("r1", 1000).with_selections(0.01),
+        Relation("r2", 5000),
+        Relation("r3", 300).with_selections(0.1),
+    ]
+    predicates = [
+        JoinPredicate(0, 1, 2.0, 2.0),
+        JoinPredicate(1, 2, 500.0, 800.0),
+        JoinPredicate(1, 3, 600.0, 200.0),
+        JoinPredicate(2, 3, 900.0, 250.0),
+    ]
+    return JoinGraph(relations, predicates)
+
+
 @pytest.fixture
 def chain():
     return chain_graph()

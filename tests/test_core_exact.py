@@ -54,6 +54,7 @@ from repro.workloads import DEFAULT_SPEC, generate_query
 from tests.conftest import (
     chain_graph,
     cycle_graph,
+    selected_graph,
     star_graph,
     two_component_graph,
 )
@@ -88,6 +89,7 @@ def shape_graphs() -> list[tuple[str, JoinGraph]]:
         ("star", star_graph()),
         ("cycle", cycle_graph()),
         ("two-components", two_component_graph()),
+        ("selected", selected_graph()),
     ]
 
 

@@ -40,18 +40,21 @@ from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import random_valid_order, valid_orders
-from repro.workloads.benchmarks import DEFAULT_SPEC
+from repro.workloads.benchmarks import DEFAULT_SPEC, benchmark_specs
 from repro.workloads.generator import generate_query
 
-from .conftest import chain_graph, cycle_graph, star_graph
+from .conftest import chain_graph, cycle_graph, selected_graph, star_graph
 
 MODELS = (MainMemoryCostModel(), DiskCostModel())
+SPECS = tuple(benchmark_specs().values())
 
-#: >= 20 random graphs; together with the hand-built shapes and the walk
+#: >= 20 random graphs, cycling through all ten benchmark specs so the
+#: dense-graph spec makes one join read several neighbors placed at
+#: different positions; together with the hand-built shapes and the walk
 #: length below, the harness crosses 10k differential moves per model.
 RANDOM_GRAPHS = tuple(
     generate_query(
-        DEFAULT_SPEC,
+        SPECS[index % len(SPECS)],
         n_joins=random.Random(index).choice((4, 7, 12, 20, 30)),
         seed=1000 + index,
     ).graph
@@ -341,6 +344,17 @@ class TestAdversarialShapes:
             _cross_product_graph(), model
         )
         assert priced == 120 and not overflowed
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_distinct_above_effective_cardinality(self, model):
+        graph = selected_graph()
+        assert any(
+            predicate.distinct_values(side) > graph.cardinality(side)
+            for predicate in graph.predicates
+            for side in predicate.endpoints
+        )
+        priced, overflowed = _assert_all_permutations_match(graph, model)
+        assert priced == 24 and not overflowed
 
     @pytest.mark.parametrize(
         "model",
