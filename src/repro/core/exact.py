@@ -40,16 +40,19 @@ with ``==``):
   the open component before starting another — so the search space *is*
   the valid-order space and cross products never appear mid-component.
 
-The frontier is seeded with greedy/KBZ/augmentation incumbents polished
-by a short iterative-improvement descent, which gives bound pruning
-teeth from the first expansion.  Feasibility: exhaustive enumeration
-dies around 10 relations; the branch-and-bound is comfortable to
-N≈15–18 depending on graph shape (see ``docs/exact.md`` and
-``benchmarks/test_perf_exact.py``).  Beyond the frontier,
-:func:`hybrid_optimum` contracts the graph to a small cluster skeleton,
-solves the skeleton and the cluster interiors exactly, expands, and
-polishes with the existing II machinery — a certified-*construction*
-(not certified-optimal) mode, reported with ``proven=False``.
+The frontier is seeded with the greedy order, which gives bound pruning
+teeth from the first expansion.  KBZ and augmentation incumbents
+polished by a short iterative-improvement descent join it from five
+relations up, where the search could cost more than they do
+(:func:`_seed_pays`), and whenever the budget cannot cover the search.
+Feasibility: exhaustive enumeration dies around 10 relations; the
+branch-and-bound is comfortable to N≈15–18 depending on graph shape (see
+``docs/exact.md`` and ``benchmarks/test_perf_exact.py``).  Beyond the
+frontier, :func:`hybrid_optimum` contracts the graph to a small cluster
+skeleton, solves the skeleton and the cluster interiors exactly,
+expands, and polishes with the existing II machinery — a
+certified-*construction* (not certified-optimal) mode, reported with
+``proven=False``.
 
 The optimality-gap surface (:func:`optimality_gap`,
 :func:`build_gap_report`, :func:`gap_report_json`) turns any
@@ -72,7 +75,7 @@ from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
 from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
 from repro.core.combinations import MethodParams, Strategy
-from repro.core.iterative import improvement_run
+from repro.core.iterative import default_patience, improvement_run
 from repro.core.moves import MoveSet
 from repro.core.state import Evaluation, Evaluator, DeltaEvaluator
 from repro.cost.base import CostModel
@@ -283,6 +286,28 @@ def _greedy_order(graph: JoinGraph) -> JoinOrder:
     return JoinOrder(order)
 
 
+def _search_worst_case(n: int) -> int:
+    """Most extensions the branch-and-bound can charge over ``n`` relations.
+
+    One per ordered prefix of two or more relations.
+    """
+    return sum(math.perm(n, k) for k in range(2, n + 1))
+
+
+def _seed_pays(n: int) -> bool:
+    """Whether the heuristic seed can be cheaper than the search it seeds.
+
+    The seed's least charge is ``n - 1`` units for each evaluation it
+    always makes: the greedy order, ``n`` KBZ and ``n`` augmentation
+    orders, and ``default_patience(n)`` failed polish moves.  When the
+    search's worst case is no larger, the seed cannot save the search
+    more than it costs.  True from five relations up.  Both sides are
+    counted as for a connected graph; on a disconnected one both shrink.
+    """
+    seed_charge = (n - 1) * (1 + 2 * n + default_patience(n))
+    return _search_worst_case(n) > seed_charge
+
+
 def _seed_incumbent(
     graph: JoinGraph,
     model: CostModel,
@@ -290,13 +315,18 @@ def _seed_incumbent(
     seed: int,
     tracer: Tracer,
 ) -> tuple[Evaluation | None, int]:
-    """Evaluate heuristic starts and polish the best with a short II run.
+    """Evaluate the greedy order, plus heuristic starts polished by II.
 
-    Returns the best evaluation found (``None`` only when the budget
-    expired before the first one completed) and the number of join-cost
-    evaluations spent.  All costs come from full evaluator walks, so the
-    incumbent's cost is bitwise comparable with the search's own chains.
+    The KBZ and augmentation starts and the polish run only when they
+    can pay for themselves (:func:`_seed_pays`), or when the budget
+    cannot cover the search's worst case and the incumbent may be the
+    answer.  Returns the best evaluation found (``None`` only when the
+    budget expired before the first one completed) and the number of
+    join-cost evaluations spent.  All costs come from full evaluator
+    walks, so the incumbent's cost is bitwise comparable with the
+    search's own chains.
     """
+    n = graph.n_relations
     evaluator: Evaluator
     if supports_incremental(model):
         evaluator = DeltaEvaluator(graph, model, budget)
@@ -305,27 +335,30 @@ def _seed_incumbent(
     evaluator.tracer = tracer
     try:
         evaluator.evaluate(_greedy_order(graph))
-        if graph.is_connected and graph.n_relations >= 3:
-            # Imported lazily: both generator modules are heavyweight and
-            # connected-only; the greedy seed above covers the rest.
-            from repro.core.augmentation import (
-                DEFAULT_CRITERION,
-                augmentation_orders,
-            )
-            from repro.core.kbz import DEFAULT_WEIGHT, kbz_orders
+        if _seed_pays(n) or not budget.can_afford(_search_worst_case(n)):
+            if graph.is_connected and n >= 3:
+                # Imported lazily: both generator modules are heavyweight
+                # and connected-only; the greedy seed covers the rest.
+                from repro.core.augmentation import (
+                    DEFAULT_CRITERION,
+                    augmentation_orders,
+                )
+                from repro.core.kbz import DEFAULT_WEIGHT, kbz_orders
 
-            for order in kbz_orders(graph, DEFAULT_WEIGHT, budget):
-                evaluator.evaluate(order)
-            for order in augmentation_orders(graph, DEFAULT_CRITERION, budget):
-                evaluator.evaluate(order)
-        if evaluator.best is not None:
-            improvement_run(
-                evaluator.best.order,
-                evaluator,
-                MoveSet(),
-                derive_rng(seed, "exact", "incumbent", graph.n_relations),
-                start_cost=evaluator.best.cost,
-            )
+                for order in kbz_orders(graph, DEFAULT_WEIGHT, budget):
+                    evaluator.evaluate(order)
+                for order in augmentation_orders(
+                    graph, DEFAULT_CRITERION, budget
+                ):
+                    evaluator.evaluate(order)
+            if evaluator.best is not None:
+                improvement_run(
+                    evaluator.best.order,
+                    evaluator,
+                    MoveSet(),
+                    derive_rng(seed, "exact", "incumbent", n),
+                    start_cost=evaluator.best.cost,
+                )
     # boundary: seeding is best-effort — an overflowing heuristic order
     # or an expired budget leaves whatever incumbent was recorded; the
     # search itself decides whether that is fatal.

@@ -2,6 +2,7 @@
 
 Supported grammar (case-insensitive keywords)::
 
+    statement  := query [';']
     query      := SELECT select_list FROM table_list [WHERE predicates]
     select_list:= '*' | column (',' column)*
     table_list := table [alias] (',' table [alias])*
@@ -13,6 +14,10 @@ Supported grammar (case-insensitive keywords)::
     column     := identifier '.' identifier
     cmp        := '=' | '<' | '>' | '<=' | '>=' | '<>'
 
+Whitespace and ``--`` comments, which run to the end of their line, may
+sit between any two tokens and after the last one.  The one ``;`` a
+statement may carry ends it; only whitespace and comments may follow.
+
 This covers exactly the query class the paper studies: selections,
 projections, and equi-joins.  Join predicates between the same pair of
 tables are folded (selectivities multiplied) into a single edge, since
@@ -20,25 +25,33 @@ the join graph keeps one predicate per pair; the folded edge keeps the
 distinct counts of the most selective predicate.
 
 The parser is deliberately small and strict: anything outside the
-grammar raises :class:`ParseError` with the offending token.
+grammar raises :class:`ParseError` with the offending token.  That
+includes a ``;`` anywhere but at the end, parenthesised predicates,
+``IS NULL``, ``OR`` and ``JOIN ... ON``, all of which fall outside the
+conjunctive equi-join class.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.catalog.join_graph import JoinGraph, Query
 from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation, Selection
 from repro.frontend.catalog import StatsCatalog
 
+#: A ``comment`` runs to the end of its line and is dropped like
+#: whitespace; it comes last so that ordinary tokens never try it.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<number>\d+(?:\.\d+)?)"
     r"|(?P<string>'[^']*')"
-    r"|(?P<op><=|>=|<>|=|<|>|\*|,|\.))"
+    r"|(?P<op><=|>=|<>|=|<|>|\*|,|\.|;)"
+    r"|(?P<comment>--[^\n]*))"
 )
+_COMPARISONS = frozenset(("=", "<", ">", "<=", ">=", "<>"))
 
 _KEYWORDS = {"select", "from", "where", "and", "as"}
 
@@ -52,8 +65,7 @@ class ParseError(ValueError):
     """The query text does not match the supported grammar."""
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     position: int
@@ -62,18 +74,18 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     position = 0
-    while position < len(text):
+    end = len(text)
+    while position < end:
         match = _TOKEN_RE.match(text, position)
-        if match is None or match.end() == position:
+        if match is None:
             remainder = text[position:].strip()
             if not remainder:
                 break
             raise ParseError(f"cannot tokenize near: {remainder[:20]!r}")
-        for kind in ("ident", "number", "string", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(_Token(kind, value, match.start(kind)))
-                break
+        kind = match.lastgroup
+        assert kind is not None  # every alternative is a named group
+        if kind != "comment":
+            tokens.append(_Token(kind, match.group(kind), match.start(kind)))
         position = match.end()
     return tokens
 
@@ -121,9 +133,10 @@ class _Parser:
         self._expect_keyword("from")
         tables = self._table_list()
         predicates: list[tuple] = []
-        if self._peek() is not None:
+        if self._peek() is not None and not self._try_op(";"):
             self._expect_keyword("where")
             predicates = self._predicates()
+            self._try_op(";")
         if self._peek() is not None:
             raise ParseError(f"trailing input: {self._peek().text!r}")
         return _Ast(projections, tables, predicates)
@@ -189,7 +202,7 @@ class _Parser:
     def _predicate(self) -> tuple:
         left = self._column()
         op_token = self._next()
-        if op_token.kind != "op" or op_token.text in (",", ".", "*"):
+        if op_token.text not in _COMPARISONS:
             raise ParseError(f"expected comparison, got {op_token.text!r}")
         operator = op_token.text
         token = self._peek()

@@ -39,8 +39,8 @@ Event kinds
 ``chain``          one completed SA temperature chain (temperature,
                    acceptance ratio, chain index)
 ``restart``        a multi-start restart boundary (start index)
-``bound``          a trusted bound was published (pre-pass floor,
-                   shared-bound publication, early-stop target)
+``bound``          a trusted bound was published (pre-pass floor or
+                   early-stop target)
 ``fault``          a failure was observed (mirrors ``FailureRecord``)
 ``degraded``       a resilient run returned a degraded result
 ``perturb``        an ErrorModel perturbed a catalog (q, seed, draws)

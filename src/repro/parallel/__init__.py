@@ -7,11 +7,8 @@ Public surface:
 * :func:`~repro.parallel.orchestrator.map_jobs` /
   :class:`~repro.parallel.orchestrator.OptimizeJob` — the generic
   fan-out used by the method-comparison and experiment paths.
-* :class:`~repro.parallel.bound.SharedBound` — the cross-process
-  monotone-min cost bound workers publish to.
 """
 
-from repro.parallel.bound import SharedBound
 from repro.parallel.orchestrator import (
     DEFAULT_RESTARTS,
     JobOutcome,
@@ -27,7 +24,6 @@ __all__ = [
     "JobOutcome",
     "OptimizeJob",
     "ParallelReport",
-    "SharedBound",
     "map_jobs",
     "multi_start_optimize",
     "run_job",

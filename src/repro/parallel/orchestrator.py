@@ -19,13 +19,6 @@ Pre-pass floor (the deterministic shared bound)
     upper-bound pruning *globally* — and identically, because ``F`` does
     not depend on scheduling.
 
-Live bound (:class:`~repro.parallel.bound.SharedBound`)
-    Workers publish each restart's final cost to a cross-process
-    monotone-min value.  It is read for monitoring/reporting, never
-    consulted mid-restart: for acceptance-driven search the incumbent's
-    cost is already the tightest sound pruning bound, and a live value
-    would make results scheduling-dependent.
-
 Deterministic merge
     The winner is the minimum by ``(cost, restart index)``, with the
     pre-pass order winning only on strictly smaller cost.  Units spent
@@ -53,8 +46,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from multiprocessing.sharedctypes import Synchronized
-
     from repro.core.optimizer import OptimizationResult
 
 from repro.catalog.join_graph import JoinGraph, Query
@@ -65,7 +56,6 @@ from repro.obs import events as obs_events
 from repro.obs.events import TraceEvent
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import RecordingTracer, Tracer
-from repro.parallel.bound import SharedBound
 from repro.plans.join_order import JoinOrder
 from repro.robustness.faults import InjectedFault
 from repro.robustness.resilience import (
@@ -81,19 +71,16 @@ from repro.utils.rng import derive_seed
 #: restarts by default.
 DEFAULT_RESTARTS = 8
 
-# Worker-process state installed by the pool initializer.  ``_IN_POOL_WORKER``
-# doubles as the guard for the crash-injection hook: a ``crash`` job only
-# kills the process when it actually runs inside a pool worker, so the
-# serial re-execution of that same job in the parent completes normally.
-_SHARED_BOUND: SharedBound | None = None
+# Set by the pool initializer.  It guards the crash-injection hook: a
+# ``crash`` job only kills the process when it actually runs inside a pool
+# worker, so the serial re-execution of that same job in the parent
+# completes normally.
 _IN_POOL_WORKER = False
 
 
-def _pool_init(raw_bound: "Synchronized | None") -> None:
-    global _SHARED_BOUND, _IN_POOL_WORKER
+def _pool_init() -> None:
+    global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
-    if raw_bound is not None:
-        _SHARED_BOUND = SharedBound(raw_bound)
 
 
 @dataclass(frozen=True)
@@ -180,9 +167,6 @@ def run_job(job: OptimizeJob) -> JobOutcome:
             events=tuple(tracer.events) if tracer is not None else (),
             metrics=tracer.metrics.snapshot() if tracer is not None else None,
         )
-    if _SHARED_BOUND is not None:
-        # detlint: ignore[RACE001] -- lock-guarded monotone bound channel
-        _SHARED_BOUND.publish(result.cost)
     return JobOutcome(
         job.index, job.tag, result, result.units_spent, None,
         events=tuple(tracer.events) if tracer is not None else (),
@@ -194,7 +178,6 @@ def map_jobs(
     jobs: list[OptimizeJob],
     workers: int,
     failure_log: FailureLog | None = None,
-    shared: SharedBound | None = None,
 ) -> list[JobOutcome]:
     """Run jobs across ``workers`` processes; outcomes in job order.
 
@@ -207,9 +190,8 @@ def map_jobs(
     """
     outcomes: dict[int, JobOutcome] = {}
     if workers > 1 and len(jobs) > 1:
-        raw = shared.raw if shared is not None else None
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(raw,)
+            max_workers=workers, initializer=_pool_init
         ) as pool:
             futures = {pool.submit(run_job, job): job for job in jobs}
             for future in as_completed(futures):
@@ -229,10 +211,7 @@ def map_jobs(
                         )
     for job in jobs:
         if job.index not in outcomes:
-            outcome = run_job(job)
-            if shared is not None and outcome.result is not None:
-                shared.publish(outcome.result.cost)
-            outcomes[job.index] = outcome
+            outcomes[job.index] = run_job(job)
     return [outcomes[job.index] for job in jobs]
 
 
@@ -282,8 +261,8 @@ def multi_start_optimize(
     Returns ``(result, report)``: the merged
     :class:`~repro.core.optimizer.OptimizationResult` — bit-identical
     for every ``workers`` value — and the :class:`ParallelReport` with
-    the orchestration telemetry (crashes, per-restart outcomes, the live
-    bound's final value).
+    the orchestration telemetry (crashes, per-restart outcomes, the best
+    finite cost among the pre-pass floor and the restarts).
 
     Each restart ``k`` runs the full ``optimize()`` machinery on an
     equal budget share with seed ``derive_seed(seed, "worker", k)``, so
@@ -376,10 +355,7 @@ def multi_start_optimize(
     ]
 
     failure_log = FailureLog()
-    shared = SharedBound()
-    if floor is not None:
-        shared.publish(floor)
-    outcomes = map_jobs(jobs, workers, failure_log=failure_log, shared=shared)
+    outcomes = map_jobs(jobs, workers, failure_log=failure_log)
 
     # Deterministic merge: minimum by (cost, restart index); the pre-pass
     # order wins only on strictly smaller cost.
@@ -481,20 +457,26 @@ def multi_start_optimize(
         trajectory=tuple(trajectory),
     )
     verify_or_raise(result.order, result.cost, graph, model)
+    per_restart = tuple(
+        (
+            o.index,
+            o.result.cost if o.result is not None else None,
+            o.units_spent,
+        )
+        for o in outcomes
+    )
+    costs = [cost for _, cost, _ in per_restart if cost is not None]
+    if floor is not None:
+        costs.append(floor)
     report = ParallelReport(
         restarts=restarts,
         workers=workers,
         share=share,
         prepass_cost=floor if floor is not None else math.inf,
-        best_bound=shared.get(),
-        failures=failure_log.as_tuple(),
-        outcomes=tuple(
-            (
-                o.index,
-                o.result.cost if o.result is not None else None,
-                o.units_spent,
-            )
-            for o in outcomes
+        best_bound=min(
+            (cost for cost in costs if math.isfinite(cost)), default=math.inf
         ),
+        failures=failure_log.as_tuple(),
+        outcomes=per_restart,
     )
     return result, report

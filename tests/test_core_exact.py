@@ -36,6 +36,7 @@ from repro.core.exact import (
     hybrid_optimum,
     optimality_gap,
 )
+from repro.core.iterative import default_patience
 from repro.core.optimizer import optimize
 from repro.cost.cardinality import CostOverflowError, walk_plan
 from repro.cost.disk import DiskCostModel
@@ -51,6 +52,7 @@ from repro.plans.join_order import JoinOrder
 from repro.plans.validity import first_invalid_position, valid_orders
 from repro.utils.rng import derive_rng
 from repro.workloads import DEFAULT_SPEC, generate_query
+from repro.workloads.benchmarks import benchmark_specs
 from tests.conftest import (
     chain_graph,
     cycle_graph,
@@ -315,6 +317,81 @@ def test_traced_run_identical_to_untraced():
         if event.kind in ("phase_start", "phase_end")
     ]
     assert "exact_bnb" in phases
+
+
+# ----------------------------------------------------------------------
+# Seeding: the heuristic starts run only where they can pay
+# ----------------------------------------------------------------------
+
+
+def _seed_evaluations(graph: JoinGraph, **kwargs) -> float:
+    """Plans the seed priced: the B&B never goes through the evaluator."""
+    tracer = RecordingTracer()
+    exact_optimum(graph, MainMemoryCostModel(), trace=tracer, **kwargs)
+    return tracer.metrics.snapshot()["counters"].get("evaluations", 0.0)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_bitwise_equal_to_enumeration_where_the_seed_flips(model):
+    """Two to five relations, every spec: proven and bitwise minimal."""
+    for spec in benchmark_specs().values():
+        for n_joins in range(1, 5):
+            for seed in range(3):
+                graph = generate_query(spec, n_joins, seed).graph
+                result = exact_optimum(graph, model)
+                assert result.proven
+                assert result.cost == brute_force_optimum(graph, model), (
+                    spec.name, n_joins, seed,
+                )
+
+
+def test_seed_is_the_greedy_order_alone_up_to_four_relations():
+    four = generate_query(DEFAULT_SPEC, 3, 7).graph
+    assert four.n_relations == 4 and four.is_connected
+    assert _seed_evaluations(four) == 1.0
+    five = generate_query(DEFAULT_SPEC, 4, 7).graph
+    assert five.n_relations == 5 and five.is_connected
+    # Greedy, five KBZ and five augmentation orders, then a polish that
+    # stops only after default_patience(5) failed moves in a row.
+    assert _seed_evaluations(five) >= 1 + 2 * 5 + default_patience(5)
+
+
+def test_seed_runs_when_the_budget_cannot_cover_the_search():
+    """Greedy (3 units) plus the search's 60 extensions exceed 50."""
+    four = generate_query(DEFAULT_SPEC, 3, 7).graph
+    evaluations = _seed_evaluations(
+        four, budget=Budget(limit=50.0), allow_partial=True
+    )
+    assert evaluations > 1.0
+
+
+def test_disk_ties_resolve_to_a_tied_minimum():
+    """The disk join cost is symmetric in its first two operands.
+
+    Swapping the first two relations can then give a bitwise-equal plan
+    cost, and which of the tied orders the search reports depends on
+    the incumbent it started from.  The contract is the cost, and an
+    order among the minima -- not a particular one of them.
+    """
+    model = DiskCostModel()
+    tied = 0
+    for spec in benchmark_specs().values():
+        for n_joins in (2, 3):
+            for seed in range(5):
+                graph = generate_query(spec, n_joins, seed).graph
+                costs = {}
+                for order in valid_orders(graph):
+                    try:
+                        costs[order.positions] = model.plan_cost(order, graph)
+                    except (CostOverflowError, OverflowError):
+                        continue
+                best = brute_force_optimum(graph, model)
+                minima = {order for order, cost in costs.items() if cost == best}
+                tied += len(minima) > 1
+                result = exact_optimum(graph, model)
+                assert result.cost == best
+                assert result.order.positions in minima
+    assert tied > 0  # the sample holds bitwise ties
 
 
 # ----------------------------------------------------------------------

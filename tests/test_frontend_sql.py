@@ -1,9 +1,18 @@
 """Tests for the SQL-ish text frontend."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.frontend.catalog import ColumnStats, StatsCatalog
 from repro.frontend.sql import ParseError, parse_query
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -167,3 +176,129 @@ class TestParseErrors:
     def test_bad_character(self, catalog):
         with pytest.raises(ParseError, match="tokenize"):
             parse_query("SELECT * FROM orders o WHERE o.a = %%%", catalog)
+
+
+THREE_WAY = (
+    "SELECT * FROM orders o, customers c, regions r "
+    "WHERE o.customer_id = c.id AND c.region_id = r.id"
+)
+
+#: The same statement with a terminator and/or comments.
+TERMINATED = {
+    "semicolon": THREE_WAY + ";",
+    "spaced-semicolon": THREE_WAY + " ;\n",
+    "semicolon-then-comment": THREE_WAY + "; -- done",
+    "comment-after-semicolon-no-space": THREE_WAY + ";--done\n",
+    "comment-without-semicolon": THREE_WAY + " -- no terminator",
+    "comments-between-tokens": (
+        "-- first line\n"
+        "SELECT * -- every column\n"
+        "FROM orders o, customers c, regions r\n"
+        "WHERE o.customer_id = c.id -- the fact table\n"
+        "  AND c.region_id = r.id; -- last\n"
+        "-- and a closing line"
+    ),
+}
+
+#: Outside the conjunctive equi-join grammar: ``repro sql`` exits 2.
+REJECTED = {
+    "semicolon-between-statements": (
+        "SELECT * FROM orders o; SELECT * FROM regions r"
+    ),
+    "semicolon-before-where": (
+        "SELECT * FROM orders o, customers c; WHERE o.customer_id = c.id"
+    ),
+    "two-terminators": THREE_WAY + ";;",
+    "parenthesised-predicate": (
+        "SELECT * FROM orders o, customers c WHERE (o.customer_id = c.id)"
+    ),
+    "is-null": "SELECT * FROM orders o WHERE o.status IS NULL",
+    "or": (
+        "SELECT * FROM orders o, customers c "
+        "WHERE o.customer_id = c.id OR o.status = 1"
+    ),
+    "join-on": (
+        "SELECT * FROM orders o JOIN customers c ON o.customer_id = c.id"
+    ),
+}
+
+CATALOG_DOCUMENT = {
+    "tables": {
+        "orders": {
+            "cardinality": 1_000_000,
+            "columns": {
+                "customer_id": {"distinct": 50_000},
+                "status": {"distinct": 5},
+            },
+        },
+        "customers": {
+            "cardinality": 50_000,
+            "columns": {
+                "id": {"distinct": 50_000},
+                "region_id": {"distinct": 50},
+            },
+        },
+        "regions": {"cardinality": 50, "columns": {"id": {"distinct": 50}}},
+    }
+}
+
+
+class TestStatementEnd:
+    @pytest.mark.parametrize(
+        "text", TERMINATED.values(), ids=TERMINATED.keys()
+    )
+    def test_same_graph_as_bare_statement(self, catalog, text):
+        bare = parse_query(THREE_WAY, catalog).graph
+        graph = parse_query(text, catalog).graph
+        assert graph.relations == bare.relations
+        assert graph.predicates == bare.predicates
+
+    def test_dashes_inside_a_string_are_not_a_comment(self, catalog):
+        query = parse_query(
+            "SELECT * FROM orders o WHERE o.status = 'a--b'", catalog
+        )
+        assert query.graph.relations[0].selections[0].selectivity == (
+            pytest.approx(1 / 5)
+        )
+
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejected_construct_is_a_parse_error(self, catalog, text):
+        with pytest.raises(ParseError):
+            parse_query(text, catalog)
+
+
+class TestRejectedConstructsExitTwo:
+    @pytest.fixture
+    def catalog_path(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(CATALOG_DOCUMENT))
+        return str(path)
+
+    def test_terminated_statement_plans(self, catalog_path, capsys):
+        code = main(["sql", "--catalog", catalog_path, TERMINATED["semicolon"]])
+        assert code == 0
+        assert "plan cost" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_sql_command_exits_two(self, catalog_path, text, capsys):
+        code = main(["sql", "--catalog", catalog_path, text])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_cli_process_prints_no_traceback(self, catalog_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            entry for entry in (str(SRC), env.get("PYTHONPATH")) if entry
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "sql", "--catalog", catalog_path,
+             REJECTED["semicolon-between-statements"]],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error:")
+        assert "Traceback" not in completed.stderr

@@ -23,11 +23,7 @@ from repro.core.combinations import available_method_names, compare_methods
 from repro.core.optimizer import optimize
 from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
-from repro.parallel import (
-    DEFAULT_RESTARTS,
-    SharedBound,
-    multi_start_optimize,
-)
+from repro.parallel import DEFAULT_RESTARTS, multi_start_optimize
 from repro.robustness.resilience import FailureLog
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
@@ -213,34 +209,7 @@ class TestCrashRecovery:
 
 
 class TestSharedBound:
-    def test_monotone_min(self):
-        bound = SharedBound()
-        assert bound.get() == math.inf
-        assert bound.publish(10.0)
-        assert not bound.publish(12.0)
-        assert bound.get() == 10.0
-        assert bound.publish(3.5)
-        assert bound.get() == 3.5
-
-    def test_non_finite_publications_ignored(self):
-        bound = SharedBound()
-        assert not bound.publish(math.nan)
-        assert not bound.publish(math.inf)
-        assert bound.get() == math.inf
-        bound.publish(1.0)
-        assert not bound.publish(math.nan)
-        assert bound.get() == 1.0
-
-    def test_visible_across_processes(self):
-        import multiprocessing as mp
-
-        bound = SharedBound()
-        context = mp.get_context("fork")
-        process = context.Process(target=_publish_half, args=(bound.raw,))
-        process.start()
-        process.join(timeout=30)
-        assert process.exitcode == 0
-        assert bound.get() == 0.5
+    """The report's ``best_bound``: the pre-pass floor or a restart's cost."""
 
     def test_report_tracks_global_best(self):
         query = _query(n_joins=6, seed=17)
@@ -377,6 +346,3 @@ class TestCLIWorkers:
         assert code == 2
         assert "resilient" in capsys.readouterr().err
 
-
-def _publish_half(raw_bound) -> None:
-    SharedBound(raw_bound).publish(0.5)
