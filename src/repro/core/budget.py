@@ -23,6 +23,7 @@ iterative improvement complete a few dozen runs at the ``9 N^2`` limit for
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -117,6 +118,13 @@ class Budget:
         """True when ``units`` more work fits within the limit."""
         return self.spent + units <= self.limit
 
+    def hold_back(self, units: float) -> "Budget":
+        """A fresh budget of what is left here less ``units`` (at least 1).
+
+        Add its ``spent`` back here once the work charged to it is done.
+        """
+        return Budget(limit=max(1.0, self.remaining - units))
+
     def carve(self, fraction: float) -> "Budget":
         """A fresh budget of ``fraction`` of this budget's *original* limit.
 
@@ -149,6 +157,8 @@ class WallClockBudget(Budget):
         self.seconds = check_positive("seconds", seconds)
         self._clock = clock
         self._start = clock()
+        # Work units ``charge`` still lets through after the deadline.
+        self._held = 0.0
 
     @property
     def elapsed(self) -> float:
@@ -165,13 +175,28 @@ class WallClockBudget(Budget):
 
     def charge(self, units: float) -> None:
         if self.exhausted:
-            raise BudgetExhausted(
-                f"wall-clock budget of {self.seconds:g}s exhausted"
-            )
+            if units > self._held:
+                raise BudgetExhausted(
+                    f"wall-clock budget of {self.seconds:g}s exhausted"
+                )
+            self._held -= units
         self.spent += units
 
     def can_afford(self, units: float) -> bool:
-        return not self.exhausted
+        """Always False: a wall clock cannot promise that any work fits."""
+        return False
+
+    def hold_back(self, units: float) -> "WallClockBudget":
+        """The rest of this budget's time, on its clock and deadline.
+
+        Time cannot be held back, so ``units`` are let through here after
+        the deadline instead.
+        """
+        rest = copy.copy(self)
+        rest.spent = 0.0
+        rest._held = 0.0
+        self._held = units
+        return rest
 
     def carve(self, fraction: float) -> "WallClockBudget":
         """A fresh wall-clock allowance sharing this budget's clock."""

@@ -29,22 +29,22 @@ with ``==``):
   re-associates the final sum and could exceed a completion's computed
   total by an ulp near ties.
 * **Dominance memoization, propagating engine only.**  Two prefixes over
-  the same relation set are compared componentwise
-  (:func:`repro.cost.incremental.dominates`); a dominated prefix cannot
-  complete cheaper, bitwise, because every downstream operation is
-  float-monotone in the dominated components.  The static engine walks
-  the placed *list* in order (its per-step selectivities are not
-  mask-determined), so it runs without dominance.
+  the same relation set are compared componentwise, by a test written
+  inline in :func:`_branch_and_bound`'s expansion loop; a dominated
+  prefix cannot complete cheaper, bitwise, because every downstream
+  operation is float-monotone in the dominated components.  The static
+  engine walks the placed *list* in order (its per-step selectivities
+  are not mask-determined), so it runs without dominance.
 * **Disconnected graphs are searched natively**: the branching rule is
   exactly :func:`repro.plans.validity.first_invalid_position`'s — finish
   the open component before starting another — so the search space *is*
   the valid-order space and cross products never appear mid-component.
 
-The frontier is seeded with the greedy order, which gives bound pruning
-teeth from the first expansion.  KBZ and augmentation incumbents
-polished by a short iterative-improvement descent join it from five
-relations up, where the search could cost more than they do
-(:func:`_seed_pays`), and whenever the budget cannot cover the search.
+The frontier is seeded with the greedy order.  KBZ and augmentation
+incumbents polished by a short iterative-improvement descent join it
+only when the budget cannot cover the search's worst case: a search
+sure to complete expands the same nodes from any incumbent (best-first
+on an admissible floor), so there they could only add work.
 Feasibility: exhaustive enumeration dies around 10 relations; the
 branch-and-bound is comfortable to N≈15–18 depending on graph shape (see
 ``docs/exact.md`` and ``benchmarks/test_perf_exact.py``).  Beyond the
@@ -75,7 +75,7 @@ from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
 from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
 from repro.core.combinations import MethodParams, Strategy
-from repro.core.iterative import default_patience, improvement_run
+from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
 from repro.core.state import Evaluation, Evaluator, DeltaEvaluator
 from repro.cost.base import CostModel
@@ -89,7 +89,6 @@ from repro.cost.cardinality import (
 from repro.cost.incremental import (
     PrefixState,
     QueryContext,
-    dominates,
     extend_state,
     start_state,
     supports_incremental,
@@ -294,20 +293,6 @@ def _search_worst_case(n: int) -> int:
     return sum(math.perm(n, k) for k in range(2, n + 1))
 
 
-def _seed_pays(n: int) -> bool:
-    """Whether the heuristic seed can be cheaper than the search it seeds.
-
-    The seed's least charge is ``n - 1`` units for each evaluation it
-    always makes: the greedy order, ``n`` KBZ and ``n`` augmentation
-    orders, and ``default_patience(n)`` failed polish moves.  When the
-    search's worst case is no larger, the seed cannot save the search
-    more than it costs.  True from five relations up.  Both sides are
-    counted as for a connected graph; on a disconnected one both shrink.
-    """
-    seed_charge = (n - 1) * (1 + 2 * n + default_patience(n))
-    return _search_worst_case(n) > seed_charge
-
-
 def _seed_incumbent(
     graph: JoinGraph,
     model: CostModel,
@@ -317,11 +302,10 @@ def _seed_incumbent(
 ) -> tuple[Evaluation | None, int]:
     """Evaluate the greedy order, plus heuristic starts polished by II.
 
-    The KBZ and augmentation starts and the polish run only when they
-    can pay for themselves (:func:`_seed_pays`), or when the budget
-    cannot cover the search's worst case and the incumbent may be the
-    answer.  Returns the best evaluation found (``None`` only when the
-    budget expired before the first one completed) and the number of
+    The KBZ and augmentation starts and the polish run only when the
+    budget cannot cover the search's worst case, where the incumbent may
+    be the answer.  Returns the best evaluation found (``None`` only when
+    the budget expired before the first one completed) and the number of
     join-cost evaluations spent.  All costs come from full evaluator
     walks, so the incumbent's cost is bitwise comparable with the
     search's own chains.
@@ -335,7 +319,7 @@ def _seed_incumbent(
     evaluator.tracer = tracer
     try:
         evaluator.evaluate(_greedy_order(graph))
-        if _seed_pays(n) or not budget.can_afford(_search_worst_case(n)):
+        if not budget.can_afford(_search_worst_case(n)):
             if graph.is_connected and n >= 3:
                 # Imported lazily: both generator modules are heavyweight
                 # and connected-only; the greedy seed covers the rest.
@@ -477,14 +461,33 @@ def _branch_and_bound(
                     tracer.emit(obs_events.BEST, cost=child.cost)
                 continue
             if use_dominance:
-                bucket = store.get(child_mask)
-                if bucket is None:
-                    store[child_mask] = [child]
-                elif any(dominates(kept, child) for kept in bucket):
+                # A kept prefix over the same relations with no larger cost
+                # or size and no smaller caps completes every suffix at no
+                # higher cost, bitwise: the walk is float-monotone in each
+                # (caps clamp through min in a fixed adjacency order, sizes
+                # multiply by positive factors, and both stock join costs
+                # rise with outer and result size).  Equal masks give equal
+                # cap key sets; the key checks only guard that.
+                bucket = store.setdefault(child_mask, [])
+                cost, size, caps = child.cost, child.size, child.caps
+                dominated = False
+                for kept in bucket:
+                    if kept.cost > cost or kept.size > size:
+                        continue
+                    kept_caps = kept.caps
+                    if len(kept_caps) != len(caps):
+                        continue
+                    for relation, cap in kept_caps.items():
+                        other = caps.get(relation)
+                        if other is None or cap < other:
+                            break
+                    else:
+                        dominated = True
+                        break
+                if dominated:
                     stats.pruned_dominated += 1
                     continue
-                else:
-                    bucket.append(child)
+                bucket.append(child)
             child_h = h - floors[vertex]
             heapq.heappush(
                 heap,
@@ -1147,11 +1150,12 @@ def gap_report_json(report: GapReport) -> str:
 class ExactStrategy(Strategy):
     """Branch-and-bound as a first-class method behind ``optimize()``.
 
-    Deterministic; spends the evaluator's budget on the search (minus a
-    reserve for pricing the answer through the evaluator, which is what
-    records it into the best/trajectory bookkeeping every other method
-    uses).  Beyond :data:`DEFAULT_MAX_EXACT` relations it transparently
-    degrades to :func:`hybrid_optimum`.
+    Deterministic; spends the evaluator's budget on the search, held
+    back (:meth:`~repro.core.budget.Budget.hold_back`) by what pricing
+    the answer through the evaluator costs: that records it into the
+    best/trajectory bookkeeping every other method uses.  Beyond
+    :data:`DEFAULT_MAX_EXACT` relations it transparently degrades to
+    :func:`hybrid_optimum`.
     """
 
     name = "EXACT"
@@ -1167,8 +1171,7 @@ class ExactStrategy(Strategy):
     ) -> None:
         graph = evaluator.graph
         budget = evaluator.budget
-        reserve = float(max(1, graph.n_joins))
-        sub = Budget(limit=max(1.0, budget.remaining - reserve))
+        sub = budget.hold_back(float(max(1, graph.n_joins)))
         try:
             if graph.n_relations <= self.max_exact:
                 result = exact_optimum(

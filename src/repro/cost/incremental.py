@@ -64,7 +64,6 @@ __all__ = [
     "supports_incremental",
     "start_state",
     "extend_state",
-    "dominates",
 ]
 
 
@@ -557,32 +556,3 @@ def extend_state(
         cost = state.cost + context.join_cost(size, inner_size, result)
     return PrefixState(mask | (1 << inner), result, cost, caps, unplaced)
 
-
-def dominates(a: PrefixState, b: PrefixState) -> bool:
-    """True when prefix ``a`` renders prefix ``b`` (same mask) redundant.
-
-    Sound for *bitwise* minimality — not merely mathematical minimality —
-    because every downstream operation of the propagating walk is
-    float-monotone in the state components it reads: the selectivity
-    product reads caps through ``min``-like clamping in a fixed
-    (adjacency) iteration order, sizes feed multiplications by positive
-    factors, and both stock models' ``join_cost`` are monotone in outer
-    and result size.  With equal masks the caps key sets coincide (cap
-    presence depends only on which relations are placed); a state with
-    pointwise ≤ cost, ≤ size, and ≥ caps therefore completes every suffix
-    at a pointwise ≤ cost, computed through the identical float
-    expressions.  Callers must only apply this under the base propagating
-    semantics — :class:`~repro.cost.static.StaticCostModel` walks the
-    *placed list* in order, so its sizes are not mask-determined and no
-    analogous dominance holds.
-    """
-    if a.cost > b.cost or a.size > b.size:
-        return False
-    if len(a.caps) != len(b.caps):
-        return False
-    b_caps = b.caps
-    for relation, cap in a.caps.items():
-        other = b_caps.get(relation)
-        if other is None or cap < other:
-            return False
-    return True

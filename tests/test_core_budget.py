@@ -40,6 +40,13 @@ class TestBudget:
         assert budget.can_afford(4)
         assert not budget.can_afford(5)
 
+    def test_hold_back_leaves_the_units_unspent(self):
+        budget = Budget(limit=10)
+        budget.charge(3)
+        assert budget.hold_back(2).limit == 5
+        assert budget.hold_back(9).limit == 1.0  # at least one unit
+        assert budget.spent == 3
+
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):
             Budget(limit=0)
@@ -140,6 +147,29 @@ class TestWallClockBudgetWithStalls:
         budget.charge(100.0)  # huge unit charge is fine; only time matters
         # Reading ``remaining`` is clock call 3: 2s elapsed since the start.
         assert budget.remaining == pytest.approx(8.0)
+
+    def test_can_never_promise_that_work_fits(self):
+        from repro.core.budget import WallClockBudget
+        from repro.robustness import StallingClock
+
+        budget = WallClockBudget(seconds=10.0, clock=StallingClock())
+        assert not budget.exhausted
+        assert not budget.can_afford(0.0)
+
+    def test_hold_back_shares_the_deadline_and_lets_the_units_through(self):
+        from repro.core.budget import WallClockBudget
+        from repro.robustness import StallingClock
+
+        clock = StallingClock(tick=0.0, jumps={3: 60.0})
+        budget = WallClockBudget(seconds=5.0, clock=clock)  # clock call 1
+        rest = budget.hold_back(4.0)  # reads no clock
+        rest.charge(1.0)  # call 2: clock at 0, fine
+        with pytest.raises(BudgetExhausted, match="wall-clock"):
+            rest.charge(1.0)  # call 3: past the shared deadline
+        budget.charge(3.0)  # past the deadline, within the units held back
+        with pytest.raises(BudgetExhausted, match="wall-clock"):
+            budget.charge(2.0)  # only one held-back unit is left
+        assert (budget.spent, rest.spent) == (3.0, 1.0)
 
     def test_carve_shares_the_injected_clock(self):
         from repro.core.budget import WallClockBudget

@@ -19,7 +19,7 @@ import pytest
 from repro.catalog.join_graph import JoinGraph
 from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
-from repro.core.budget import Budget, BudgetExhausted
+from repro.core.budget import Budget, BudgetExhausted, WallClockBudget
 from repro.core.combinations import (
     Strategy,
     compare_methods,
@@ -29,6 +29,10 @@ from repro.core.dynamic_programming import dp_optimal_order
 from repro.core.exact import (
     DEFAULT_MAX_EXACT,
     ExactStrategy,
+    _branch_and_bound,
+    _engine_for,
+    _SearchStats,
+    _seed_incumbent,
     build_gap_report,
     exact_feasible,
     exact_optimum,
@@ -47,9 +51,10 @@ from repro.cost.incremental import (
 )
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
-from repro.obs import RecordingTracer
+from repro.obs import NULL_TRACER, RecordingTracer
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import first_invalid_position, valid_orders
+from repro.robustness import StallingClock, verify_plan
 from repro.utils.rng import derive_rng
 from repro.workloads import DEFAULT_SPEC, generate_query
 from repro.workloads.benchmarks import benchmark_specs
@@ -320,7 +325,8 @@ def test_traced_run_identical_to_untraced():
 
 
 # ----------------------------------------------------------------------
-# Seeding: the heuristic starts run only where they can pay
+# Seeding: the heuristic starts run only where the budget may cut the
+# search off
 # ----------------------------------------------------------------------
 
 
@@ -345,15 +351,149 @@ def test_bitwise_equal_to_enumeration_where_the_seed_flips(model):
                 )
 
 
-def test_seed_is_the_greedy_order_alone_up_to_four_relations():
-    four = generate_query(DEFAULT_SPEC, 3, 7).graph
-    assert four.n_relations == 4 and four.is_connected
-    assert _seed_evaluations(four) == 1.0
-    five = generate_query(DEFAULT_SPEC, 4, 7).graph
-    assert five.n_relations == 5 and five.is_connected
-    # Greedy, five KBZ and five augmentation orders, then a polish that
-    # stops only after default_patience(5) failed moves in a row.
-    assert _seed_evaluations(five) >= 1 + 2 * 5 + default_patience(5)
+def _optimize_seed_evaluations(graph: JoinGraph, **kwargs) -> float:
+    """Plans EXACT's seed priced through ``optimize``.
+
+    ``optimize`` prices the answer once more, through its own evaluator.
+    """
+    tracer = RecordingTracer()
+    optimize(graph, method="EXACT", trace=tracer, **kwargs)
+    return tracer.metrics.snapshot()["counters"]["evaluations"] - 1.0
+
+
+def _seeding_budget() -> WallClockBudget:
+    """A budget that never runs out, yet never promises the search fits."""
+    return WallClockBudget(1.0, clock=StallingClock())
+
+
+@pytest.mark.parametrize("n_joins", [4, 7, 11])
+def test_seed_is_the_greedy_order_alone_under_an_unlimited_budget(n_joins):
+    graph = generate_query(DEFAULT_SPEC, n_joins, 7).graph
+    assert graph.is_connected
+    assert _seed_evaluations(graph) == 1.0
+
+
+def test_seed_flips_between_six_and_seven_relations_at_the_default_budget():
+    """After the greedy order, a 6-relation search's worst case of 1,950
+    extensions fits the 6,740 units left; a 7-relation one's 13,692 does
+    not fit 9,708."""
+    six = generate_query(DEFAULT_SPEC, 5, 7).graph
+    assert six.n_relations == 6 and six.is_connected
+    assert _optimize_seed_evaluations(six) == 1.0
+    seven = generate_query(DEFAULT_SPEC, 6, 7).graph
+    assert seven.n_relations == 7 and seven.is_connected
+    # Greedy, seven KBZ and seven augmentation orders, then a polish that
+    # stops only after default_patience(7) failed moves in a row.
+    assert _optimize_seed_evaluations(seven) >= (
+        1 + 2 * 7 + default_patience(7)
+    )
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_bitwise_equal_to_enumeration_where_the_default_budget_flips(model):
+    """Six and seven relations through ``optimize``, every spec."""
+    for spec in benchmark_specs().values():
+        for n_joins in (5, 6):
+            graph = generate_query(spec, n_joins, 0).graph
+            result = optimize(graph, method="EXACT", model=model)
+            assert result.cost == brute_force_optimum(graph, model), (
+                spec.name, n_joins,
+            )
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_the_incumbent_changes_no_expansion(model):
+    """The search expands the same nodes from the greedy order as from
+    the full seed's better incumbent.
+
+    Nodes pop in ``g + h`` order with ``h`` never above the remainder, so
+    every prefix of the optimal order pops before any prefix whose ``g``
+    reaches the optimum; a better start only discards at generation the
+    children the search would discard at pop.  Which of several tied
+    minima is reported may differ (bitwise ties are common under the
+    disk model, and clamped sizes make them under either model).
+    """
+    improved = 0
+    for spec in benchmark_specs().values():
+        for n_joins in range(3, 8):
+            for seed in range(2):
+                graph = generate_query(spec, n_joins, seed).graph
+                runs = []
+                for budget in (Budget.unlimited(), _seeding_budget()):
+                    incumbent, _ = _seed_incumbent(
+                        graph, model, budget, 0, NULL_TRACER
+                    )
+                    stats = _SearchStats()
+                    order, cost = _branch_and_bound(
+                        graph,
+                        model,
+                        _engine_for(graph, model),
+                        Budget.unlimited(),
+                        incumbent,
+                        NULL_TRACER,
+                        stats,
+                    )
+                    runs.append((cost, stats.nodes_expanded, order,
+                                 incumbent.cost))
+                greedy, seeded = runs
+                key = (spec.name, n_joins, seed)
+                assert seeded[:2] == greedy[:2], key
+                for order in (greedy[2], seeded[2]):
+                    tied = model.plan_cost(JoinOrder(order), graph)
+                    assert tied == greedy[0], key
+                improved += seeded[3] < greedy[3]
+    assert improved > 0  # the full seed did start from better incumbents
+
+
+#: ``exact_optimum`` on DEFAULT_SPEC queries under an unlimited budget:
+#: nodes expanded, pruned on the bound, pruned as dominated, cost
+#: evaluations, order and cost.  Any change to a pruning decision moves
+#: one of them.
+PINNED_SEARCHES = {
+    (9, 0, "memory"): (
+        1136, 1049, 1241, 3427,
+        (2, 7, 0, 4, 1, 5, 9, 3, 6, 8), 130827.36475423852,
+    ),
+    (9, 0, "disk"): (
+        1107, 974, 1243, 3325,
+        (2, 7, 0, 4, 1, 5, 9, 3, 6, 8), 6040.531087444876,
+    ),
+    (10, 1, "memory"): (
+        1258, 34, 3209, 4501,
+        (1, 2, 4, 5, 0, 10, 3, 7, 9, 8, 6), 250970219851.89877,
+    ),
+    (10, 1, "disk"): (
+        1216, 32, 3099, 4347,
+        (1, 2, 4, 5, 0, 10, 3, 7, 9, 8, 6), 12115024221.487907,
+    ),
+    (11, 2, "memory"): (
+        875, 55, 1864, 2794,
+        (2, 10, 1, 3, 4, 6, 9, 5, 0, 7, 11, 8), 2161544363.2244368,
+    ),
+    (11, 2, "disk"): (
+        847, 52, 1846, 2745,
+        (2, 10, 1, 3, 4, 6, 9, 7, 5, 0, 11, 8), 103524841.22540711,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n_joins, seed, model_name",
+    sorted(PINNED_SEARCHES),
+    ids=[f"{n}-{s}-{m}" for n, s, m in sorted(PINNED_SEARCHES)],
+)
+def test_search_decisions_are_pinned(n_joins, seed, model_name):
+    model = dict(zip(MODEL_IDS, MODELS))[model_name]
+    graph = generate_query(DEFAULT_SPEC, n_joins, seed).graph
+    result = exact_optimum(graph, model)
+    assert (
+        result.nodes_expanded,
+        result.nodes_pruned_bound,
+        result.nodes_pruned_dominated,
+        result.n_cost_evaluations,
+        result.order.positions,
+        result.cost,
+    ) == PINNED_SEARCHES[(n_joins, seed, model_name)]
 
 
 def test_seed_runs_when_the_budget_cannot_cover_the_search():
@@ -405,6 +545,35 @@ def test_exact_strategy_through_optimize():
     reference = exact_optimum(query.graph, MainMemoryCostModel())
     assert result.cost == reference.cost
     assert result.order == reference.order
+
+
+def test_exact_strategy_under_a_wall_clock_that_never_advances():
+    query = generate_query(DEFAULT_SPEC, 9, 3)
+    result = optimize(query, method="EXACT", budget=_seeding_budget())
+    reference = exact_optimum(query.graph, MainMemoryCostModel())
+    assert result.order == reference.order
+    assert result.cost == reference.cost
+
+
+def test_exact_strategy_answers_when_the_deadline_passes_mid_search():
+    """The search is cut, and the seed's incumbent is still recorded."""
+    query = generate_query(DEFAULT_SPEC, 9, 3)
+    # Each charge reads the clock once: the seed about 150 times, the
+    # search some 1,350 more, so the stall at call 400 cuts the search.
+    clock = StallingClock(jumps={400: 100.0})
+    tracer = RecordingTracer()
+    result = optimize(
+        query,
+        method="EXACT",
+        budget=WallClockBudget(2.0, clock=clock),
+        trace=tracer,
+    )
+    model = MainMemoryCostModel()
+    assert verify_plan(result.order, result.cost, query.graph, model).ok
+    counters = tracer.metrics.snapshot()["counters"]
+    assert counters["evaluations"] - 1.0 > 1.0  # the full seed ran
+    full = exact_optimum(query.graph, model)
+    assert counters["exact_nodes_expanded"] < full.nodes_expanded
 
 
 def test_exact_strategy_registered():
