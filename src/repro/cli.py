@@ -100,15 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--time-factor", type=float, default=9.0, help="time limit factor k in kN^2"
     )
 
-    evaluation = argparse.ArgumentParser(add_help=False)
-    evaluation.add_argument(
-        "--no-incremental",
-        dest="incremental",
-        action="store_false",
-        help="price every candidate with a full plan-cost walk instead of "
-        "the prefix-cached incremental engine (see docs/performance.md)",
-    )
-
     parallelism = argparse.ArgumentParser(add_help=False)
     parallelism.add_argument(
         "--workers",
@@ -166,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser(
         "optimize",
-        parents=[common, evaluation, resilience, parallelism, observability],
+        parents=[common, resilience, parallelism, observability],
         help="optimize one query",
     )
     cmd.add_argument("--method", default="IAI", help="optimization method")
@@ -174,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser(
         "compare",
-        parents=[common, evaluation, parallelism],
+        parents=[common, parallelism],
         help="compare methods",
     )
     cmd.add_argument(
@@ -219,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser(
         "gap",
-        parents=[common, evaluation, parallelism],
+        parents=[common, parallelism],
         help="optimality gaps: every method's true cost / exact optimum",
     )
     cmd.set_defaults(joins=10)
@@ -317,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser(
         "sql",
-        parents=[evaluation, resilience, parallelism, observability],
+        parents=[resilience, parallelism, observability],
         help="optimize a SQL query against a catalog",
     )
     cmd.add_argument("query", help="SQL text (quote the whole query)")
@@ -471,7 +462,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         seed=args.seed,
         resilient=args.resilient,
         max_retries=args.max_retries,
-        incremental=args.incremental,
         workers=args.workers,
         restarts=args.restarts,
         trace=tracer,
@@ -531,7 +521,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         model=model,
         time_factor=args.time_factor,
         seed=args.seed,
-        incremental=args.incremental,
         workers=args.workers,
         failure_log=failure_log,
     )
@@ -666,7 +655,6 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         model=model,
         time_factor=args.time_factor,
         seed=args.seed,
-        incremental=args.incremental,
         workers=args.workers,
         failure_log=failure_log,
     )
@@ -813,7 +801,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
         seed=args.seed,
         resilient=args.resilient,
         max_retries=args.max_retries,
-        incremental=args.incremental,
         workers=args.workers,
         restarts=args.restarts,
         trace=tracer,

@@ -125,6 +125,15 @@ class Budget:
         """
         return Budget(limit=max(1.0, self.remaining - units))
 
+    def share(self, part: float, whole: float) -> "Budget":
+        """A fresh budget of ``part / whole`` of what is left here (at least 1).
+
+        The one way a sub-budget is cut from what remains; on an
+        unlimited budget the share is unlimited too.  Add its ``spent``
+        back here once the work charged to it is done.
+        """
+        return Budget(limit=max(1.0, self.remaining * part / whole))
+
     def carve(self, fraction: float) -> "Budget":
         """A fresh budget of ``fraction`` of this budget's *original* limit.
 
@@ -197,6 +206,19 @@ class WallClockBudget(Budget):
         rest._held = 0.0
         self._held = units
         return rest
+
+    def share(self, part: float, whole: float) -> "WallClockBudget":
+        """``part / whole`` of the seconds left here, on this clock, from now.
+
+        Taken at or after the deadline, the share is already exhausted.
+        """
+        now = self._clock()
+        sub = copy.copy(self)
+        sub.spent = 0.0
+        sub._held = 0.0
+        sub._start = now
+        sub.seconds = max(0.0, self.seconds - (now - self._start)) * part / whole
+        return sub
 
     def carve(self, fraction: float) -> "WallClockBudget":
         """A fresh wall-clock allowance sharing this budget's clock."""

@@ -530,7 +530,6 @@ def compare_methods(
     seed: int = 0,
     params: MethodParams | None = None,
     workers: int | None = None,
-    incremental: bool = True,
     stop_at_bound: bool = False,
     bound_tolerance: float = 1.05,
     failure_log=None,
@@ -565,7 +564,6 @@ def compare_methods(
                 params=params,
                 stop_at_bound=stop_at_bound,
                 bound_tolerance=bound_tolerance,
-                incremental=incremental,
             )
             for name in methods
         }
@@ -586,7 +584,6 @@ def compare_methods(
             time_factor=time_factor,
             units_per_n2=units_per_n2,
             params=params,
-            incremental=incremental,
             stop_at_bound=stop_at_bound,
             bound_tolerance=bound_tolerance,
         )

@@ -77,14 +77,14 @@ from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
 from repro.core.combinations import MethodParams, Strategy
 from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
-from repro.core.state import Evaluation, Evaluator, DeltaEvaluator
+from repro.core.optimizer import postpone_cross_products
+from repro.core.state import Evaluation, Evaluator, make_evaluator
 from repro.cost.base import CostModel
 from repro.cost.bounds import lower_bound
 from repro.cost.cardinality import (
     MAX_CARDINALITY,
     CostOverflowError,
     combined_selectivity,
-    prefix_cardinalities,
 )
 from repro.cost.incremental import (
     PrefixState,
@@ -98,7 +98,11 @@ from repro.cost.static import StaticCostModel
 from repro.obs import events as obs_events
 from repro.obs.tracer import Tracer, as_tracer
 from repro.plans.join_order import JoinOrder
-from repro.plans.validity import first_invalid_position, random_valid_order
+from repro.plans.validity import (
+    deterministic_fallback_order,
+    first_invalid_position,
+    random_valid_order,
+)
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -256,33 +260,37 @@ class _SearchStats:
     n_cost_evaluations: int = 0
     overflowed: int = 0
 
+    def add(self, result: ExactResult) -> None:
+        """Count a hybrid sub-solve's search into these totals."""
+        self.nodes_expanded += result.nodes_expanded
+        self.pruned_bound += result.nodes_pruned_bound
+        self.pruned_dominated += result.nodes_pruned_dominated
+        self.incumbent_updates += result.incumbent_updates
+        self.n_cost_evaluations += result.n_cost_evaluations
 
-def _greedy_order(graph: JoinGraph) -> JoinOrder:
-    """A deterministic valid order: smallest-cardinality greedy growth.
-
-    Serves as the always-available incumbent seed (the heuristic
-    generators require connected graphs; this works on any graph) —
-    components are emitted contiguously, each grown from its smallest
-    relation by repeatedly appending the smallest adjacent one.
-    """
-    order: list[int] = []
-    for component in graph.components:
-        members = list(component)
-        start = min(members, key=lambda v: (graph.cardinality(v), v))
-        placed = [start]
-        placed_set = {start}
-        while len(placed) < len(members):
-            frontier = [
-                v
-                for v in members
-                if v not in placed_set
-                and any(u in placed_set for u in graph.neighbors(v))
-            ]
-            pick = min(frontier, key=lambda v: (graph.cardinality(v), v))
-            placed.append(pick)
-            placed_set.add(pick)
-        order.extend(placed)
-    return JoinOrder(order)
+    def hybrid_result(
+        self,
+        order: JoinOrder,
+        cost: float,
+        graph: JoinGraph,
+        model: CostModel,
+        units_spent: float,
+    ) -> ExactResult:
+        """A hybrid answer over ``graph``, carrying these totals."""
+        return ExactResult(
+            order=order,
+            cost=cost,
+            proven=False,
+            mode=_MODE_HYBRID,
+            n_relations=graph.n_relations,
+            nodes_expanded=self.nodes_expanded,
+            nodes_pruned_bound=self.pruned_bound,
+            nodes_pruned_dominated=self.pruned_dominated,
+            incumbent_updates=self.incumbent_updates,
+            n_cost_evaluations=self.n_cost_evaluations,
+            units_spent=units_spent,
+            lower_bound=lower_bound(graph, model),
+        )
 
 
 def _search_worst_case(n: int) -> int:
@@ -311,14 +319,10 @@ def _seed_incumbent(
     search's own chains.
     """
     n = graph.n_relations
-    evaluator: Evaluator
-    if supports_incremental(model):
-        evaluator = DeltaEvaluator(graph, model, budget)
-    else:
-        evaluator = Evaluator(graph, model, budget)
+    evaluator = make_evaluator(graph, model, budget)
     evaluator.tracer = tracer
     try:
-        evaluator.evaluate(_greedy_order(graph))
+        evaluator.evaluate(deterministic_fallback_order(graph))
         if not budget.can_afford(_search_worst_case(n)):
             if graph.is_connected and n >= 3:
                 # Imported lazily: both generator modules are heavyweight
@@ -786,28 +790,6 @@ def _expand_skeleton(
     return JoinOrder(placed)
 
 
-def _component_order(
-    component_orders: list[tuple[tuple[int, ...], tuple[int, ...], JoinGraph]],
-) -> list[int]:
-    """Concatenate per-component orders, smallest final result first.
-
-    Each entry carries the order twice — in the component subgraph's
-    local numbering (to price its final intermediate size) and in the
-    full graph's numbering (to emit).  Mirrors ``optimize``'s
-    cross-product deferral rule so hybrid results agree with the rest of
-    the library on disconnected inputs.
-    """
-    keyed = []
-    for index, (local_order, _, subgraph) in enumerate(component_orders):
-        final_size = prefix_cardinalities(JoinOrder(local_order), subgraph)[-1]
-        keyed.append((final_size, index))
-    keyed.sort()
-    flat: list[int] = []
-    for _, index in keyed:
-        flat.extend(component_orders[index][1])
-    return flat
-
-
 def hybrid_optimum(
     query: Query | JoinGraph,
     model: CostModel | None = None,
@@ -826,8 +808,9 @@ def hybrid_optimum(
     most ``max_exact`` relations each, the cluster skeleton and each
     cluster interior are solved exactly, the orders are interleaved into
     a full valid order, and a budgeted iterative-improvement descent
-    polishes it — ``proven`` is then always False.  Disconnected graphs
-    recurse per component.
+    polishes it — ``proven`` is then always False.  A disconnected graph
+    goes through :func:`~repro.core.optimizer.postpone_cross_products`,
+    each component recursing here on its share of the budget.
     """
     graph = query.graph if isinstance(query, Query) else query
     if model is None:
@@ -854,17 +837,11 @@ def hybrid_optimum(
         return result
 
     if not graph.is_connected:
-        pieces: list[tuple[tuple[int, ...], tuple[int, ...], JoinGraph]] = []
         totals = _SearchStats()
-        weight_total = float(
-            sum(len(c) * len(c) for c in graph.components)
-        )
-        for component in graph.components:
-            subgraph = graph.subgraph(component)
-            weight = len(component) * len(component) / weight_total
-            share = Budget(
-                limit=max(1.0, budget.remaining * weight)
-            ) if math.isfinite(budget.remaining) else Budget.unlimited()
+
+        def solve(
+            component: tuple[int, ...], subgraph: JoinGraph, share: Budget
+        ) -> JoinOrder:
             piece = hybrid_optimum(
                 subgraph,
                 model,
@@ -873,33 +850,13 @@ def hybrid_optimum(
                 seed=seed,
                 trace=tracer,
             )
-            budget.spent = min(budget.limit, budget.spent + share.spent)
-            totals.nodes_expanded += piece.nodes_expanded
-            totals.pruned_bound += piece.nodes_pruned_bound
-            totals.pruned_dominated += piece.nodes_pruned_dominated
-            totals.incumbent_updates += piece.incumbent_updates
-            totals.n_cost_evaluations += piece.n_cost_evaluations
-            global_order = tuple(
-                component[local] for local in piece.order.positions
-            )
-            pieces.append((piece.order.positions, global_order, subgraph))
-        order = JoinOrder(_component_order(pieces))
+            totals.add(piece)
+            return piece.order
+
+        order = postpone_cross_products(graph, budget, solve)
         cost = model.plan_cost(order, graph)
         _flush_trace(tracer, sink)
-        return ExactResult(
-            order=order,
-            cost=cost,
-            proven=False,
-            mode=_MODE_HYBRID,
-            n_relations=n,
-            nodes_expanded=totals.nodes_expanded,
-            nodes_pruned_bound=totals.pruned_bound,
-            nodes_pruned_dominated=totals.pruned_dominated,
-            incumbent_updates=totals.incumbent_updates,
-            n_cost_evaluations=totals.n_cost_evaluations,
-            units_spent=budget.spent,
-            lower_bound=lower_bound(graph, model),
-        )
+        return totals.hybrid_result(order, cost, graph, model, budget.spent)
 
     if tracer.enabled:
         tracer.phase_start("hybrid_contract")
@@ -910,7 +867,8 @@ def hybrid_optimum(
 
     totals = _SearchStats()
 
-    def _exact_order(target: JoinGraph, share: Budget) -> tuple[int, ...]:
+    def _exact_order(target: JoinGraph, fraction: float) -> tuple[int, ...]:
+        share = budget.share(fraction, 1)
         try:
             result = exact_optimum(
                 target,
@@ -925,22 +883,13 @@ def hybrid_optimum(
         # greedy order — hybrid mode promises a valid construction, not
         # a certificate (proven=False either way).
         except (BudgetExhausted, CostOverflowError, OverflowError):
-            return _greedy_order(target).positions
+            return deterministic_fallback_order(target).positions
         finally:
             budget.spent = min(budget.limit, budget.spent + share.spent)
-        totals.nodes_expanded += result.nodes_expanded
-        totals.pruned_bound += result.nodes_pruned_bound
-        totals.pruned_dominated += result.nodes_pruned_dominated
-        totals.incumbent_updates += result.incumbent_updates
-        totals.n_cost_evaluations += result.n_cost_evaluations
+        totals.add(result)
         return result.order.positions
 
-    def _share(fraction: float) -> Budget:
-        if not math.isfinite(budget.remaining):
-            return Budget.unlimited()
-        return Budget(limit=max(1.0, budget.remaining * fraction))
-
-    skeleton_order = _exact_order(contracted, _share(0.3))
+    skeleton_order = _exact_order(contracted, 0.3)
     local_orders: list[tuple[int, ...]] = []
     interior = sum(len(members) for members in clusters if len(members) > 1)
     for members in clusters:
@@ -949,10 +898,10 @@ def hybrid_optimum(
             continue
         subgraph = graph.subgraph(members)
         if subgraph.n_relations > max_exact or not subgraph.is_connected:
-            local = _greedy_order(subgraph).positions
+            local = deterministic_fallback_order(subgraph).positions
         else:
             local = _exact_order(
-                subgraph, _share(0.4 * len(members) / max(1, interior))
+                subgraph, 0.4 * len(members) / max(1, interior)
             )
         local_orders.append(
             tuple(members[position] for position in local)
@@ -965,11 +914,7 @@ def hybrid_optimum(
             f"{invalid}: {start}"
         )
 
-    evaluator: Evaluator
-    if supports_incremental(model):
-        evaluator = DeltaEvaluator(graph, model, budget)
-    else:
-        evaluator = Evaluator(graph, model, budget)
+    evaluator = make_evaluator(graph, model, budget)
     evaluator.tracer = tracer
     if tracer.enabled:
         tracer.phase_start("hybrid_polish")
@@ -980,9 +925,14 @@ def hybrid_optimum(
             start, evaluator, MoveSet(), rng, start_cost=start_cost
         )
         # Spend whatever budget remains on II restarts (bounded, so an
-        # unlimited budget cannot spin forever).
+        # unlimited budget cannot spin forever).  A unit budget stops
+        # short of a restart it cannot finish; a wall clock runs them
+        # until its deadline.
         for _ in range(_MAX_POLISH_RESTARTS):
-            if budget.remaining < 2.0 * graph.n_joins:
+            if (
+                math.isfinite(budget.limit)
+                and budget.remaining < 2.0 * graph.n_joins
+            ):
                 break
             improvement_run(
                 random_valid_order(graph, rng), evaluator, MoveSet(), rng
@@ -1004,19 +954,8 @@ def hybrid_optimum(
         )
     )
     _flush_trace(tracer, sink)
-    return ExactResult(
-        order=best.order,
-        cost=best.cost,
-        proven=False,
-        mode=_MODE_HYBRID,
-        n_relations=n,
-        nodes_expanded=totals.nodes_expanded,
-        nodes_pruned_bound=totals.pruned_bound,
-        nodes_pruned_dominated=totals.pruned_dominated,
-        incumbent_updates=totals.incumbent_updates,
-        n_cost_evaluations=totals.n_cost_evaluations,
-        units_spent=budget.spent,
-        lower_bound=lower_bound(graph, model),
+    return totals.hybrid_result(
+        best.order, best.cost, graph, model, budget.spent
     )
 
 

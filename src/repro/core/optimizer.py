@@ -5,16 +5,17 @@ combinatorial search proper:
 
 * selections/projections are already folded into the catalog statistics
   (``Relation.cardinality`` is the post-selection ``N_k``);
-* cross products are postponed: a disconnected join graph is split into
-  components, each optimized separately with a budget share proportional
-  to its ``N^2``, and the component orders are concatenated smallest
-  estimated result first.
+* cross products are postponed (:func:`postpone_cross_products`): a
+  disconnected join graph is split into components, each optimized
+  separately with a budget share proportional to its ``N^2``, and the
+  component orders are concatenated smallest estimated result first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.catalog.join_graph import JoinGraph, Query
 from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
@@ -24,10 +25,10 @@ from repro.core.combinations import (
     available_method_names,
     make_strategy,
 )
-from repro.core.state import DeltaEvaluator, Evaluator, TargetReached
+from repro.core.state import Evaluator, TargetReached, make_evaluator
 from repro.cost.base import CostModel
 from repro.cost.bounds import lower_bound
-from repro.cost.cardinality import prefix_cardinalities
+from repro.cost.cardinality import CostOverflowError, prefix_cardinalities
 from repro.cost.memory import MainMemoryCostModel
 from repro.obs import events as obs_events
 from repro.obs.tracer import Tracer, as_tracer
@@ -120,7 +121,6 @@ def _optimize_connected(
     seed: int,
     params: MethodParams,
     target_cost: float | None = None,
-    incremental: bool = True,
     record_floor: float | None = None,
     tracer: Tracer | None = None,
 ) -> Evaluator:
@@ -131,22 +131,10 @@ def _optimize_connected(
     # key on their registered name.
     rng_key = method if isinstance(method, str) else strategy.name
     rng = derive_rng(seed, "optimize", rng_key, graph.n_relations)
-    if incremental and DeltaEvaluator.supports(model):
-        evaluator: Evaluator = DeltaEvaluator(
-            graph,
-            model,
-            budget,
-            target_cost=target_cost,
-            record_floor=record_floor,
-        )
-    else:
-        # Models that override plan_cost (static heuristics, fault
-        # injectors) define their own plan semantics; they keep the full
-        # reference evaluator.
-        evaluator = Evaluator(
-            graph, model, budget, target_cost=target_cost,
-            record_floor=record_floor,
-        )
+    evaluator = make_evaluator(
+        graph, model, budget, target_cost=target_cost,
+        record_floor=record_floor,
+    )
     if tracer is not None:
         evaluator.tracer = tracer
     try:
@@ -169,7 +157,6 @@ def optimize(
     bound_tolerance: float = 1.05,
     resilient: bool = False,
     max_retries: int = 2,
-    incremental: bool = True,
     workers: int | None = None,
     restarts: int | None = None,
     record_floor: float | None = None,
@@ -204,14 +191,6 @@ def optimize(
         propagating; see :mod:`repro.robustness.resilience`.  The result's
         ``degraded``/``failures`` fields record what happened.
         ``max_retries`` bounds the rotated-seed retries per stage.
-    incremental:
-        Route the search through the prefix-cached delta evaluator
-        (:class:`~repro.core.state.DeltaEvaluator`) when the cost model is
-        eligible — models that override ``plan_cost``, and the resilient
-        path, always use the full reference evaluator.  ``False`` forces
-        full re-costing everywhere (the reference oracle).  Both
-        evaluators charge ``n_joins`` units per candidate and return
-        bit-identical results.
     workers / restarts:
         Setting either routes the call through the multi-start
         orchestrator (:func:`repro.parallel.multi_start_optimize`):
@@ -223,7 +202,8 @@ def optimize(
         bit-identical for every worker count, crashes included.  Both
         ``None`` (the default) keeps the legacy single-trajectory path
         bit-unchanged.  Incompatible with ``resilient=True`` (the
-        orchestrator has its own crash recovery).
+        orchestrator has its own crash recovery) and with a
+        :class:`~repro.core.budget.WallClockBudget` (``ValueError``).
     record_floor:
         A trusted upper bound on the cost that still matters: start
         states pricier than the floor are skipped.  Set by the
@@ -290,7 +270,6 @@ def optimize(
             params=params,
             restarts=restarts,
             workers=workers,
-            incremental=incremental,
             stop_at_bound=stop_at_bound,
             bound_tolerance=bound_tolerance,
             tracer=tracer,
@@ -326,7 +305,6 @@ def optimize(
             seed,
             params,
             target_cost,
-            incremental=incremental,
             record_floor=record_floor,
             tracer=tracer,
         )
@@ -344,15 +322,28 @@ def optimize(
             trajectory=tuple(evaluator.trajectory),
         )
     else:
-        result = _optimize_disconnected(
-            graph,
-            method,
-            model,
-            budget,
-            seed,
-            params,
-            incremental=incremental,
-            tracer=tracer,
+        pieces: list[OptimizationResult] = []
+
+        def solve(
+            component: tuple[int, ...], subgraph: JoinGraph, share: Budget
+        ) -> JoinOrder:
+            piece = optimize(
+                subgraph, method=method, model=model, seed=seed,
+                budget=share, params=params, trace=tracer,
+            )
+            pieces.append(piece)
+            return piece.order
+
+        order = postpone_cross_products(graph, budget, solve, tracer)
+        cost = model.plan_cost(order, graph)
+        result = OptimizationResult(
+            method=_method_label(method),
+            graph=graph,
+            order=order,
+            cost=cost,
+            units_spent=budget.spent,
+            n_evaluations=sum(piece.n_evaluations for piece in pieces),
+            trajectory=((budget.spent, cost),),
         )
     from repro.robustness.verify import verify_or_raise
 
@@ -396,69 +387,48 @@ def _finish_trace(
     return result
 
 
-def _optimize_disconnected(
+def postpone_cross_products(
     graph: JoinGraph,
-    method: str | Strategy,
-    model: CostModel,
     budget: Budget,
-    seed: int,
-    params: MethodParams,
-    incremental: bool = True,
+    solve: Callable[[tuple[int, ...], JoinGraph, Budget], JoinOrder],
     tracer: Tracer | None = None,
-) -> OptimizationResult:
-    """Postpone cross products: per-component search, then concatenation.
+) -> JoinOrder:
+    """The paper's rule for a disconnected graph: cross products go last.
 
-    Each component gets a budget share proportional to its ``N^2`` (with a
-    floor so single-relation components cost nothing); component orders
-    are concatenated in increasing order of estimated component result
-    size, so the cross products at the end multiply small results first.
-    The reported cost re-evaluates the full concatenated order on the full
-    graph, pricing the cross products.
+    Each component of two or more relations is handed to
+    ``solve(component, subgraph, share)``: ``component`` is its tuple of
+    vertices in ``graph``, ``share`` a :meth:`~Budget.share` of
+    ``budget`` proportional to its ``N^2`` (at least 1), and ``solve``
+    returns the subgraph's order in local numbering.  The share's spend
+    is added back to ``budget``.  The component orders are concatenated
+    smallest estimated result first, so the cross products at the end
+    multiply small results first.
     """
     components = graph.components
     weights = [max(1, len(c) - 1) ** 2 for c in components]
     total_weight = sum(weights)
+    if tracer is not None and not tracer.enabled:
+        tracer = None
     pieces: list[tuple[float, list[int]]] = []
-    n_evaluations = 0
     for component, weight in zip(components, weights):
         subgraph = graph.subgraph(component)
-        if subgraph.n_relations == 1:
-            pieces.append((subgraph.cardinality(0), list(component)))
-            continue
-        share = Budget(limit=max(1.0, budget.remaining * weight / total_weight))
-        if tracer is not None and tracer.enabled:
-            tracer.phase_start("component", relations=len(component))
-        result = optimize(
-            subgraph,
-            method=method,
-            model=model,
-            seed=seed,
-            budget=share,
-            params=params,
-            incremental=incremental,
-            trace=tracer,
-        )
-        budget.spent = min(budget.limit, budget.spent + share.spent)
-        if tracer is not None and tracer.enabled:
-            # The nested run re-bound the clock to its share; restore it.
-            tracer.bind_clock(budget)
-            tracer.phase_end("component", relations=len(component))
-        n_evaluations += result.n_evaluations
-        local_order = [component[i] for i in result.order]
-        sizes = prefix_cardinalities(result.order, subgraph)
-        pieces.append((sizes[-1], local_order))
+        if len(component) == 1:
+            local = JoinOrder([0])
+        else:
+            share = budget.share(weight, total_weight)
+            if tracer is not None:
+                tracer.phase_start("component", relations=len(component))
+            local = solve(component, subgraph, share)
+            budget.spent = min(budget.limit, budget.spent + share.spent)
+            if tracer is not None:
+                # A nested run re-binds the clock to its share; restore it.
+                tracer.bind_clock(budget)
+                tracer.phase_end("component", relations=len(component))
+        try:
+            size = prefix_cardinalities(local, subgraph)[-1]
+        except CostOverflowError:
+            # Sizing only orders the pieces: an unpriceable one goes last.
+            size = math.inf
+        pieces.append((size, [component[i] for i in local]))
     pieces.sort(key=lambda piece: piece[0])
-    positions: list[int] = []
-    for _, piece in pieces:
-        positions.extend(piece)
-    order = JoinOrder(positions)
-    cost = model.plan_cost(order, graph)
-    return OptimizationResult(
-        method=_method_label(method),
-        graph=graph,
-        order=order,
-        cost=cost,
-        units_spent=budget.spent,
-        n_evaluations=n_evaluations,
-        trajectory=((budget.spent, cost),),
-    )
+    return JoinOrder([vertex for _, piece in pieces for vertex in piece])

@@ -17,6 +17,8 @@ Two evaluators share that contract:
   bound pruning, and every candidate is charged per plan exactly like
   the reference evaluator.
 
+:func:`make_evaluator` is the one place a search picks between them.
+
 The *candidate protocol* (:meth:`Evaluator.evaluate_candidate`,
 :meth:`Evaluator.commit_candidate`, :meth:`Evaluator.prime`) is what the
 search loops call; on the base evaluator it degrades to plain
@@ -242,8 +244,6 @@ class DeltaEvaluator(Evaluator):
         #: Candidates whose walk was aborted by the upper bound.
         self.n_pruned = 0
 
-    supports = staticmethod(supports_incremental)
-
     def evaluate(self, order: JoinOrder) -> float:
         """Full evaluation through the engine; re-anchors the prefix cache."""
         self.budget.charge(float(self.graph.n_joins))
@@ -291,3 +291,25 @@ class DeltaEvaluator(Evaluator):
 
     def prime(self, order: JoinOrder) -> None:
         self.engine.prime(order.positions)
+
+
+def make_evaluator(
+    graph: JoinGraph,
+    model: CostModel,
+    budget: Budget,
+    target_cost: float | None = None,
+    record_floor: float | None = None,
+) -> Evaluator:
+    """The evaluator a search runs on: the delta engine wherever it applies.
+
+    Models that override ``plan_cost`` (static heuristics, fault
+    injectors) define their own plan semantics and keep the full
+    reference :class:`Evaluator`.  Where both apply they return
+    bit-identical results; the parity tests reach the reference by
+    patching :func:`supports_incremental` here.
+    """
+    kind = DeltaEvaluator if supports_incremental(model) else Evaluator
+    return kind(
+        graph, model, budget, target_cost=target_cost,
+        record_floor=record_floor,
+    )

@@ -11,7 +11,7 @@ How the pieces keep that invariant while still sharing work globally:
 
 Pre-pass floor (the deterministic shared bound)
     Before fanning out, the parent prices the deterministic spanning
-    order (:func:`~repro.robustness.resilience.deterministic_fallback_order`)
+    order (:func:`~repro.plans.validity.deterministic_fallback_order`)
     once.  Its cost ``F`` is threaded into every restart's evaluator as
     ``record_floor``: a start state that provably prices above ``F`` is
     skipped (its descent would begin above a plan the merge already
@@ -49,7 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.optimizer import OptimizationResult
 
 from repro.catalog.join_graph import JoinGraph, Query
-from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
+from repro.core.budget import (
+    Budget,
+    BudgetExhausted,
+    DEFAULT_UNITS_PER_N2,
+    WallClockBudget,
+)
 from repro.core.combinations import MethodParams, Strategy
 from repro.cost.base import CostModel, CostOverflowError
 from repro.obs import events as obs_events
@@ -57,12 +62,9 @@ from repro.obs.events import TraceEvent
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import RecordingTracer, Tracer
 from repro.plans.join_order import JoinOrder
+from repro.plans.validity import deterministic_fallback_order
 from repro.robustness.faults import InjectedFault
-from repro.robustness.resilience import (
-    FailureLog,
-    FailureRecord,
-    deterministic_fallback_order,
-)
+from repro.robustness.resilience import FailureLog, FailureRecord
 from repro.utils.rng import derive_seed
 
 #: Restart count used when the caller asks for orchestration (``workers``
@@ -103,7 +105,6 @@ class OptimizeJob:
     time_factor: float = 9.0
     units_per_n2: float = DEFAULT_UNITS_PER_N2
     params: MethodParams | None = None
-    incremental: bool = True
     record_floor: float | None = None
     stop_at_bound: bool = False
     bound_tolerance: float = 1.05
@@ -151,7 +152,6 @@ def run_job(job: OptimizeJob) -> JobOutcome:
             params=job.params,
             stop_at_bound=job.stop_at_bound,
             bound_tolerance=job.bound_tolerance,
-            incremental=job.incremental,
             record_floor=job.record_floor,
             trace=tracer,
         )
@@ -250,7 +250,6 @@ def multi_start_optimize(
     params: MethodParams | None = None,
     restarts: int | None = None,
     workers: int | None = None,
-    incremental: bool = True,
     stop_at_bound: bool = False,
     bound_tolerance: float = 1.05,
     crash_indices: tuple[int, ...] = (),
@@ -268,7 +267,10 @@ def multi_start_optimize(
     equal budget share with seed ``derive_seed(seed, "worker", k)``, so
     a restart's outcome is a pure function of ``(seed, k, share)`` and
     never of which process ran it when.  ``crash_indices`` marks
-    restarts that kill their pool worker mid-job (test hook).
+    restarts that kill their pool worker mid-job (test hook).  A
+    :class:`~repro.core.budget.WallClockBudget` raises ``ValueError``:
+    seconds cannot be shared out ahead of time to restarts that may
+    queue behind one another.
 
     With a recording ``tracer``, every restart records a worker-local
     trace (shipped back through the pool as plain events) and the parent
@@ -298,6 +300,12 @@ def multi_start_optimize(
     workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if isinstance(budget, WallClockBudget):
+        raise ValueError(
+            "a wall-clock budget cannot be shared across restarts: a "
+            "restart queued behind others would find its deadline gone; "
+            "give workers/restarts a unit budget (time_factor or Budget)"
+        )
     label = _method_label(method)
     n_joins = max(1, graph.n_joins)
     if budget is None:
@@ -331,7 +339,7 @@ def multi_start_optimize(
         tracer.emit(obs_events.BOUND, kind="prepass_floor", value=floor)
         tracer.metrics.inc("bounds_published")
 
-    share = max(1.0, budget.remaining / restarts)
+    share = budget.share(1, restarts).limit
     jobs = [
         OptimizeJob(
             graph=graph,
@@ -344,7 +352,6 @@ def multi_start_optimize(
             time_factor=time_factor,
             units_per_n2=units_per_n2,
             params=params,
-            incremental=incremental,
             record_floor=floor,
             stop_at_bound=stop_at_bound,
             bound_tolerance=bound_tolerance,

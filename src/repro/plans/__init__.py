@@ -16,6 +16,7 @@ from repro.plans.bushy import (
     random_bushy_tree,
 )
 from repro.plans.validity import (
+    deterministic_fallback_order,
     is_valid_order,
     first_invalid_position,
     random_valid_order,
@@ -32,6 +33,7 @@ __all__ = [
     "is_valid_bushy",
     "linear_to_bushy",
     "random_bushy_tree",
+    "deterministic_fallback_order",
     "is_valid_order",
     "first_invalid_position",
     "random_valid_order",

@@ -9,6 +9,7 @@ contiguously, and validity is judged within each component's segment.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import permutations
 from typing import Iterator
@@ -103,6 +104,44 @@ def random_valid_order(graph: JoinGraph, rng: random.Random) -> JoinOrder:
             frontier.update(
                 n for n in graph.neighbors(nxt) if n in component and n not in placed
             )
+    return JoinOrder(positions)
+
+
+def deterministic_fallback_order(graph: JoinGraph) -> JoinOrder:
+    """A valid join order built without any search or random choice.
+
+    Each component is grown greedily from its smallest relation, always
+    placing the smallest-cardinality frontier relation next (ties break on
+    vertex index); components are emitted smallest-first and contiguously.
+    Valid by construction and stable across runs: the exact search's
+    first incumbent, the orchestrator's pre-pass floor and the resilient
+    chain's last resort.
+    """
+    keys: list[tuple[float, int]] = []
+    for vertex in range(graph.n_relations):
+        cardinality = graph.cardinality(vertex)
+        if not math.isfinite(cardinality):
+            cardinality = math.inf
+        keys.append((cardinality, vertex))
+    size_key = keys.__getitem__
+    positions: list[int] = []
+    components = sorted(graph.components, key=lambda c: min(size_key(v) for v in c))
+    for component in components:
+        members = set(component)
+        start = min(component, key=size_key)
+        placed = [start]
+        placed_set = {start}
+        frontier = {n for n in graph.neighbors(start) if n in members}
+        while len(placed) < len(component):
+            nxt = min(frontier - placed_set, key=size_key)
+            placed.append(nxt)
+            placed_set.add(nxt)
+            frontier.update(
+                n
+                for n in graph.neighbors(nxt)
+                if n in members and n not in placed_set
+            )
+        positions.extend(placed)
     return JoinOrder(positions)
 
 

@@ -65,11 +65,11 @@ from repro.robustness.harness import (
     run_robustness,
     write_report,
 )
+from repro.plans.validity import deterministic_fallback_order
 from repro.robustness.resilience import (
     FailureLog,
     FailureRecord,
     NoValidPlanError,
-    deterministic_fallback_order,
     resilient_optimize,
 )
 from repro.robustness.verify import (

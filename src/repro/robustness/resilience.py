@@ -29,19 +29,22 @@ escape, carrying the full failure log.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from repro.catalog.join_graph import JoinGraph
 from repro.core.budget import Budget
 from repro.core.combinations import MethodParams, Strategy, make_strategy
-from repro.core.optimizer import OptimizationResult, _single_relation_result
+from repro.core.optimizer import (
+    OptimizationResult,
+    _single_relation_result,
+    postpone_cross_products,
+)
 from repro.core.state import Evaluator
 from repro.cost.base import CostModel
-from repro.cost.cardinality import prefix_cardinalities
 from repro.obs import events as obs_events
 from repro.obs.tracer import Tracer
 from repro.plans.join_order import JoinOrder
+from repro.plans.validity import deterministic_fallback_order
 from repro.robustness.verify import (
     catalog_violations,
     sanitize_catalog,
@@ -152,43 +155,6 @@ class NoValidPlanError(RuntimeError):
 
 def _method_name(method: str | Strategy) -> str:
     return method.name if isinstance(method, Strategy) else str(method).upper()
-
-
-def deterministic_fallback_order(graph: JoinGraph) -> JoinOrder:
-    """A valid join order built without any search or random choice.
-
-    Each component is grown greedily from its smallest relation, always
-    placing the smallest-cardinality frontier relation next (ties break on
-    vertex index); components are emitted smallest-first and contiguously.
-    Valid by construction, stable across runs — the chain's last resort.
-    """
-
-    def size_key(vertex: int) -> tuple[float, int]:
-        cardinality = graph.cardinality(vertex)
-        if not math.isfinite(cardinality):
-            cardinality = math.inf
-        return (cardinality, vertex)
-
-    positions: list[int] = []
-    components = sorted(graph.components, key=lambda c: min(size_key(v) for v in c))
-    for component in components:
-        members = set(component)
-        start = min(component, key=size_key)
-        placed = [start]
-        placed_set = {start}
-        frontier = {n for n in graph.neighbors(start) if n in members}
-        while len(placed) < len(component):
-            candidates = sorted(frontier - placed_set, key=size_key)
-            nxt = candidates[0]
-            placed.append(nxt)
-            placed_set.add(nxt)
-            frontier.update(
-                n
-                for n in graph.neighbors(nxt)
-                if n in members and n not in placed_set
-            )
-        positions.extend(placed)
-    return JoinOrder(positions)
 
 
 def _run_guarded(
@@ -394,71 +360,29 @@ def _resilient_connected(
             detail="; ".join(report.violations),
             action="discarded the plan and continued",
         )
-    result = _last_resort(
-        graph, model, failures, total_spent, total_evaluations
-    )
-    if result is not None:
-        return result
-    raise NoValidPlanError(
-        "every optimization attempt, fallback method, and the deterministic "
-        "spanning order failed to produce a verifiable plan",
-        failures,
-    )
-
-
-def _last_resort(
-    graph: JoinGraph,
-    model: CostModel,
-    failures: FailureLog,
-    total_spent: float,
-    total_evaluations: int,
-) -> OptimizationResult | None:
-    """Price and verify the deterministic spanning order (two tries).
-
-    Two pricing attempts because transient cost-model faults are counted
-    per evaluation: the second call sees a different fault phase.
-    """
     order = deterministic_fallback_order(graph)
-    for attempt in range(2):
-        try:
-            cost = model.plan_cost(order, graph)
-        # boundary: last-resort pricing must survive arbitrary model faults
-        except Exception as exc:
-            failures.add(
-                stage=f"last-resort-{attempt + 1}",
-                method=SPANNING_METHOD,
-                seed=None,
-                kind="exception",
-                detail=f"cost model raised {type(exc).__name__}: {exc}",
-                action="re-priced the spanning order"
-                if attempt == 0
-                else "gave up",
-            )
-            continue
-        report = verify_plan(order, cost, graph, model)
-        if report.ok:
-            return OptimizationResult(
-                method=SPANNING_METHOD,
-                graph=graph,
-                order=order,
-                cost=cost,
-                units_spent=total_spent,
-                n_evaluations=total_evaluations,
-                trajectory=((total_spent, cost),),
-                degraded=True,
-                failures=failures.as_tuple(),
-            )
-        failures.add(
-            stage=f"last-resort-{attempt + 1}",
-            method=SPANNING_METHOD,
-            seed=None,
-            kind="verification",
-            detail="; ".join(report.violations),
-            action="re-verified the spanning order"
-            if attempt == 0
-            else "gave up",
+    cost = _price_and_verify(
+        order, graph, model, failures, "last-resort", SPANNING_METHOD, None,
+        "the spanning order",
+    )
+    if cost is None:
+        raise NoValidPlanError(
+            "every optimization attempt, fallback method, and the "
+            "deterministic spanning order failed to produce a verifiable "
+            "plan",
+            failures,
         )
-    return None
+    return OptimizationResult(
+        method=SPANNING_METHOD,
+        graph=graph,
+        order=order,
+        cost=cost,
+        units_spent=total_spent,
+        n_evaluations=total_evaluations,
+        trajectory=((total_spent, cost),),
+        degraded=True,
+        failures=failures.as_tuple(),
+    )
 
 
 def _resilient_disconnected(
@@ -472,38 +396,20 @@ def _resilient_disconnected(
     max_retries: int,
     failures: FailureLog,
 ) -> OptimizationResult:
-    """Postpone cross products, with per-component resilience.
+    """Postpone cross products, each component through its own chain.
 
-    Mirrors the non-resilient disconnected path (budget shares
-    proportional to each component's ``N^2``), but each component is
-    optimized resiliently; a component whose whole chain fails degrades to
-    its deterministic spanning order rather than failing the query.
+    A component whose whole chain fails degrades to its deterministic
+    spanning order rather than failing the query.
     """
-    components = graph.components
-    weights = [max(1, len(c) - 1) ** 2 for c in components]
-    total_weight = sum(weights)
-    pieces: list[tuple[float, list[int]]] = []
-    n_evaluations = 0
-    total_spent = 0.0
-    used_methods: set[str] = set()
-    for component, weight in zip(components, weights):
-        subgraph = graph.subgraph(component)
-        if subgraph.n_relations == 1:
-            size = subgraph.cardinality(0)
-            if not math.isfinite(size):
-                size = math.inf
-            pieces.append((size, list(component)))
-            continue
-        share = Budget(limit=max(1.0, budget.remaining * weight / total_weight))
+    pieces: list[OptimizationResult] = []
+
+    def solve(
+        component: tuple[int, ...], subgraph: JoinGraph, share: Budget
+    ) -> JoinOrder:
         try:
-            result = resilient_optimize(
-                subgraph,
-                method=method,
-                model=model,
-                budget=share,
-                seed=seed,
-                params=params,
-                max_retries=max_retries,
+            piece = resilient_optimize(
+                subgraph, method=method, model=model, budget=share,
+                seed=seed, params=params, max_retries=max_retries,
             )
         except NoValidPlanError as exc:
             failures.extend(exc.failures)
@@ -515,71 +421,79 @@ def _resilient_disconnected(
                 detail=f"component {component} produced no verifiable plan",
                 action="used its deterministic spanning order",
             )
-            local = deterministic_fallback_order(subgraph)
-            local_order = [component[i] for i in local]
-            pieces.append((_safe_final_size(local, subgraph), local_order))
-            continue
-        failures.extend(result.failures)
-        used_methods.add(result.method)
-        budget.spent = min(budget.limit, budget.spent + result.units_spent)
-        total_spent += result.units_spent
-        n_evaluations += result.n_evaluations
-        local_order = [component[i] for i in result.order]
-        pieces.append((_safe_final_size(result.order, subgraph), local_order))
-    pieces.sort(key=lambda piece: piece[0])
-    positions: list[int] = []
-    for _, piece in pieces:
-        positions.extend(piece)
-    order = JoinOrder(positions)
-    reported_method = (
-        used_methods.pop() if len(used_methods) == 1 else method_name
+            return deterministic_fallback_order(subgraph)
+        failures.extend(piece.failures)
+        pieces.append(piece)
+        # Retries and fallbacks ran on carves of their own; charge their
+        # work here too, so later components share only what is left.
+        share.spent = piece.units_spent
+        return piece.order
+
+    order = postpone_cross_products(graph, budget, solve)
+    methods = {piece.method for piece in pieces}
+    reported_method = methods.pop() if len(methods) == 1 else method_name
+    cost = _price_and_verify(
+        order, graph, model, failures, "concatenation", reported_method,
+        seed, "the concatenated order",
     )
-    for attempt in range(2):
+    if cost is None:
+        raise NoValidPlanError(
+            "the concatenated per-component plan failed verification",
+            failures,
+        )
+    units = sum(piece.units_spent for piece in pieces)
+    return OptimizationResult(
+        method=reported_method,
+        graph=graph,
+        order=order,
+        cost=cost,
+        units_spent=units,
+        n_evaluations=sum(piece.n_evaluations for piece in pieces),
+        trajectory=((units, cost),),
+        degraded=bool(failures),
+        failures=failures.as_tuple(),
+    )
+
+
+def _price_and_verify(
+    order: JoinOrder,
+    graph: JoinGraph,
+    model: CostModel,
+    failures: FailureLog,
+    stage: str,
+    method: str,
+    seed: int | None,
+    what: str,
+) -> float | None:
+    """The cost of a fallback ``order`` once it verifies, else ``None``.
+
+    Two tries, because transient cost-model faults are counted per
+    evaluation: the second call sees a different fault phase.  Each
+    failed try is logged as ``{stage}-1`` or ``{stage}-2``.
+    """
+    for attempt in (1, 2):
         try:
             cost = model.plan_cost(order, graph)
-        # boundary: concatenation pricing must survive arbitrary model faults
+        # boundary: fallback pricing must survive arbitrary model faults
         except Exception as exc:
             failures.add(
-                stage=f"concatenation-{attempt + 1}",
-                method=reported_method,
+                stage=f"{stage}-{attempt}",
+                method=method,
                 seed=seed,
                 kind="exception",
-                detail=f"pricing the concatenated order raised "
-                f"{type(exc).__name__}: {exc}",
-                action="re-priced" if attempt == 0 else "gave up",
+                detail=f"pricing {what} raised {type(exc).__name__}: {exc}",
+                action=f"re-priced {what}" if attempt == 1 else "gave up",
             )
             continue
         report = verify_plan(order, cost, graph, model)
         if report.ok:
-            return OptimizationResult(
-                method=reported_method,
-                graph=graph,
-                order=order,
-                cost=cost,
-                units_spent=total_spent,
-                n_evaluations=n_evaluations,
-                trajectory=((total_spent, cost),),
-                degraded=bool(failures),
-                failures=failures.as_tuple(),
-            )
+            return cost
         failures.add(
-            stage=f"concatenation-{attempt + 1}",
-            method=reported_method,
+            stage=f"{stage}-{attempt}",
+            method=method,
             seed=seed,
             kind="verification",
             detail="; ".join(report.violations),
-            action="re-verified" if attempt == 0 else "gave up",
+            action=f"re-verified {what}" if attempt == 1 else "gave up",
         )
-    raise NoValidPlanError(
-        "the concatenated per-component plan failed verification",
-        failures,
-    )
-
-
-def _safe_final_size(order: JoinOrder, subgraph: JoinGraph) -> float:
-    """Estimated component result size; ``inf`` when estimation fails."""
-    try:
-        return prefix_cardinalities(order, subgraph)[-1]
-    # boundary: sizing is advisory; an unpriceable piece sorts last
-    except Exception:
-        return math.inf
+    return None

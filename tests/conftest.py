@@ -7,6 +7,8 @@ without hand-marking hundreds of quick tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.catalog.join_graph import JoinGraph, Query
@@ -89,6 +91,27 @@ def two_component_graph() -> JoinGraph:
         JoinPredicate(2, 3, 150, 20),
         JoinPredicate(3, 4, 20, 250),
     ]
+    return JoinGraph(relations, predicates)
+
+
+def disjoint_union(*graphs: JoinGraph) -> JoinGraph:
+    """The graphs side by side, renumbered in order: one component each."""
+    relations: list[Relation] = []
+    predicates: list[JoinPredicate] = []
+    for index, graph in enumerate(graphs):
+        offset = len(relations)
+        relations.extend(
+            replace(relation, name=f"g{index}_{relation.name}")
+            for relation in graph.relations
+        )
+        predicates.extend(
+            replace(
+                predicate,
+                left=predicate.left + offset,
+                right=predicate.right + offset,
+            )
+            for predicate in graph.predicates
+        )
     return JoinGraph(relations, predicates)
 
 

@@ -65,35 +65,6 @@ class TestOptimizeCommand:
         assert "unknown method" in capsys.readouterr().err
 
 
-class TestEvaluationFlags:
-    """--no-incremental (see docs/performance.md)."""
-
-    BASE = ["optimize", "--joins", "10", "--time-factor", "1", "--seed", "3"]
-
-    def test_no_incremental_is_bit_identical(self, capsys):
-        assert main(self.BASE) == 0
-        default = capsys.readouterr().out
-        assert main(self.BASE + ["--no-incremental"]) == 0
-        reference = capsys.readouterr().out
-        assert default == reference
-
-    def test_compare_accepts_flags(self, capsys):
-        code = main(
-            [
-                "compare",
-                "--joins",
-                "8",
-                "--time-factor",
-                "1",
-                "--methods",
-                "II",
-                "--no-incremental",
-            ]
-        )
-        assert code == 0
-        assert "II" in capsys.readouterr().out
-
-
 class TestCompareCommand:
     def test_league_table(self, capsys):
         code = main(

@@ -122,6 +122,24 @@ class TestBudgetEdgeCases:
         with pytest.raises(ValueError):
             Budget(limit=10).carve(0)
 
+    def test_share_is_part_of_what_is_left(self):
+        budget = Budget(limit=100)
+        budget.charge(40)
+        share = budget.share(3, 4)
+        assert share.limit == 60 * 3 / 4
+        assert share.spent == 0
+        assert budget.spent == 40  # taking a share charges nothing
+
+    def test_share_is_at_least_one_unit(self):
+        budget = Budget(limit=10)
+        budget.charge(10)
+        assert budget.share(1, 3).limit == 1.0
+
+    def test_share_of_an_unlimited_budget_is_unlimited(self):
+        share = Budget.unlimited().share(1, 1000)
+        assert share.limit == math.inf
+        assert share.can_afford(1e300)
+
 
 class TestWallClockBudgetWithStalls:
     """Wall-clock expiry driven by a deterministic stalling clock."""
@@ -182,3 +200,34 @@ class TestWallClockBudgetWithStalls:
             for _ in range(100):
                 carved.charge(1.0)
         assert not budget.exhausted  # parent has plenty of time left
+
+    def test_share_is_part_of_the_seconds_left_from_now(self):
+        from repro.core.budget import WallClockBudget
+        from repro.robustness import StallingClock
+
+        clock = StallingClock(tick=1.0)
+        budget = WallClockBudget(seconds=10.0, clock=clock)  # call 1: t=1
+        share = budget.share(1, 2)  # call 2: t=2, so 9 s left, 4.5 shared
+        assert isinstance(share, WallClockBudget)
+        assert share.seconds == 4.5
+        assert share.spent == 0.0
+        share.charge(1.0)  # call 3: 1 s into the share
+        assert share.remaining == 2.5  # call 4: 2 s in, on the same clock
+        with pytest.raises(BudgetExhausted, match="wall-clock"):
+            for _ in range(10):
+                share.charge(1.0)
+        assert not budget.exhausted
+
+    def test_share_taken_after_the_deadline_is_already_exhausted(self):
+        from repro.core.budget import WallClockBudget
+        from repro.robustness import StallingClock
+
+        clock = StallingClock(tick=0.0, jumps={2: 60.0})
+        budget = WallClockBudget(seconds=5.0, clock=clock)  # call 1
+        share = budget.share(1, 2)  # call 2 stalls past the deadline
+        assert share.seconds == 0.0
+        assert share.exhausted
+        with pytest.raises(BudgetExhausted, match="wall-clock"):
+            share.charge(1.0)
+        with pytest.raises(ValueError):
+            WallClockBudget(seconds=0.0)  # the share skips this check

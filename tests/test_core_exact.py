@@ -731,7 +731,7 @@ def test_hybrid_large_n_valid_and_deterministic():
     assert first.cost == MainMemoryCostModel().plan_cost(first.order, graph)
 
 
-def test_hybrid_disconnected_large_graph():
+def _hybrid_disconnected_graph() -> JoinGraph:
     pieces = [generate_query(DEFAULT_SPEC, 10, s).graph for s in (0, 1)]
     relations = []
     predicates = []
@@ -751,12 +751,50 @@ def test_hybrid_disconnected_large_graph():
                 )
             )
         offset += piece.n_relations
-    graph = JoinGraph(relations, predicates)
+    return JoinGraph(relations, predicates)
+
+
+def test_hybrid_disconnected_large_graph():
+    graph = _hybrid_disconnected_graph()
     assert not graph.is_connected
     result = hybrid_optimum(graph, MainMemoryCostModel(), max_exact=8)
     assert first_invalid_position(result.order, graph) is None
     assert not result.proven
     assert result.cost == MainMemoryCostModel().plan_cost(result.order, graph)
+
+
+def test_hybrid_disconnected_result_is_pinned():
+    """Hybrid's disconnected answer and effort, pinned: the shared
+    cross-product path must not move them."""
+    result = hybrid_optimum(
+        _hybrid_disconnected_graph(), MainMemoryCostModel(), max_exact=8
+    )
+    assert result.order.positions == (
+        1, 0, 5, 2, 7, 4, 3, 8, 6, 9, 10,
+        12, 13, 15, 16, 11, 21, 14, 18, 20, 19, 17,
+    )
+    assert result.cost == 5716913046567309.0
+    assert result.units_spent == 29767.5
+    assert (
+        result.nodes_expanded, result.nodes_pruned_bound,
+        result.nodes_pruned_dominated, result.incumbent_updates,
+        result.n_cost_evaluations,
+    ) == (371, 53, 466, 5, 20130)
+
+
+def test_hybrid_searches_and_polishes_to_a_wall_clock_deadline():
+    """Each exact sub-solve gets seconds, not one unit, and the polish
+    restarts until the deadline instead of stopping after one descent."""
+    tracer = RecordingTracer()
+    optimize(
+        generate_query(DEFAULT_SPEC, 20, 1),
+        method="EXACT",
+        budget=WallClockBudget(2.0, clock=StallingClock(tick=1e-4)),
+        trace=tracer,
+    )
+    counters = tracer.metrics.snapshot()["counters"]
+    assert counters["exact_nodes_expanded"] > 100
+    assert counters["evaluations"] > 1000
 
 
 def test_hybrid_beats_or_matches_greedy_quality():

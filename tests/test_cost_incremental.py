@@ -27,6 +27,7 @@ from repro.core.budget import Budget
 from repro.core.combinations import MethodParams
 from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
+from repro.core import state
 from repro.core.optimizer import optimize
 from repro.core.state import DeltaEvaluator, Evaluator
 from repro.cost.cardinality import MAX_CARDINALITY, CostOverflowError
@@ -442,6 +443,13 @@ def _run_ii(evaluator, graph, seed):
         return evaluator.best
 
 
+def _reference_optimize(monkeypatch, query, **kwargs):
+    """``optimize`` with every search on the full-cost reference evaluator."""
+    with monkeypatch.context() as patch:
+        patch.setattr(state, "supports_incremental", lambda model: False)
+        return optimize(query, **kwargs)
+
+
 def _assert_same_result(delta, reference):
     assert delta.order == reference.order
     assert delta.cost == reference.cost
@@ -455,15 +463,17 @@ class TestEndToEndEquivalence:
 
     @pytest.mark.parametrize("method", ("II", "SA", "IAI", "WALK"))
     @pytest.mark.parametrize("n_joins", (8, 15))
-    def test_optimize_bitwise_identical_orders(self, method, n_joins):
+    def test_optimize_bitwise_identical_orders(
+        self, monkeypatch, method, n_joins
+    ):
         graph = generate_query(
             DEFAULT_SPEC, n_joins=n_joins, seed=n_joins
         ).graph
         kwargs = dict(
             method=method, seed=13, time_factor=2.0, units_per_n2=10.0
         )
-        reference = optimize(graph, incremental=False, **kwargs)
-        delta = optimize(graph, incremental=True, **kwargs)
+        reference = _reference_optimize(monkeypatch, graph, **kwargs)
+        delta = optimize(graph, **kwargs)
         _assert_same_result(delta, reference)
 
     @pytest.mark.parametrize(
@@ -473,12 +483,12 @@ class TestEndToEndEquivalence:
             "2PO", "RANDOM", "WALK",
         ),
     )
-    def test_every_method_matches_full_evaluation(self, method):
+    def test_every_method_matches_full_evaluation(self, monkeypatch, method):
         # Default budget, so each method runs its full schedule.
         query = generate_query(DEFAULT_SPEC, n_joins=9, seed=21)
         kwargs = dict(method=method, seed=0, time_factor=2.0)
-        reference = optimize(query, incremental=False, **kwargs)
-        delta = optimize(query, incremental=True, **kwargs)
+        reference = _reference_optimize(monkeypatch, query, **kwargs)
+        delta = optimize(query, **kwargs)
         _assert_same_result(delta, reference)
 
     def test_improvement_run_identical_on_both_evaluators(self):
@@ -513,12 +523,12 @@ class TestEndToEndEquivalence:
         # Both must verify against the full oracle (optimize() gates).
 
     def test_disconnected_graphs_route_through_incremental(
-        self, two_components
+        self, monkeypatch, two_components
     ):
-        reference = optimize(two_components, method="II", seed=2,
-                             incremental=False)
-        delta = optimize(two_components, method="II", seed=2,
-                         incremental=True)
+        reference = _reference_optimize(
+            monkeypatch, two_components, method="II", seed=2
+        )
+        delta = optimize(two_components, method="II", seed=2)
         assert delta.order == reference.order
         assert delta.cost == reference.cost
 

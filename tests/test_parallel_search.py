@@ -18,12 +18,14 @@ from repro.catalog.join_graph import JoinGraph
 from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
 from repro.cli import main
-from repro.core.budget import Budget
+from repro.core.budget import Budget, WallClockBudget
 from repro.core.combinations import available_method_names, compare_methods
 from repro.core.optimizer import optimize
 from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
+from repro.cost.static import StaticCostModel
 from repro.parallel import DEFAULT_RESTARTS, multi_start_optimize
+from repro.robustness import StallingClock
 from repro.robustness.resilience import FailureLog
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
@@ -103,10 +105,12 @@ class TestBitIdentityAcrossWorkers:
         assert orchestrated.n_evaluations != legacy.n_evaluations
 
     def test_full_reference_evaluator(self):
+        # A model that overrides plan_cost always runs on the reference
+        # Evaluator, never the delta engine.
         query = _query(n_joins=5, seed=6)
         kwargs = dict(
             method="II", seed=1, time_factor=1.0, restarts=2,
-            incremental=False,
+            model=StaticCostModel(MainMemoryCostModel()),
         )
         assert optimize(query, workers=1, **kwargs) == optimize(
             query, workers=2, **kwargs
@@ -148,6 +152,30 @@ class TestBitIdentityAcrossWorkers:
             optimize(_query(), workers=0)
         with pytest.raises(ValueError, match="restarts"):
             optimize(_query(), restarts=0)
+
+
+class TestWallClockRefused:
+    """Seconds cannot be shared out ahead of time across the pool."""
+
+    def _budget(self):
+        return WallClockBudget(2.0, clock=StallingClock())
+
+    @pytest.mark.parametrize(
+        "fanout", [dict(workers=1), dict(restarts=2), dict(workers=2, restarts=2)]
+    )
+    def test_optimize_raises(self, fanout):
+        with pytest.raises(ValueError, match="wall-clock"):
+            optimize(
+                _query(n_joins=9, seed=3), method="II", budget=self._budget(),
+                **fanout,
+            )
+
+    def test_multi_start_optimize_raises(self):
+        with pytest.raises(ValueError, match="wall-clock"):
+            multi_start_optimize(
+                _query(n_joins=9, seed=3), method="II", budget=self._budget(),
+                restarts=2,
+            )
 
 
 class TestCrashRecovery:

@@ -7,6 +7,7 @@ import pytest
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import (
     count_valid_orders,
+    deterministic_fallback_order,
     first_invalid_position,
     is_valid_order,
     random_valid_order,
@@ -111,3 +112,25 @@ class TestEnumeration:
     def test_all_enumerated_are_valid(self, chain):
         for order in valid_orders(chain):
             assert is_valid_order(order, chain)
+
+
+class TestDeterministicFallbackOrder:
+    def test_valid_on_every_fixture_graph(
+        self, chain, star, cycle, two_components
+    ):
+        for graph in (chain, star, cycle, two_components):
+            order = deterministic_fallback_order(graph)
+            assert sorted(order) == list(range(graph.n_relations))
+            assert first_invalid_position(order, graph) is None
+
+    def test_stable_across_calls(self, medium_query):
+        graph = medium_query.graph
+        assert list(deterministic_fallback_order(graph)) == list(
+            deterministic_fallback_order(graph)
+        )
+
+    def test_starts_each_component_at_its_smallest_relation(self, two_components):
+        order = list(deterministic_fallback_order(two_components))
+        # Component {3, 2, 4} has the smallest relation (R3, 40 rows) and
+        # the smallest minimum, so it comes first, starting at vertex 3.
+        assert order[0] == 3

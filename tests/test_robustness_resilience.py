@@ -15,7 +15,6 @@ from repro.catalog.join_graph import JoinGraph
 from repro.core.budget import Budget, WallClockBudget
 from repro.core.optimizer import optimize
 from repro.cost.memory import MainMemoryCostModel
-from repro.plans.validity import first_invalid_position
 from repro.robustness import (
     CORRUPTION_KINDS,
     FaultSpec,
@@ -24,7 +23,6 @@ from repro.robustness import (
     NoValidPlanError,
     StallingClock,
     corrupt_catalog,
-    deterministic_fallback_order,
     verify_plan,
 )
 from repro.robustness.estimates import ErrorModel
@@ -230,28 +228,6 @@ class TestReproducibility:
         seeds = [f.seed for f in result.failures if f.stage.startswith("retry")]
         assert len(seeds) == 2
         assert len(set(seeds + [3])) == 3  # all distinct from the root seed
-
-
-class TestDeterministicFallbackOrder:
-    def test_valid_on_every_fixture_graph(
-        self, chain, star, cycle, two_components
-    ):
-        for graph in (chain, star, cycle, two_components):
-            order = deterministic_fallback_order(graph)
-            assert sorted(order) == list(range(graph.n_relations))
-            assert first_invalid_position(order, graph) is None
-
-    def test_stable_across_calls(self, medium_query):
-        graph = medium_query.graph
-        assert list(deterministic_fallback_order(graph)) == list(
-            deterministic_fallback_order(graph)
-        )
-
-    def test_starts_each_component_at_its_smallest_relation(self, two_components):
-        order = list(deterministic_fallback_order(two_components))
-        # Component {3, 2, 4} has the smallest relation (R3, 40 rows) and
-        # the smallest minimum, so it comes first, starting at vertex 3.
-        assert order[0] == 3
 
 
 class TestDisconnectedResilience:
