@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.budget import BudgetExhausted
-from repro.core.moves import MoveSet, NoValidMove
+from repro.core.moves import MoveSet, NoValidMove, move_validity
 from repro.core.state import Evaluation, Evaluator
 from repro.obs import events as obs_events
 from repro.plans.join_order import JoinOrder
@@ -93,10 +93,11 @@ def initial_temperature(
     found, a temperature proportional to the start cost is used.
     """
     uphill = []
+    check = move_validity(start, evaluator.graph)
     for _ in range(sample_size):
         try:
             move, neighbor = move_set.random_valid_move(
-                start, evaluator.graph, rng
+                start, evaluator.graph, rng, check
             )
         except NoValidMove:
             break
@@ -154,6 +155,7 @@ def simulated_annealing(
         temperature = initial_temperature(
             start, current_cost, evaluator, move_set, rng, schedule
         )
+        check = move_validity(current, graph)
         chains_without_improvement = 0
         chain_index = 0
         while True:
@@ -161,7 +163,7 @@ def simulated_annealing(
             for _ in range(chain_length):
                 try:
                     move, neighbor = move_set.random_valid_move(
-                        current, graph, rng
+                        current, graph, rng, check
                     )
                 except NoValidMove:
                     return best
@@ -191,6 +193,7 @@ def simulated_annealing(
                     )
                 if accept:
                     evaluator.commit_candidate(neighbor)
+                    check = check.after(move, neighbor)
                     prev_cost = current_cost
                     current, current_cost = neighbor, neighbor_cost
                     accepted += 1

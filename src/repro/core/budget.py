@@ -134,6 +134,17 @@ class Budget:
         """
         return Budget(limit=max(1.0, self.remaining * part / whole))
 
+    def share_used(self, part: float, whole: float) -> Callable[[], bool]:
+        """A test that turns true once ``part / whole`` of what is left here
+        now has been spent here.
+
+        For a phase that charges this budget itself rather than a
+        :meth:`share` of it: the test tells the phase when its share is
+        gone, in this budget's own unit.
+        """
+        limit = self.spent + self.remaining * part / whole
+        return lambda: self.spent >= limit
+
     def carve(self, fraction: float) -> "Budget":
         """A fresh budget of ``fraction`` of this budget's *original* limit.
 
@@ -219,6 +230,14 @@ class WallClockBudget(Budget):
         sub._start = now
         sub.seconds = max(0.0, self.seconds - (now - self._start)) * part / whole
         return sub
+
+    def share_used(self, part: float, whole: float) -> Callable[[], bool]:
+        """A test that turns true once ``part / whole`` of the seconds left
+        here now have passed on this clock."""
+        now = self._clock()
+        left = max(0.0, self.seconds - (now - self._start))
+        deadline = now + left * part / whole
+        return lambda: self._clock() >= deadline
 
     def carve(self, fraction: float) -> "WallClockBudget":
         """A fresh wall-clock allowance sharing this budget's clock."""

@@ -48,7 +48,7 @@ from repro.core.budget import BudgetExhausted, DEFAULT_UNITS_PER_N2
 from repro.core.iterative import improvement_run, multi_start_improvement
 from repro.core.kbz import DEFAULT_WEIGHT, kbz_orders
 from repro.core.local_improvement import best_strategy_for_budget, local_improve
-from repro.core.moves import MoveSet
+from repro.core.moves import MoveSet, NoValidMove, move_validity
 from repro.core.state import Evaluation, Evaluator
 from repro.obs import events as obs_events
 from repro.plans.join_order import JoinOrder
@@ -143,24 +143,26 @@ class PerturbationWalkStrategy(Strategy):
     description = "perturbation walk accepting every move (SG88 baseline)"
 
     def run(self, evaluator, rng, params):
-        from repro.core.moves import NoValidMove
-
+        graph = evaluator.graph
         try:
-            current = random_valid_order(evaluator.graph, rng)
+            current = random_valid_order(graph, rng)
             evaluator.evaluate(current)
+            check = move_validity(current, graph)
             while True:
                 try:
                     move, neighbor = params.move_set.random_valid_move(
-                        current, evaluator.graph, rng
+                        current, graph, rng, check
                     )
                 except NoValidMove:
-                    current = random_valid_order(evaluator.graph, rng)
+                    current = random_valid_order(graph, rng)
                     evaluator.evaluate(current)
+                    check = move_validity(current, graph)
                     continue
                 evaluator.evaluate_candidate(
                     neighbor, first_changed=move.first_changed
                 )
                 evaluator.commit_candidate(neighbor)
+                check = check.after(move, neighbor)
                 current = neighbor
         except BudgetExhausted:
             pass
@@ -232,8 +234,7 @@ class TwoPhaseStrategy(Strategy):
 
     def run(self, evaluator, rng, params):
         tracer = evaluator.tracer
-        ii_budget = evaluator.budget.remaining * self.ii_share
-        ii_limit = evaluator.budget.spent + ii_budget
+        ii_done = evaluator.budget.share_used(self.ii_share, 1.0)
         starts = itertools.chain(
             augmentation_orders(
                 evaluator.graph, params.augmentation_criterion, evaluator.budget
@@ -250,7 +251,7 @@ class TwoPhaseStrategy(Strategy):
                 )
                 if local is not None and (best is None or local.cost < best.cost):
                     best = local
-                if evaluator.budget.spent >= ii_limit:
+                if ii_done():
                     break
         except BudgetExhausted:
             return

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from repro.core.budget import BudgetExhausted
-from repro.core.moves import MoveSet, NoValidMove
+from repro.core.moves import MoveSet, NoValidMove, move_validity
 from repro.core.state import Evaluation, Evaluator
 from repro.obs import events as obs_events
 from repro.plans.join_order import JoinOrder
@@ -72,12 +72,13 @@ def improvement_run(
         current_cost = start_cost
         evaluator.prime(start)
     tracer = evaluator.tracer
+    check = move_validity(current, evaluator.graph)
     depth = 0  # accepted moves this descent (improvement_depth histogram)
     failures = 0
     while failures < patience:
         try:
             move, neighbor = move_set.random_valid_move(
-                current, evaluator.graph, rng
+                current, evaluator.graph, rng, check
             )
         except NoValidMove:
             break
@@ -91,6 +92,7 @@ def improvement_run(
         )
         if neighbor_cost is not None and neighbor_cost < current_cost:
             evaluator.commit_candidate(neighbor)
+            check = check.after(move, neighbor)
             prev_cost = current_cost
             current, current_cost = neighbor, neighbor_cost
             failures = 0

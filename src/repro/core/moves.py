@@ -15,7 +15,9 @@ raises :class:`NoValidMove` (which only happens on degenerate graphs whose
 valid space is a single order).
 
 Proposals are judged by :func:`move_validity` before any neighbor is
-built: on a connected graph it checks only the span a move permutes.
+built: on a connected graph it checks only the span a move permutes, and
+a search carries one check per current order, advancing it with
+``after`` when a move is accepted.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.catalog.join_graph import JoinGraph
 from repro.plans.join_order import JoinOrder
@@ -81,7 +83,8 @@ class _SpanCheck:
     One bitmask pass over the current order records, per position, the
     union of its predecessors' neighbor masks (``reach``) and the range
     of positions where the order itself is invalid, so the check is
-    exact for any input order, valid or not.
+    exact for any input order, valid or not.  :meth:`after` carries the
+    table across an accepted move by redoing only the moved span.
     """
 
     __slots__ = ("positions", "masks", "reach", "first_bad", "last_bad")
@@ -111,8 +114,8 @@ class _SpanCheck:
         self.first_bad = first_bad
         self.last_bad = last_bad
 
-    def __call__(self, move: Move) -> bool:
-        i, j = move.i, move.j
+    def valid(self, swap: bool, i: int, j: int) -> bool:
+        """Whether the swap (or insert) at ``(i, j)`` gives a valid order."""
         lo, hi = (i, j) if i < j else (j, i)
         if self.first_bad < lo or self.last_bad > hi:
             return False
@@ -120,44 +123,148 @@ class _SpanCheck:
             # The order is unchanged: valid iff it has no invalid position.
             return self.last_bad < 0
         positions = self.positions
-        if move.kind == "swap":
-            span = (positions[hi],) + positions[lo + 1 : hi] + (positions[lo],)
-        elif i < j:
-            span = positions[i + 1 : j + 1] + (positions[i],)
-        else:
-            span = (positions[i],) + positions[j:i]
         masks = self.masks
+        # The permuted span is ``head``, positions[start:stop], ``tail``.
+        if swap:
+            head, start, stop, tail = positions[hi], lo + 1, hi, positions[lo]
+        elif i < j:
+            head, start, stop, tail = positions[i + 1], i + 2, j + 1, positions[i]
+        else:
+            head, start, stop, tail = positions[i], j, i - 1, positions[i - 1]
         if lo:
             reach = self.reach[lo]
+            if not (reach >> head) & 1:
+                return False
+            reach |= masks[head]
         else:
             # Position 0 has no predecessors to join.
-            reach = masks[span[0]]
-            span = span[1:]
-        for relation in span:
+            reach = masks[head]
+        for relation in positions[start:stop]:
             if not (reach >> relation) & 1:
                 return False
             reach |= masks[relation]
-        return True
+        return (reach >> tail) & 1 == 1
+
+    def __call__(self, move: Move) -> bool:
+        return self.valid(move.kind == "swap", move.i, move.j)
+
+    def after(self, move: Move, neighbor: JoinOrder) -> "_SpanCheck":
+        """The check for ``neighbor``, the order an accepted ``move`` gave.
+
+        Only positions ``lo + 1 .. hi`` see a new predecessor set, so only
+        their ``reach`` is recomputed; ``neighbor`` is valid, because this
+        check accepted the move.
+        """
+        i, j = move.i, move.j
+        lo, hi = (i, j) if i < j else (j, i)
+        positions = neighbor.positions
+        masks = self.masks
+        reach = self.reach.copy()
+        mask = reach[lo]
+        for position in range(lo, hi):
+            mask |= masks[positions[position]]
+            reach[position + 1] = mask
+        check = _SpanCheck.__new__(_SpanCheck)
+        check.positions = positions
+        check.masks = masks
+        check.reach = reach
+        check.first_bad = len(positions)
+        check.last_bad = -1
+        return check
 
 
-def move_validity(order: JoinOrder, graph: JoinGraph) -> Callable[[Move], bool]:
+class _FullCheck:
+    """Move validity on a disconnected graph: build and check the neighbor.
+
+    A disconnected graph's validity also depends on how whole components
+    are laid out, so each proposal gets the full
+    :func:`~repro.plans.validity.is_valid_order` check.
+    """
+
+    __slots__ = ("order", "graph")
+
+    def __init__(self, order: JoinOrder, graph: JoinGraph) -> None:
+        self.order = order
+        self.graph = graph
+
+    def valid(self, swap: bool, i: int, j: int) -> bool:
+        return self(_move(swap, i, j))
+
+    def __call__(self, move: Move) -> bool:
+        return is_valid_order(move.apply(self.order), self.graph)
+
+    def after(self, move: Move, neighbor: JoinOrder) -> "_FullCheck":
+        return _FullCheck(neighbor, self.graph)
+
+
+MoveCheck = _SpanCheck | _FullCheck
+
+
+def move_validity(order: JoinOrder, graph: JoinGraph) -> MoveCheck:
     """A predicate telling whether ``move.apply(order)`` is a valid order.
 
     Connected graphs get the span check of :class:`_SpanCheck`, which
-    builds no neighbor; a disconnected graph's validity also depends on
-    how whole components are laid out, so it keeps the full
-    :func:`~repro.plans.validity.is_valid_order` check.
+    builds no neighbor; disconnected graphs keep the full check of
+    :class:`_FullCheck`.  Both also answer ``valid(swap, i, j)`` without a
+    :class:`Move`, and ``after(move, neighbor)`` gives the check for the
+    neighbor an accepted move produced.
     """
     if graph.is_connected:
         return _SpanCheck(order, graph)
-    return lambda move: is_valid_order(move.apply(order), graph)
+    return _FullCheck(order, graph)
 
 
-def _format_moves(moves: list[Move], limit: int = 16) -> str:
-    """Compact listing of rejected moves for :class:`NoValidMove` messages."""
-    shown = ", ".join(str(move) for move in moves[:limit])
-    if len(moves) > limit:
-        shown += f", ... ({len(moves) - limit} more)"
+#: Largest population ``random.sample(population, 2)`` draws from a pool
+#: list; above it, ``sample`` tracks its picks in a set.
+_SAMPLE_POOL_MAX = 21
+
+
+def _draw(rng: random.Random, swap_probability: float, n: int) -> tuple[bool, int, int]:
+    """One random proposal ``(swap, i, j)`` over an order of ``n >= 2``.
+
+    It takes the same draws from ``rng`` as ``random() < swap_probability``
+    followed, for a swap, by ``sample(range(n), 2)`` or, for an insert,
+    by ``randrange(n)`` and ``randrange(n - 1)``.  In CPython
+    ``randbelow(m)`` draws ``getrandbits(m.bit_length())`` until the
+    result is below ``m``.  From a pool list, ``sample``'s second pick is
+    ``randbelow(n - 1)``, and ``n - 1`` stands in when that equals the
+    first; from a set, it redraws ``randbelow(n)`` until the pick is new.
+    ``tests/test_core_moves.py`` pins this against ``sample`` and
+    ``randrange`` themselves on both sides of :data:`_SAMPLE_POOL_MAX`.
+    """
+    getrandbits = rng.getrandbits
+    swap = rng.random() < swap_probability
+    bits = n.bit_length()
+    i = getrandbits(bits)
+    while i >= n:
+        i = getrandbits(bits)
+    if swap and n > _SAMPLE_POOL_MAX:
+        j = getrandbits(bits)
+        while j >= n or j == i:
+            j = getrandbits(bits)
+        return swap, i, j
+    below = n - 1
+    bits = below.bit_length()
+    j = getrandbits(bits)
+    while j >= below:
+        j = getrandbits(bits)
+    if swap:
+        if j == i:
+            j = below
+    elif j >= i:
+        j += 1
+    return swap, i, j
+
+
+def _move(swap: bool, i: int, j: int) -> Move:
+    return Move("swap" if swap else "insert", i, j)
+
+
+def _format_moves(proposals: list[tuple[bool, int, int]], limit: int = 16) -> str:
+    """Compact listing of rejected proposals for :class:`NoValidMove` messages."""
+    shown = ", ".join(str(_move(*proposal)) for proposal in proposals[:limit])
+    if len(proposals) > limit:
+        shown += f", ... ({len(proposals) - limit} more)"
     return shown
 
 
@@ -187,21 +294,18 @@ class MoveSet:
         n = len(order)
         if n < 2:
             raise NoValidMove("orders of length < 2 have no neighbors")
-        if rng.random() < self.swap_probability:
-            i, j = rng.sample(range(n), 2)
-            return Move("swap", i, j)
-        source = rng.randrange(n)
-        target = rng.randrange(n - 1)
-        if target >= source:
-            target += 1
-        return Move("insert", source, target)
+        return _move(*_draw(rng, self.swap_probability, n))
 
     def propose(self, order: JoinOrder, rng: random.Random) -> JoinOrder:
         """One random perturbation, not yet validity-checked."""
         return self.propose_move(order, rng).apply(order)
 
     def random_valid_move(
-        self, order: JoinOrder, graph: JoinGraph, rng: random.Random
+        self,
+        order: JoinOrder,
+        graph: JoinGraph,
+        rng: random.Random,
+        check: MoveCheck | None = None,
     ) -> tuple[Move, JoinOrder]:
         """A random move whose result is a *valid* neighbor of ``order``.
 
@@ -212,15 +316,26 @@ class MoveSet:
         whose valid space is a single order fail fast instead of burning
         the full retry allowance.  The :class:`NoValidMove` message lists
         the rejected moves, making the degenerate neighborhood diagnosable.
+
+        ``check`` is ``move_validity(order, graph)``, built here when not
+        given.  A search keeps one for its current order and advances it
+        with ``check.after(move, neighbor)`` when it accepts a move.
         """
-        valid = move_validity(order, graph)
-        rejected: list[Move] = []
+        n = len(order)
+        if n < 2:
+            raise NoValidMove("orders of length < 2 have no neighbors")
+        if check is None:
+            check = move_validity(order, graph)
+        valid = check.valid
+        swap_probability = self.swap_probability
+        rejected: list[tuple[bool, int, int]] = []
         fail_fast_after = min(8, self.max_tries)
         for attempt in range(1, self.max_tries + 1):
-            move = self.propose_move(order, rng)
-            if valid(move):
+            proposal = _draw(rng, swap_probability, n)
+            if valid(*proposal):
+                move = _move(*proposal)
                 return move, move.apply(order)
-            rejected.append(move)
+            rejected.append(proposal)
             if attempt == fail_fast_after and not self.has_any_valid_neighbor(
                 order, graph
             ):

@@ -25,6 +25,18 @@ class JoinOrder:
             raise ValueError(f"join order has duplicates: {self._positions}")
         self._hash = hash(self._positions)
 
+    @classmethod
+    def _permuted(cls, positions: list[int]) -> "JoinOrder":
+        """An order over a rearrangement of an order's own positions.
+
+        Skips the constructor's duplicate check: rearranging positions
+        that hold no duplicate cannot create one.
+        """
+        order = cls.__new__(cls)
+        order._positions = tuple(positions)
+        order._hash = hash(order._positions)
+        return order
+
     @property
     def positions(self) -> tuple[int, ...]:
         return self._positions
@@ -58,14 +70,14 @@ class JoinOrder:
         """Exchange the relations at positions ``i`` and ``j``."""
         positions = list(self._positions)
         positions[i], positions[j] = positions[j], positions[i]
-        return JoinOrder(positions)
+        return JoinOrder._permuted(positions)
 
     def insert(self, source: int, target: int) -> "JoinOrder":
         """Remove the relation at ``source`` and reinsert it at ``target``."""
         positions = list(self._positions)
         relation = positions.pop(source)
         positions.insert(target, relation)
-        return JoinOrder(positions)
+        return JoinOrder._permuted(positions)
 
     def replace_segment(self, start: int, segment: Sequence[int]) -> "JoinOrder":
         """Return a copy with ``segment`` written at positions ``start..``.

@@ -60,6 +60,15 @@ CASES: dict[str, list[str]] = {
         "gap", "--joins", "8", "--seed", "7", "--time-factor", "1",
         "--methods", "II", "AGI",
     ],
+    # Above 21 relations, where swaps draw as ``random.sample``'s set
+    # branch does.
+    "optimize-j30-s5-sa-disk-w2-r8": [
+        "optimize", "--joins", "30", "--seed", "5", "--method", "SA",
+        "--model", "disk", "--workers", "2", "--restarts", "8",
+    ],
+    "optimize-j40-s3-iai": [
+        "optimize", "--joins", "40", "--seed", "3", "--method", "IAI",
+    ],
 }
 for _method in ("EXACT", "IAI"):
     for _model in ("memory", "disk"):

@@ -1,5 +1,6 @@
 """Tests for the move set over valid join orders."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,10 +9,20 @@ import repro.core.moves as moves_module
 from repro.catalog.join_graph import JoinGraph
 from repro.catalog.predicates import JoinPredicate
 from repro.core.moves import Move, MoveSet, NoValidMove, move_validity
+from repro.core.optimizer import optimize
+from repro.cost.disk import DiskCostModel
+from repro.cost.memory import MainMemoryCostModel
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import is_valid_order, random_valid_order, valid_orders
+from repro.workloads.benchmarks import DEFAULT_SPEC
+from repro.workloads.generator import generate_query
 
-from tests.conftest import make_relations, star_graph, two_component_graph
+from tests.conftest import (
+    disjoint_union,
+    make_relations,
+    star_graph,
+    two_component_graph,
+)
 
 
 class TestPropose:
@@ -118,7 +129,7 @@ class TestDegeneratePath:
         """A single-order valid space is detected by the exhaustive scan
         after the first burst of failed draws, not after max_tries."""
         monkeypatch.setattr(
-            moves_module, "move_validity", lambda order, graph: _never_valid
+            moves_module, "move_validity", lambda order, graph: _NeverValid()
         )
         move_set = MoveSet(max_tries=64)
         draws = CountingRandom(5)
@@ -129,14 +140,14 @@ class TestDegeneratePath:
         # The rejected moves are surfaced for diagnosis...
         assert "swap(" in message or "insert(" in message
         # ...and the retry loop stopped at the fail-fast burst (8 draws),
-        # far short of the 64-try allowance (>= 128 rng calls).
+        # far short of the 64-try allowance (>= 192 rng calls).
         assert draws.calls < 64
 
     def test_exhausted_retries_surface_rejected_moves(self, monkeypatch, chain):
         """When neighbors exist but draws keep missing, the final error
         lists every rejected move."""
         monkeypatch.setattr(
-            moves_module, "move_validity", lambda order, graph: _never_valid
+            moves_module, "move_validity", lambda order, graph: _NeverValid()
         )
         move_set = MoveSet(max_tries=3)
         monkeypatch.setattr(
@@ -151,13 +162,19 @@ class TestDegeneratePath:
         assert "rejected:" in message
 
 
-def _never_valid(move):
-    """A validity predicate that rejects every move."""
-    return False
+class _NeverValid:
+    """A move check that rejects every move."""
+
+    def valid(self, swap, i, j):
+        return False
+
+    def __call__(self, move):
+        return False
 
 
 class CountingRandom(random.Random):
-    """random.Random that counts draw calls (random/randrange/sample)."""
+    """random.Random that counts draw calls
+    (random/getrandbits/randrange/sample)."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -166,6 +183,10 @@ class CountingRandom(random.Random):
     def random(self):
         self.calls += 1
         return super().random()
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
 
     def randrange(self, *args, **kwargs):
         self.calls += 1
@@ -279,25 +300,142 @@ class TestSpanValidity:
         for _ in range(50):
             _, order = MoveSet().random_valid_move(order, chain, rng)
 
+    def test_carried_check_agrees_with_a_fresh_one(self):
+        """``after`` gives the check a fresh ``move_validity`` would: the
+        same verdict on every move from the neighbor, for every valid
+        move from valid and invalid start orders alike.  On the last,
+        disconnected, graph ``after`` rebuilds the full check."""
+        rng = random.Random(77)
+        graphs = [_random_connected_graph(rng, rng.randint(2, 8)) for _ in range(12)]
+        graphs.append(two_component_graph())
+        carried = 0
+        edges = set()
+        for graph in graphs:
+            n = graph.n_relations
+            follows = list(_all_moves(n))
+            for order in _start_orders(graph, rng):
+                check = move_validity(order, graph)
+                for move in _all_moves(n):
+                    if not check(move):
+                        continue
+                    neighbor = move.apply(order)
+                    after = check.after(move, neighbor)
+                    fresh = move_validity(neighbor, graph)
+                    for follow in follows:
+                        expected = is_valid_order(follow.apply(neighbor), graph)
+                        assert after(follow) == fresh(follow) == expected, (
+                            order, move, follow,
+                        )
+                    carried += 1
+                    edges.add((min(move.i, move.j) == 0, max(move.i, move.j) == n - 1))
+        assert carried > 1000
+        # Spans touching the first position, the last, and both.
+        assert {(True, False), (False, True), (True, True)} <= edges
+
     @pytest.mark.parametrize("connected", (True, False))
     def test_random_valid_move_keeps_the_draw_stream(self, connected):
-        """The same moves and rng state as applying and fully checking
-        every proposal, the way the walk behaved before the span check."""
+        """The same moves and rng state as drawing every proposal with
+        ``random.sample`` and ``randrange`` and checking it with
+        ``is_valid_order``.  Graphs run from 3 to 64 relations, across
+        ``sample``'s switch from its pool list to its set above 21; the
+        check is carried from move to move as the searches carry it."""
         rng = random.Random(31)
         move_set = MoveSet()
-        for _ in range(10):
+        sizes = set()
+        for _ in range(16):
             if connected:
-                graph = _random_connected_graph(rng, rng.randint(3, 20))
+                graph = _random_connected_graph(rng, rng.randint(3, 64))
             else:
-                graph = two_component_graph()
+                graph = disjoint_union(
+                    _random_connected_graph(rng, rng.randint(2, 32)),
+                    _random_connected_graph(rng, rng.randint(2, 32)),
+                )
+            n = graph.n_relations
+            sizes.add(n)
             order = random_valid_order(graph, rng)
+            check = move_validity(order, graph)
             fast, reference = random.Random(7), random.Random(7)
             for _ in range(100):
-                move, neighbor = move_set.random_valid_move(order, graph, fast)
+                move, neighbor = move_set.random_valid_move(
+                    order, graph, fast, check
+                )
                 while True:
-                    expected = move_set.propose_move(order, reference)
+                    expected = _sampled_move(n, reference, move_set.swap_probability)
                     if is_valid_order(expected.apply(order), graph):
                         break
                 assert move == expected
                 assert fast.getstate() == reference.getstate()
+                check = check.after(move, neighbor)
                 order = neighbor
+        assert min(sizes) <= 21 < max(sizes)
+
+    def test_propose_move_draws_like_sample_and_randrange(self):
+        """Every size from 2 to 64: each side of 21 and the switch itself."""
+        move_set = MoveSet()
+        for n in range(2, 65):
+            order = JoinOrder(range(n))
+            fast, reference = random.Random(n), random.Random(n)
+            for _ in range(200):
+                assert move_set.propose_move(order, fast) == _sampled_move(
+                    n, reference, move_set.swap_probability
+                )
+                assert fast.getstate() == reference.getstate()
+
+
+def _sampled_move(n: int, rng: random.Random, swap_probability: float) -> Move:
+    """A proposal drawn with ``random.sample`` and ``randrange`` themselves."""
+    if rng.random() < swap_probability:
+        i, j = rng.sample(range(n), 2)
+        return Move("swap", i, j)
+    source = rng.randrange(n)
+    target = rng.randrange(n - 1)
+    if target >= source:
+        target += 1
+    return Move("insert", source, target)
+
+
+#: (N, method, model) -> (order, cost, units_spent, n_evaluations,
+#: trajectory length, first 16 hex digits of sha256(repr(trajectory))) for
+#: ``generate_query(DEFAULT_SPEC, N, 1)`` at ``seed=2, time_factor=4.0``.
+#: Above 21 relations swaps draw as ``random.sample``'s set branch does,
+#: which no smaller query reaches; these values pin every draw and
+#: decision there.
+PINNED_ABOVE_21 = {
+    (30, "SA", "disk"): (
+        (2, 1, 0, 5, 10, 11, 12, 15, 4, 14, 16, 20, 6, 8, 17, 3, 25, 30, 7,
+         22, 19, 27, 24, 26, 23, 9, 29, 13, 21, 28, 18),
+        64875855437013.1, 108000.0, 3600, 20, "d2946bf437328f90",
+    ),
+    (40, "SA", "disk"): (
+        (0, 3, 7, 1, 2, 11, 10, 14, 16, 4, 13, 31, 6, 22, 5, 29, 28, 17, 8,
+         18, 34, 23, 27, 32, 37, 9, 19, 30, 25, 20, 24, 35, 21, 33, 12, 15,
+         26, 39, 36, 38, 40),
+        1114817263096.671, 192000.0, 4800, 30, "3d13a4c7449fb52e",
+    ),
+    (30, "II", "memory"): (
+        (0, 3, 8, 17, 14, 25, 24, 26, 5, 1, 12, 2, 10, 11, 20, 7, 9, 15, 22,
+         27, 23, 4, 6, 30, 16, 19, 28, 13, 21, 29, 18),
+        1341854041897686.2, 108000.0, 3600, 75, "365be47979a66cc7",
+    ),
+    (40, "II", "memory"): (
+        (6, 3, 1, 2, 14, 4, 0, 9, 16, 20, 21, 31, 12, 22, 7, 28, 26, 17, 8,
+         25, 33, 13, 37, 34, 19, 23, 15, 27, 10, 39, 11, 18, 30, 29, 35, 5,
+         38, 36, 32, 24, 40),
+        22962220292353.24, 192000.0, 4800, 111, "0a5417e5d6cb3b68",
+    ),
+}
+MODELS = {"memory": MainMemoryCostModel, "disk": DiskCostModel}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ABOVE_21))
+def test_searches_above_21_relations_are_pinned(key):
+    n_joins, method, model = key
+    result = optimize(
+        generate_query(DEFAULT_SPEC, n_joins, 1), method=method,
+        model=MODELS[model](), seed=2, time_factor=4.0,
+    )
+    digest = hashlib.sha256(repr(result.trajectory).encode()).hexdigest()
+    assert (
+        tuple(result.order), result.cost, result.units_spent,
+        result.n_evaluations, len(result.trajectory), digest[:16],
+    ) == PINNED_ABOVE_21[key]

@@ -5,6 +5,9 @@ import pytest
 from repro.core.budget import Budget, BudgetExhausted, WallClockBudget
 from repro.core.optimizer import optimize
 from repro.plans.validity import is_valid_order
+from repro.robustness import StallingClock
+from repro.workloads.benchmarks import DEFAULT_SPEC
+from repro.workloads.generator import generate_query
 
 
 class TestTwoPhase:
@@ -42,6 +45,35 @@ class TestTwoPhase:
         )
         assert result.units_spent <= 2 * n * n * 10 + 1e-9
 
+    def test_unit_budget_run_is_pinned(self):
+        """Unit-budget 2PO keeps its result.  Its II phase ends with the
+        descent that crosses 70% of the units (here at 10,760.8 of
+        13,500), and the last improvement comes from the anneal, so the
+        pin covers both phases."""
+        result = optimize(
+            generate_query(DEFAULT_SPEC, 15, 4), method="2PO",
+            time_factor=2.0, seed=1,
+        )
+        assert tuple(result.order) == (
+            6, 1, 0, 5, 10, 15, 12, 14, 3, 9, 4, 7, 11, 2, 8, 13,
+        )
+        assert (result.cost, result.units_spent, result.n_evaluations) == (
+            2417868833.0558095, 13500.0, 898,
+        )
+        assert len(result.trajectory) == 32
+        assert result.trajectory[-1] == (12470.800000000001, 2417868833.0558095)
+
+    def test_wall_clock_ends_the_ii_phase_on_its_seconds(self):
+        """The II phase ends after 70% of the seconds left, not when the
+        units spent pass 70% of the seconds left.  II alone prices 20,000
+        plans on this clock; read as units, the seconds ended 2PO's II
+        phase after its first descent, and it priced 2,066."""
+        result = optimize(
+            generate_query(DEFAULT_SPEC, 15, 4), method="2PO",
+            budget=WallClockBudget(2.0, clock=StallingClock(tick=1e-4)),
+        )
+        assert result.n_evaluations > 10_000
+
 
 class TestWallClockBudget:
     def test_exhausts_by_time(self):
@@ -71,3 +103,21 @@ class TestWallClockBudget:
 
     def test_is_a_budget(self):
         assert isinstance(WallClockBudget(seconds=1.0), Budget)
+
+    def test_share_used_counts_seconds(self):
+        clock = StallingClock(tick=0.125)
+        budget = WallClockBudget(seconds=1.0, clock=clock)  # starts at 0.125
+        budget.charge(1e9)  # units do not move a wall clock's share
+        done = budget.share_used(1, 2)  # at 0.375, 0.75 s left: ends at 0.75
+        assert [done() for _ in range(3)] == [False, False, True]
+
+
+class TestShareUsed:
+    def test_counts_units_left_when_taken(self):
+        budget = Budget(limit=100.0)
+        budget.charge(20.0)
+        done = budget.share_used(3, 4)  # 60 of the 80 units left
+        budget.charge(59.0)
+        assert not done()
+        budget.charge(1.0)
+        assert done()
