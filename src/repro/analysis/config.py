@@ -52,9 +52,6 @@ DEFAULT_TOOL_TABLE: dict[str, Any] = {
                 "src/repro/cost",
                 "src/repro/obs",
                 "src/repro/parallel",
-                "src/repro/robustness/estimates.py",
-                "src/repro/robustness/harness.py",
-                "src/repro/robustness/feedback.py",
             ]
         },
         "DET004": {"include": ["src/repro/parallel"]},

@@ -35,8 +35,8 @@ class JoinGraph:
         cardinality and no join column may claim more distinct values than
         its relation has rows.  ``validate=False`` skips only these
         statistical checks (structural checks always run) and exists for
-        the fault-injection harness in :mod:`repro.robustness.faults`,
-        which deliberately builds graphs with corrupted statistics.
+        fault injection (the test suite's ``corrupt_catalog``), which
+        deliberately builds graphs with corrupted statistics.
     """
 
     def __init__(

@@ -8,10 +8,6 @@ Commands
     Run several methods on one query and print a league table.
 ``experiment``
     Regenerate one of the paper's tables or figures at a chosen scale.
-``robustness``
-    Optimize a seeded workload under q-error-perturbed statistics,
-    re-cost under the truth, and print the q-error-vs-regret curves
-    (optionally closing the measurement-feedback loop).
 ``explain-trace``
     Reconstruct a plan's incumbent lineage ("why this plan") from a
     trace file recorded with ``--trace``.
@@ -88,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--joins", type=int, default=20, help="number of joins N")
+    common.add_argument("--joins", type=int, default=10, help="number of joins N")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument(
         "--benchmark", type=int, default=0, help="benchmark variation 0..9"
@@ -97,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--model", choices=("memory", "disk"), default="memory", help="cost model"
     )
     common.add_argument(
-        "--time-factor", type=float, default=9.0, help="time limit factor k in kN^2"
+        "--time-factor", type=float, default=3.0, help="time limit factor k in kN^2"
     )
 
     parallelism = argparse.ArgumentParser(add_help=False)
@@ -213,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common, parallelism],
         help="optimality gaps: every method's true cost / exact optimum",
     )
-    cmd.set_defaults(joins=10)
     cmd.add_argument(
         "--methods",
         nargs="+",
@@ -246,64 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument(
         "--units-per-n2", type=float, default=DEFAULT_UNITS_PER_N2 / 3
-    )
-
-    cmd = sub.add_parser(
-        "robustness",
-        parents=[common, observability],
-        help="regret under q-error-perturbed statistics",
-    )
-    cmd.set_defaults(joins=10, time_factor=3.0)
-    cmd.add_argument(
-        "-q",
-        "--q-values",
-        type=float,
-        nargs="+",
-        default=[1.0, 2.0, 5.0, 10.0],
-        help="q-error magnitudes to sweep (each >= 1)",
-    )
-    cmd.add_argument(
-        "--methods",
-        nargs="+",
-        default=["IAI", "II", "SIMPLI_SQUARED"],
-        help="methods to measure (SIMPLI_SQUARED is the estimate-free floor)",
-    )
-    cmd.add_argument(
-        "--queries", type=int, default=5, help="seeded queries in the workload"
-    )
-    cmd.add_argument(
-        "--trials", type=int, default=2, help="perturbation draws per (query, q)"
-    )
-    cmd.add_argument(
-        "--distribution",
-        choices=("lognormal", "loguniform"),
-        default="lognormal",
-        help="error-factor distribution of the ErrorModel",
-    )
-    cmd.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan harness trials across worker processes; the report is "
-        "byte-identical to --workers 1 for any seed",
-    )
-    cmd.add_argument(
-        "--json",
-        metavar="FILE.json",
-        default=None,
-        help="also write the byte-stable robustness report to this file",
-    )
-    cmd.add_argument(
-        "--feedback",
-        action="store_true",
-        help="additionally run one measurement-feedback round at the "
-        "largest q and report median regret before/after",
-    )
-    cmd.add_argument(
-        "--feedback-max-rows",
-        type=int,
-        default=200,
-        help="cap generated table sizes during feedback execution",
     )
 
     cmd = sub.add_parser(
@@ -703,90 +640,6 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_robustness(args: argparse.Namespace) -> int:
-    from repro.experiments.robustness import (
-        robustness_experiment,
-        robustness_workload,
-    )
-    from repro.obs import NULL_TRACER, write_metrics, write_trace
-    from repro.robustness.harness import RobustnessConfig, write_report
-    from repro.robustness.resilience import FailureLog
-
-    for method in args.methods:
-        make_strategy(method)  # validate the names before the long run
-    config = RobustnessConfig(
-        methods=tuple(method.upper() for method in args.methods),
-        q_values=tuple(args.q_values),
-        n_trials=args.trials,
-        distribution=args.distribution,
-        time_factor=args.time_factor,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    spec = benchmark_spec(args.benchmark)
-    tracer = _make_tracer(args)
-    failure_log = FailureLog()
-    report = robustness_experiment(
-        spec,
-        config,
-        n_queries=args.queries,
-        n_joins=args.joins,
-        model=_cost_model(args.model),
-        tracer=tracer if tracer is not None else NULL_TRACER,
-        failure_log=failure_log,
-    )
-    if failure_log:
-        print(failure_log.summary(), file=sys.stderr)
-    if tracer is not None:
-        if args.trace is not None:
-            write_trace(
-                tracer.events,
-                args.trace,
-                meta={"command": "robustness", "seed": args.seed},
-            )
-        if args.metrics is not None:
-            write_metrics(tracer.metrics, args.metrics)
-    if args.json is not None:
-        write_report(report, args.json)
-    print(
-        render_matrix(
-            f"median regret, {args.queries} queries x {args.trials} trials "
-            f"({config.distribution})",
-            row_labels=list(config.methods),
-            column_labels=[f"q={q:g}" for q in config.q_values],
-            values=[
-                [point.median_regret for point in report.curve(method)]
-                for method in config.methods
-            ],
-            row_header="method",
-        )
-    )
-    worst = max(trial.regret for trial in report.trials)
-    print(f"worst regret observed: {worst:.2f}x")
-    if args.feedback:
-        from repro.robustness.feedback import run_feedback
-
-        queries = robustness_workload(
-            spec, n_queries=args.queries, n_joins=args.joins, seed=config.seed
-        )
-        feedback = run_feedback(
-            queries,
-            q=max(config.q_values),
-            seed=config.seed,
-            method=config.methods[0],
-            model=_cost_model(args.model),
-            time_factor=config.time_factor,
-            distribution=config.distribution,
-            max_rows=args.feedback_max_rows,
-        )
-        print(
-            f"feedback round at q={feedback.q:g}: median regret "
-            f"{feedback.median_regret_before:.3f} -> "
-            f"{feedback.median_regret_after:.3f}"
-        )
-    return EXIT_OK
-
-
 def _cmd_sql(args: argparse.Namespace) -> int:
     from repro.frontend import StatsCatalog, parse_query
 
@@ -934,8 +787,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_landscape(args)
     if args.command == "experiment":
         return _cmd_experiment(args)
-    if args.command == "robustness":
-        return _cmd_robustness(args)
     if args.command == "sql":
         return _cmd_sql(args)
     if args.command == "explain-trace":

@@ -125,7 +125,6 @@ def simulated_annealing(
     rng: random.Random,
     schedule: AnnealingSchedule | None = None,
     observer: Callable[[ChainStats], None] | None = None,
-    bound_pruning: bool = False,
 ) -> Evaluation:
     """Anneal from ``start``; return the best state visited.
 
@@ -133,15 +132,6 @@ def simulated_annealing(
     to that point has been recorded by the evaluator.  ``observer``, when
     given, receives a :class:`ChainStats` after each completed chain —
     used by diagnostics to watch the cooling and acceptance behaviour.
-
-    ``bound_pruning`` reorders the acceptance test so candidates can be
-    abandoned mid-costing: the uniform draw happens *before* the
-    evaluation, turning Metropolis acceptance ``u < exp(-delta / T)`` into
-    the equivalent threshold test ``cost < current - T·ln(u)``, and that
-    threshold becomes the evaluator's upper bound.  The decisions are the
-    same for the same draw, but classic annealing draws only on uphill
-    moves — so the rng stream differs and seeded runs diverge from the
-    default mode.  Off by default for exactly that reason.
     """
     if schedule is None:
         schedule = AnnealingSchedule()
@@ -167,30 +157,13 @@ def simulated_annealing(
                     )
                 except NoValidMove:
                     return best
-                if bound_pruning:
-                    draw = rng.random()
-                    threshold = (
-                        current_cost - temperature * math.log(draw)
-                        if draw > 0.0
-                        else math.inf
-                    )
-                    neighbor_cost = evaluator.evaluate_candidate(
-                        neighbor,
-                        upper_bound=threshold,
-                        first_changed=move.first_changed,
-                    )
-                    accept = neighbor_cost is not None and (
-                        neighbor_cost <= current_cost
-                        or neighbor_cost < threshold
-                    )
-                else:
-                    neighbor_cost = evaluator.evaluate_candidate(
-                        neighbor, first_changed=move.first_changed
-                    )
-                    delta = neighbor_cost - current_cost
-                    accept = delta <= 0 or rng.random() < math.exp(
-                        -delta / temperature
-                    )
+                neighbor_cost = evaluator.evaluate_candidate(
+                    neighbor, first_changed=move.first_changed
+                )
+                delta = neighbor_cost - current_cost
+                accept = delta <= 0 or rng.random() < math.exp(
+                    -delta / temperature
+                )
                 if accept:
                     evaluator.commit_candidate(neighbor)
                     check = check.after(move, neighbor)
@@ -210,13 +183,8 @@ def simulated_annealing(
                             delta=current_cost - prev_cost,
                         )
                     else:
-                        if neighbor_cost is None:
-                            outcome = obs_events.PRUNED
-                            tracer.metrics.inc("moves_pruned")
-                        else:
-                            outcome = obs_events.REJECTED
-                            tracer.metrics.inc("moves_rejected")
-                        tracer.emit(obs_events.MOVE, outcome=outcome)
+                        tracer.metrics.inc("moves_rejected")
+                        tracer.emit(obs_events.MOVE, outcome=obs_events.REJECTED)
             chains_without_improvement += 1
             acceptance_ratio = accepted / chain_length
             if tracer.enabled:

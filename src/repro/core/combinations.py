@@ -57,14 +57,7 @@ from repro.plans.validity import random_valid_order
 
 @dataclass(frozen=True)
 class MethodParams:
-    """Shared tunables threaded into every strategy.
-
-    ``sa_bound_pruning`` enables simulated annealing's draw-first
-    acceptance (see :func:`repro.core.annealing.simulated_annealing`),
-    which lets the delta evaluator abandon candidates mid-costing at the
-    price of a different rng stream than the classic formulation — off by
-    default so seeded runs stay reproducible against historical results.
-    """
+    """Shared tunables threaded into every strategy."""
 
     move_set: MoveSet = field(default_factory=MoveSet)
     patience: int | None = None
@@ -72,7 +65,6 @@ class MethodParams:
     augmentation_criterion: AugmentationCriterion = DEFAULT_CRITERION
     kbz_weight: AugmentationCriterion = DEFAULT_WEIGHT
     local_improvement_max_passes: int | None = None
-    sa_bound_pruning: bool = False
 
     def with_overrides(self, **overrides) -> "MethodParams":
         return replace(self, **overrides)
@@ -183,12 +175,7 @@ class SimulatedAnnealingStrategy(Strategy):
                     tracer.emit(obs_events.RESTART, index=index)
                     tracer.metrics.inc("restarts")
                 simulated_annealing(
-                    start,
-                    evaluator,
-                    params.move_set,
-                    rng,
-                    params.schedule,
-                    bound_pruning=params.sa_bound_pruning,
+                    start, evaluator, params.move_set, rng, params.schedule
                 )
                 if evaluator.budget.exhausted:
                     break
@@ -266,12 +253,7 @@ class TwoPhaseStrategy(Strategy):
             tracer.phase_start("anneal_phase")
         try:
             simulated_annealing(
-                best.order,
-                evaluator,
-                params.move_set,
-                rng,
-                schedule,
-                bound_pruning=params.sa_bound_pruning,
+                best.order, evaluator, params.move_set, rng, schedule
             )
         except BudgetExhausted:
             pass
@@ -488,16 +470,6 @@ for _weight in (3, 4, 5):
     )
 _FACTORIES["AUG"] = _FACTORIES["AUG3"]
 _FACTORIES["KBZ"] = _FACTORIES["KBZ3"]
-
-
-def _simpli_squared_factory() -> Strategy:
-    # Imported lazily: repro.core.simpli inherits Strategy from here.
-    from repro.core.simpli import SimpliSquaredStrategy
-
-    return SimpliSquaredStrategy()
-
-
-_FACTORIES["SIMPLI_SQUARED"] = _simpli_squared_factory
 
 
 def _exact_factory() -> Strategy:

@@ -71,7 +71,6 @@ class CostModel(ABC):
         total = 0.0
         for position in range(1, len(order)):
             step = estimator.step(order[position])
-            # detlint: ignore[PURE001] -- reaches the test-only fault injector
             total += self.join_cost(
                 step.outer_size, step.inner_size, step.result_size
             )

@@ -67,7 +67,6 @@ class StaticCostModel(CostModel):
             predicates = graph.edges_between(placed, vertex)
             inner_size = graph.cardinality(vertex)
             result = _unclamped_result(outer_size, inner_size, predicates)
-            # detlint: ignore[PURE001] -- reaches the test-only fault injector
             total += self.inner.join_cost(outer_size, inner_size, result)
             placed.append(vertex)
             outer_size = result

@@ -30,9 +30,7 @@ class ExecutionResult:
     intermediate_sizes: tuple[int, ...]
     estimated_sizes: tuple[float, ...]
     #: Measured row count of each base table, in *order* sequence: entry
-    #: ``k`` is the size of ``tables[order[k]]`` as scanned.  The
-    #: measurement-feedback loop recalibrates base cardinalities from
-    #: these.
+    #: ``k`` is the size of ``tables[order[k]]`` as scanned.
     base_sizes: tuple[int, ...] = ()
 
     @property
@@ -46,8 +44,7 @@ class ExecutionResult:
         Entry 0 is the scan of ``order[0]``; entry ``k >= 1`` is the
         output of the ``k``-th hash join — the measured counterpart of
         :func:`repro.cost.cardinality.prefix_cardinalities` on the same
-        order.  This is what the feedback loop compares against the
-        optimizer's estimates.
+        order.
         """
         first = self.base_sizes[0] if self.base_sizes else self.final.n_rows
         return (first, *self.intermediate_sizes)

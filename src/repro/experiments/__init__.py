@@ -6,8 +6,6 @@
 * :mod:`repro.experiments.tables` — Tables 1, 2, and 3.
 * :mod:`repro.experiments.figures` — Figures 4, 5, 6, and 7.
 * :mod:`repro.experiments.report` — plain-text rendering of results.
-* :mod:`repro.experiments.robustness` — seeded workloads for the
-  cardinality-robustness (regret) harness.
 """
 
 from repro.experiments.scaling import OUTLIER_CAP, coerce_outlier, scale_costs
@@ -28,10 +26,6 @@ from repro.experiments.sensitivity import (
     SensitivityPoint,
     perturb_graph,
     sensitivity_analysis,
-)
-from repro.experiments.robustness import (
-    robustness_experiment,
-    robustness_workload,
 )
 from repro.experiments.statistics import (
     mean_confidence_interval,
@@ -63,8 +57,6 @@ __all__ = [
     "sensitivity_analysis",
     "mean_confidence_interval",
     "paired_comparison",
-    "robustness_experiment",
-    "robustness_workload",
     "render_matrix",
     "render_series",
 ]

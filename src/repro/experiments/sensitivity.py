@@ -10,17 +10,18 @@ does not study, but one any adopter of its methods faces.)
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from repro.catalog.join_graph import JoinGraph, Query
+from repro.catalog.predicates import JoinPredicate
+from repro.catalog.relation import Relation
 from repro.core.budget import DEFAULT_UNITS_PER_N2
 from repro.core.optimizer import optimize
 from repro.cost.base import CostModel
 from repro.cost.memory import MainMemoryCostModel
-from repro.robustness.estimates import LOG_UNIFORM, ErrorModel
 from repro.utils.rng import derive_rng
-from repro.utils.validation import check_positive
 
 
 def perturb_graph(
@@ -28,21 +29,50 @@ def perturb_graph(
 ) -> JoinGraph:
     """A copy of ``graph`` with statistics perturbed up to the factor.
 
-    Thin shim over :class:`repro.robustness.estimates.ErrorModel` with
-    the ``loguniform`` distribution, which is exactly this function's
-    historical semantics: every base cardinality and distinct-value
-    count multiplied by an independent factor log-uniform in
-    ``[1/f, f]``, distinct counts capped by their relation's perturbed
-    cardinality.  Kept as the public entry point because its signature
-    (an explicit ``random.Random``) predates the seeded model.
+    Every base cardinality and distinct-value count is multiplied by an
+    independent factor log-uniform in ``[1/f, f]``, and distinct counts
+    are capped by their relation's perturbed cardinality.  Factors are
+    drawn in a fixed order: relations by index, then predicates in graph
+    order, left side before right.  ``f = 1`` draws nothing.
     """
-    check_positive("max_error_factor", max_error_factor)
-    if max_error_factor < 1.0:
-        raise ValueError("max_error_factor must be >= 1")
-    model = ErrorModel(
-        q=max_error_factor, seed=0, distribution=LOG_UNIFORM
-    )
-    return model.perturb_with_rng(graph, rng)
+    if not 1.0 <= max_error_factor < math.inf:
+        raise ValueError(
+            f"max_error_factor must be finite and >= 1, got {max_error_factor!r}"
+        )
+    low = 1.0 / max_error_factor
+
+    def factor() -> float:
+        if max_error_factor == 1.0:
+            return 1.0
+        return low * (max_error_factor / low) ** rng.random()
+
+    relations = [
+        Relation(
+            relation.name,
+            max(2, int(round(relation.base_cardinality * factor()))),
+            relation.selections,
+        )
+        for relation in graph.relations
+    ]
+    predicates = []
+    for predicate in graph.predicates:
+        left_factor = factor()
+        right_factor = factor()
+        predicates.append(
+            JoinPredicate(
+                predicate.left,
+                predicate.right,
+                left_distinct=min(
+                    relations[predicate.left].cardinality,
+                    max(1.0, predicate.left_distinct * left_factor),
+                ),
+                right_distinct=min(
+                    relations[predicate.right].cardinality,
+                    max(1.0, predicate.right_distinct * right_factor),
+                ),
+            )
+        )
+    return JoinGraph(relations, predicates)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,6 @@ Event kinds
                    early-stop target)
 ``fault``          a failure was observed (mirrors ``FailureRecord``)
 ``degraded``       a resilient run returned a degraded result
-``perturb``        an ErrorModel perturbed a catalog (q, seed, draws)
-``regret``         a robustness-harness trial's regret was measured
 =================  ======================================================
 
 ``worker`` attributes an event to the orchestrator restart that emitted
@@ -69,8 +67,6 @@ RESTART = "restart"
 BOUND = "bound"
 FAULT = "fault"
 DEGRADED = "degraded"
-PERTURB = "perturb"
-REGRET = "regret"
 
 #: Every kind a conforming trace may contain, in documentation order.
 EVENT_KINDS: tuple[str, ...] = (
@@ -85,8 +81,6 @@ EVENT_KINDS: tuple[str, ...] = (
     BOUND,
     FAULT,
     DEGRADED,
-    PERTURB,
-    REGRET,
 )
 
 #: ``move`` outcomes.

@@ -17,10 +17,10 @@ Surfaced two ways:
   excluded from equality, so a traced result still compares equal to
   its untraced twin — tracing observes, never perturbs).
 
-Traces that hold several runs (the robustness harness records many
-``optimize`` calls into one tracer) are handled by slicing the last
-balanced ``run_start``..``run_end`` span before folding, so the chain
-always describes the most recent completed run.
+Traces that hold several runs (a caller may record many ``optimize``
+calls into one tracer) are handled by slicing the last balanced
+``run_start``..``run_end`` span before folding, so the chain always
+describes the most recent completed run.
 """
 
 from __future__ import annotations

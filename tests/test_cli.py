@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 class TestMethodsCommand:
@@ -126,77 +126,6 @@ class TestExperimentCommand:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "table9"])
-
-
-class TestRobustnessCommand:
-    TINY = [
-        "robustness",
-        "--queries",
-        "2",
-        "--joins",
-        "6",
-        "--trials",
-        "1",
-        "-q",
-        "1",
-        "5",
-        "--time-factor",
-        "1",
-        "--seed",
-        "7",
-    ]
-
-    def test_prints_regret_matrix(self, capsys):
-        assert main(self.TINY) == 0
-        out = capsys.readouterr().out
-        assert "median regret" in out
-        assert "SIMPLI_SQUARED" in out
-        assert "worst regret observed" in out
-
-    def test_json_report_is_byte_stable(self, capsys, tmp_path):
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        assert main([*self.TINY, "--json", str(first)]) == 0
-        assert main([*self.TINY, "--json", str(second)]) == 0
-        capsys.readouterr()
-        assert first.read_bytes() == second.read_bytes()
-        assert b'"version":1' in first.read_bytes()
-
-    def test_rejects_q_below_one(self, capsys):
-        assert main(["robustness", "--queries", "2", "-q", "0.5"]) == 2
-        assert "q" in capsys.readouterr().err
-
-    def test_rejects_unknown_method(self, capsys):
-        assert (
-            main(["robustness", "--queries", "2", "--methods", "NOPE"]) == 2
-        )
-        assert "unknown method" in capsys.readouterr().err
-
-    def test_feedback_flag(self, capsys):
-        code = main(
-            [
-                "robustness",
-                "--queries",
-                "2",
-                "--joins",
-                "5",
-                "--trials",
-                "1",
-                "-q",
-                "2",
-                "--time-factor",
-                "1",
-                "--seed",
-                "3",
-                "--feedback",
-                "--feedback-max-rows",
-                "120",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "feedback" in out
-        assert "median regret" in out
 
 
 class TestExactCommand:
@@ -333,6 +262,15 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "command", ["optimize", "compare", "exact", "gap", "landscape"]
+    )
+    def test_shared_flag_defaults(self, command):
+        # The shared flags' actions are one object in every subcommand, so
+        # a subcommand's set_defaults would move every other's default.
+        args = _build_parser().parse_args([command])
+        assert (args.joins, args.time_factor) == (10, 3.0)
 
 
 class TestExitCodes:

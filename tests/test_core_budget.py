@@ -146,7 +146,7 @@ class TestWallClockBudgetWithStalls:
 
     def test_stall_exhausts_budget_between_charges(self):
         from repro.core.budget import WallClockBudget
-        from repro.robustness import StallingClock
+        from tests.faults import StallingClock
 
         clock = StallingClock(tick=0.1, jumps={4: 30.0})
         budget = WallClockBudget(seconds=5.0, clock=clock)  # clock call 1
@@ -158,7 +158,7 @@ class TestWallClockBudgetWithStalls:
 
     def test_remaining_is_seconds_not_units(self):
         from repro.core.budget import WallClockBudget
-        from repro.robustness import StallingClock
+        from tests.faults import StallingClock
 
         clock = StallingClock(tick=1.0)
         budget = WallClockBudget(seconds=10.0, clock=clock)  # clock call 1
@@ -168,7 +168,7 @@ class TestWallClockBudgetWithStalls:
 
     def test_can_never_promise_that_work_fits(self):
         from repro.core.budget import WallClockBudget
-        from repro.robustness import StallingClock
+        from tests.faults import StallingClock
 
         budget = WallClockBudget(seconds=10.0, clock=StallingClock())
         assert not budget.exhausted
@@ -176,7 +176,7 @@ class TestWallClockBudgetWithStalls:
 
     def test_hold_back_shares_the_deadline_and_lets_the_units_through(self):
         from repro.core.budget import WallClockBudget
-        from repro.robustness import StallingClock
+        from tests.faults import StallingClock
 
         clock = StallingClock(tick=0.0, jumps={3: 60.0})
         budget = WallClockBudget(seconds=5.0, clock=clock)  # clock call 1
@@ -191,7 +191,7 @@ class TestWallClockBudgetWithStalls:
 
     def test_carve_shares_the_injected_clock(self):
         from repro.core.budget import WallClockBudget
-        from repro.robustness import StallingClock
+        from tests.faults import StallingClock
 
         clock = StallingClock(tick=1.0)
         budget = WallClockBudget(seconds=40.0, clock=clock)
@@ -203,7 +203,7 @@ class TestWallClockBudgetWithStalls:
 
     def test_share_is_part_of_the_seconds_left_from_now(self):
         from repro.core.budget import WallClockBudget
-        from repro.robustness import StallingClock
+        from tests.faults import StallingClock
 
         clock = StallingClock(tick=1.0)
         budget = WallClockBudget(seconds=10.0, clock=clock)  # call 1: t=1
@@ -220,7 +220,7 @@ class TestWallClockBudgetWithStalls:
 
     def test_share_taken_after_the_deadline_is_already_exhausted(self):
         from repro.core.budget import WallClockBudget
-        from repro.robustness import StallingClock
+        from tests.faults import StallingClock
 
         clock = StallingClock(tick=0.0, jumps={2: 60.0})
         budget = WallClockBudget(seconds=5.0, clock=clock)  # call 1

@@ -19,14 +19,11 @@ from repro.core.optimizer import optimize, postpone_cross_products
 from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
 from repro.plans.join_order import JoinOrder
-from repro.robustness import (
-    FaultSpec,
-    FaultyCostModel,
-    StallingClock,
-    verify_plan,
-)
+from repro.robustness import verify_plan
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
+
+from tests.faults import FaultSpec, FaultyCostModel, StallingClock
 
 from .conftest import disjoint_union, two_component_graph
 

@@ -5,9 +5,9 @@ import pytest
 from repro.core.budget import Budget, BudgetExhausted, WallClockBudget
 from repro.core.optimizer import optimize
 from repro.plans.validity import is_valid_order
-from repro.robustness import StallingClock
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
+from tests.faults import StallingClock
 
 
 class TestTwoPhase:

@@ -11,15 +11,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_import_does_not_load_numpy():
     # The package depends on the standard library only; a module that
     # imported numpy would add its load time and memory to every process,
-    # pool workers included.
+    # pool workers included.  The execution engine is for calibration
+    # only: the verification gate, which every query passes, must not
+    # load it either.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (str(SRC), env.get("PYTHONPATH")) if path
     )
     probe = (
         "import sys\n"
-        "import repro, repro.cli, repro.parallel\n"
+        "import repro, repro.cli, repro.parallel, repro.robustness.verify\n"
         "print('numpy' in sys.modules)\n"
+        "print(any(m.startswith('repro.engine') for m in sys.modules))\n"
     )
     completed = subprocess.run(
         [sys.executable, "-c", probe],
@@ -28,4 +31,6 @@ def test_import_does_not_load_numpy():
         text=True,
         check=True,
     )
-    assert completed.stdout.strip() == "False"
+    numpy_loaded, engine_loaded = completed.stdout.split()
+    assert numpy_loaded == "False"
+    assert engine_loaded == "False"

@@ -25,10 +25,10 @@ from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
 from repro.parallel import DEFAULT_RESTARTS, multi_start_optimize
-from repro.robustness import StallingClock
 from repro.robustness.resilience import FailureLog
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
+from tests.faults import StallingClock
 
 MODELS = {"memory": MainMemoryCostModel, "disk": DiskCostModel}
 

@@ -9,24 +9,21 @@ from repro.core.combinations import MethodParams, make_strategy
 from repro.core.state import Evaluator
 from repro.cost.memory import MainMemoryCostModel
 from repro.plans.join_order import JoinOrder
-from repro.robustness import (
+from repro.robustness import InjectedFault, catalog_violations
+from repro.utils.rng import derive_rng
+from tests.faults import (
     CORRUPTION_KINDS,
-    FaultSpec,
-    FaultyCostModel,
-    FaultyStrategy,
-    InjectedFault,
-    StallingClock,
-    catalog_violations,
-    corrupt_catalog,
-)
-from repro.robustness.faults import (
     COST_EXCEPTION,
     INF_COST,
     NAN_COST,
     NEGATIVE_COST,
     STALL,
+    FaultSpec,
+    FaultyCostModel,
+    FaultyStrategy,
+    StallingClock,
+    corrupt_catalog,
 )
-from repro.utils.rng import derive_rng
 
 
 class TestFaultSpec:

@@ -6,8 +6,6 @@ mode must still yield a plan that passes the verification gate, with
 seeded faulty run must be bit-for-bit reproducible.
 """
 
-import math
-
 import pytest
 
 from repro.catalog.relation import Relation
@@ -15,19 +13,21 @@ from repro.catalog.join_graph import JoinGraph
 from repro.core.budget import Budget, WallClockBudget
 from repro.core.optimizer import optimize
 from repro.cost.memory import MainMemoryCostModel
-from repro.robustness import (
+from repro.experiments.sensitivity import perturb_graph
+from repro.robustness import NoValidPlanError, verify_plan
+from repro.robustness.resilience import FailureLog
+from repro.utils.rng import derive_rng
+from tests.faults import (
     CORRUPTION_KINDS,
+    COST_EXCEPTION,
+    INF_COST,
+    NAN_COST,
     FaultSpec,
     FaultyCostModel,
     FaultyStrategy,
-    NoValidPlanError,
     StallingClock,
     corrupt_catalog,
-    verify_plan,
 )
-from repro.robustness.estimates import ErrorModel
-from repro.robustness.faults import COST_EXCEPTION, INF_COST, NAN_COST
-from repro.robustness.resilience import FailureLog, resilient_optimize
 
 MODEL = MainMemoryCostModel()
 
@@ -291,7 +291,9 @@ class TestEstimateErrorInterplay:
     def test_fault_storm_on_perturbed_catalog_yields_verified_plan(
         self, medium_query
     ):
-        lying = ErrorModel(q=10.0, seed=11).perturb(medium_query.graph)
+        lying = perturb_graph(
+            medium_query.graph, derive_rng(11, "lying-catalog"), 10.0
+        )
         model = FaultyCostModel(
             MODEL, [FaultSpec(kind=NAN_COST, probability=0.05)], seed=5
         )
@@ -306,7 +308,9 @@ class TestEstimateErrorInterplay:
     def test_exception_on_perturbed_catalog_populates_failure_log(
         self, medium_query
     ):
-        lying = ErrorModel(q=5.0, seed=2).perturb(medium_query.graph)
+        lying = perturb_graph(
+            medium_query.graph, derive_rng(2, "lying-catalog"), 5.0
+        )
         model = FaultyCostModel(
             MODEL, [FaultSpec(kind=COST_EXCEPTION, at_evaluation=50)], seed=5
         )
@@ -323,7 +327,9 @@ class TestEstimateErrorInterplay:
     def test_perturbation_alone_never_degrades(self, medium_query):
         """Lying estimates are not faults: without injection the
         resilient path must report a clean, non-degraded run."""
-        lying = ErrorModel(q=10.0, seed=7).perturb(medium_query.graph)
+        lying = perturb_graph(
+            medium_query.graph, derive_rng(7, "lying-catalog"), 10.0
+        )
         result = optimize(
             lying, method="IAI", seed=3, time_factor=1.0, resilient=True
         )

@@ -12,14 +12,13 @@ from repro.cost.memory import MainMemoryCostModel
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import first_invalid_position
 from repro.robustness import (
-    CORRUPTION_KINDS,
     PlanVerificationError,
     catalog_violations,
-    corrupt_catalog,
     sanitize_catalog,
     verify_or_raise,
     verify_plan,
 )
+from tests.faults import CORRUPTION_KINDS, corrupt_catalog
 
 
 class TestVerifyPlan:
