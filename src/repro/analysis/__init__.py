@@ -2,19 +2,12 @@
 
 The repo's headline guarantee is *bit-identical determinism*: incremental
 delta costing equals full ``plan_cost`` and ``workers=N`` equals
-``workers=1``.  PRs 2–3 enforce that guarantee dynamically, with
-differential tests that sample a tiny fraction of code paths.  This
-package enforces it *statically*: every source file is parsed and checked
+``workers=1``.  The differential tests enforce that guarantee
+dynamically, on the paths they sample.  This package enforces it
+*statically*: every source file is parsed and checked, on its own,
 against a rule library that rejects the constructs from which
-nondeterminism, swallowed failures, and silent overflow actually arise —
-so the violations cannot be written, rather than merely usually caught.
-
-v2 adds an interprocedural layer: a per-module fact extractor
-(:mod:`repro.analysis.dataflow`), a project-wide call graph with
-effect/raise fixpoint summaries (:mod:`repro.analysis.callgraph`), rule
-families over those summaries (:mod:`repro.analysis.rules_interproc`),
-and a content-hash summary cache (:mod:`repro.analysis.cache`) that
-makes warm re-lints skip unchanged files.
+nondeterminism and swallowed failures actually arise — so the
+violations cannot be written, rather than merely usually caught.
 
 Rules shipped:
 
@@ -22,62 +15,37 @@ Rules shipped:
 DET001    no unseeded RNG outside ``repro.utils.rng``
 DET002    no wall-clock reads outside the budget/calibration allowlist
 DET003    no ordered consumption of bare ``set``/``dict.keys()``/tainted
-          unordered names (intraprocedural)
+          unordered names
 DET004    pool-dispatched callables must be module-level and closure-free
-DET005    no ordered consumption of functions returning unordered
-          iterables (interprocedural)
 EXC001    broad ``except`` only at annotated robustness boundaries
-EXC002    public API raises only its declared exception contract
-OVF001    cardinality products must route through the overflow guards
-PURE001   declared-pure costing entrypoints stay transitively pure
-RACE001   no module-global mutation reachable from pool workers
-ASYNC001  no blocking calls reachable from ``async def``
 SUP001    ``detlint: ignore`` pragmas must carry a reason (engine-level)
 SUP002    ``detlint: ignore`` pragmas must match a finding (engine-level)
 ========  ==============================================================
 
-Run it with ``python -m repro.analysis src/``.  Configuration lives in
-``[tool.detlint]`` in ``pyproject.toml``; per-line suppressions use
-``# detlint: ignore[RULE] -- reason``, grandfathered findings live in a
-checked-in JSON baseline (regenerate with ``--update-baseline``), and
-reports come in text, JSON, and SARIF (``--format sarif``).
+Run it with ``python -m repro.analysis src/``.  The rule table is the
+``RULE_OPTIONS`` constant in :mod:`repro.analysis.config`; per-line
+suppressions use ``# detlint: ignore[RULE] -- reason``, and reports come
+in text and JSON (``--format json``).
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.callgraph import CallGraph, build_callgraph
-from repro.analysis.config import DetlintConfig, load_config
-from repro.analysis.dataflow import ModuleFacts, extract_module_facts
+from repro.analysis.config import DetlintConfig, project_config
 from repro.analysis.engine import AnalysisResult, Analyzer, ModuleContext
 from repro.analysis.findings import Finding, Rule
-from repro.analysis.reporting import render_json, render_sarif, render_text
+from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import RULES, rule_registry
-from repro.analysis.rules_interproc import (
-    PROJECT_RULES,
-    ProjectRule,
-    project_rule_registry,
-)
 
 __all__ = [
     "AnalysisResult",
     "Analyzer",
-    "Baseline",
-    "CallGraph",
     "DetlintConfig",
     "Finding",
     "ModuleContext",
-    "ModuleFacts",
-    "PROJECT_RULES",
-    "ProjectRule",
     "RULES",
     "Rule",
-    "build_callgraph",
-    "extract_module_facts",
-    "load_config",
-    "project_rule_registry",
+    "project_config",
     "render_json",
-    "render_sarif",
     "render_text",
     "rule_registry",
 ]

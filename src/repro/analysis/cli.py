@@ -2,9 +2,9 @@
 
 Exit codes follow the repo convention of small stable integers:
 
-* ``0`` — clean: no open findings, no stale baseline entries;
-* ``1`` — open findings (or stale baseline entries that need pruning);
-* ``2`` — usage or configuration error.
+* ``0`` — clean: no open findings;
+* ``1`` — open findings;
+* ``2`` — usage error (an unknown flag, a path that does not exist).
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ import os
 import sys
 from typing import Sequence
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.config import ConfigError, load_config
+from repro.analysis.config import project_config
 from repro.analysis.engine import Analyzer
-from repro.analysis.reporting import render_json, render_sarif, render_text
+from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import RULES
-from repro.analysis.rules_interproc import PROJECT_RULES
 
 USAGE_ERROR = 2
 
@@ -28,50 +26,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "detlint: statically enforce the determinism, "
-            "exception-boundary, and overflow-guard invariants"
+            "detlint: statically enforce the determinism and "
+            "exception-boundary invariants"
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to analyze (default: [tool.detlint] paths)",
+        help="files or directories to analyze (default: src)",
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--config",
-        metavar="PYPROJECT",
-        help="explicit pyproject.toml holding the [tool.detlint] table",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file (default: [tool.detlint] baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline; report every finding as open",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        "--update-baseline",
-        action="store_true",
-        dest="write_baseline",
-        help=(
-            "regenerate the baseline in place, grandfathering all "
-            "current open findings"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-file summary cache for this run",
     )
     parser.add_argument(
         "--list-rules",
@@ -81,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also show suppressed and baselined findings (text format)",
+        help="also show suppressed findings (text format)",
     )
     return parser
 
@@ -91,7 +59,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in list(RULES) + list(PROJECT_RULES):
+        for rule in RULES:
             print(f"{rule.code}  {rule.name}: {rule.description}")
         print(
             "SUP001  missing-reason: detlint pragmas must carry "
@@ -103,30 +71,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 0
 
-    try:
-        config = load_config(start=os.getcwd(), explicit_pyproject=args.config)
-    except ConfigError as exc:
-        print(f"detlint: configuration error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    baseline: Baseline | None
-    if args.no_baseline:
-        baseline = None
-    elif args.baseline is not None:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"detlint: cannot load baseline: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    elif config.baseline is not None:
-        try:
-            baseline = Baseline.load(os.path.join(config.root, config.baseline))
-        except (OSError, ValueError) as exc:
-            print(f"detlint: cannot load baseline: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    else:
-        baseline = None
-
+    config = project_config(os.getcwd())
     missing = [
         entry
         for entry in args.paths
@@ -141,40 +86,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return USAGE_ERROR
 
-    use_cache = False if args.no_cache else None
-    analyzer = Analyzer(config, baseline=baseline, use_cache=use_cache)
-    result = analyzer.run(args.paths or None)
-
-    if args.write_baseline:
-        target = args.baseline or (
-            os.path.join(config.root, config.baseline)
-            if config.baseline
-            else None
-        )
-        if target is None:
-            print(
-                "detlint: no baseline path configured; pass --baseline",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
-        fresh = Baseline.from_findings(
-            [f for f in result.findings if not f.suppressed], path=target
-        )
-        fresh.save()
-        print(
-            f"detlint: wrote {len(fresh)} finding(s) to {target}",
-            file=sys.stderr,
-        )
-        # Re-run against the freshly written baseline so the report and
-        # exit code reflect the new state.
-        result = Analyzer(
-            config, baseline=Baseline.load(target), use_cache=use_cache
-        ).run(args.paths or None)
-
+    result = Analyzer(config).run(args.paths)
     if args.format == "json":
         sys.stdout.write(render_json(result))
-    elif args.format == "sarif":
-        sys.stdout.write(render_sarif(result))
     else:
         print(render_text(result, verbose=args.verbose))
     return result.exit_code

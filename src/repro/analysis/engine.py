@@ -1,100 +1,41 @@
-"""The analyzer: discovery, local pass, global pass, status layering.
+"""The analyzer: discover files, run the rules on each, apply pragmas.
 
 One :class:`Analyzer` run is deterministic end to end (fitting, for this
 package): files are discovered in sorted order, rules run in registry
-order, the call-graph fixpoint iterates in sorted order, and findings
-are sorted by location before anything downstream sees them — so
-reports, baselines, and exit codes never depend on filesystem
-enumeration order or cache state.
+order, and findings are sorted by location before anything downstream
+sees them — so reports and exit codes never depend on filesystem
+enumeration order.
 
-The v2 pipeline splits into two passes:
-
-1. **Local pass** (per file, cacheable): parse, run the intraprocedural
-   rules, extract :class:`~repro.analysis.dataflow.ModuleFacts`, parse
-   suppression pragmas.  Every output is a pure function of the file's
-   bytes under one configuration, which is exactly what the content-hash
-   summary cache (:mod:`repro.analysis.cache`) memoizes.
-2. **Global pass** (project-wide, always recomputed): resolve the call
-   graph, run the effect/raise fixpoint, evaluate the project rules
-   (PURE001/DET005/RACE001/ASYNC001/EXC002) over the summaries.
-
-Status layering happens strictly after both passes:
-
-3. occurrence indices are assigned per file over the merged local +
-   project findings (stable fingerprints for duplicates);
-4. line suppressions mark findings ``suppressed`` and raise the
-   SUP001/SUP002 hygiene findings;
-5. the baseline marks surviving findings ``baselined`` and reports any
-   stale entries.
+Every file is checked on its own, in one pass: parse it, run each rule
+the configuration applies to its path, then let the line pragmas mark
+findings suppressed and raise the SUP001/SUP002 hygiene findings.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import sys
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import (
-    SummaryCache,
-    content_digest,
-    payload_facts,
-    payload_findings,
-    payload_suppressions,
-    record_payload,
-    run_signature,
-)
-from repro.analysis.callgraph import build_callgraph
-from repro.analysis.config import DetlintConfig
-from repro.analysis.dataflow import (
-    ImportMap,
-    ModuleFacts,
-    extract_module_facts,
-)
-from repro.analysis.findings import Finding, Rule
-from repro.analysis.rules import RULES
-from repro.analysis.rules_interproc import PROJECT_RULES, ProjectRule
-from repro.analysis.suppressions import (
-    Suppression,
-    apply_suppressions,
-    parse_suppressions,
-)
+from repro.analysis.config import DEFAULT_PATHS, DetlintConfig
+from repro.analysis.findings import Finding
+from repro.analysis.rules import RULES, ImportMap
+from repro.analysis.suppressions import apply_suppressions, parse_suppressions
 
 #: Engine-level rule code for files the parser rejects.
 PARSE_ERROR = "SYN001"
 
-#: Bumped whenever local-pass semantics change (rule logic, extraction,
-#: suppression grammar) so stale caches self-invalidate.
-ANALYSIS_VERSION = "2.0"
-
 
 @dataclass
 class ModuleContext:
-    """Everything an intraprocedural rule may look at for one module."""
+    """Everything a rule may look at for one module."""
 
-    path: str  # absolute
     rel_path: str  # POSIX-style, relative to the project root
-    source: str
     lines: list[str]
     tree: ast.Module
     imports: ImportMap
     config: DetlintConfig
-
-    def options(self, rule_code: str) -> Mapping[str, Any]:
-        return self.config.options_for(rule_code)
-
-
-@dataclass
-class FileRecord:
-    """One file's local-pass output (the unit the summary cache stores)."""
-
-    rel_path: str
-    lines: list[str]
-    findings: list[Finding]
-    facts: ModuleFacts | None
-    suppressions: list[Suppression]
 
 
 @dataclass
@@ -103,12 +44,6 @@ class AnalysisResult:
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    stale_baseline: list[str] = field(default_factory=list)
-    baseline_path: str | None = None
-    rule_codes: tuple[str, ...] = ()
-    #: Summary-cache statistics for this run (0/0 when caching is off).
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def unsuppressed(self) -> list[Finding]:
@@ -119,12 +54,8 @@ class AnalysisResult:
         return [finding for finding in self.findings if finding.suppressed]
 
     @property
-    def baselined(self) -> list[Finding]:
-        return [finding for finding in self.findings if finding.baselined]
-
-    @property
     def ok(self) -> bool:
-        return not self.unsuppressed and not self.stale_baseline
+        return not self.unsuppressed
 
     @property
     def exit_code(self) -> int:
@@ -154,175 +85,47 @@ def _discover(paths: Iterable[str], root: str) -> list[str]:
     return sorted(found)
 
 
-def _assign_occurrences(findings: list[Finding]) -> list[Finding]:
-    """Index duplicate (rule, snippet) pairs in line order."""
-    ordered = sorted(findings, key=lambda f: (f.line, f.column, f.rule))
-    counts: dict[tuple[str, str], int] = {}
-    out: list[Finding] = []
-    for finding in ordered:
-        key = (finding.rule, finding.snippet)
-        index = counts.get(key, 0)
-        counts[key] = index + 1
-        out.append(finding.with_status(occurrence=index))
-    return out
-
-
-#: Default for ``Analyzer(baseline=...)``: load the configured baseline.
-#: Pass ``None`` explicitly to run without one (``--no-baseline``).
-_AUTO_BASELINE: Any = object()
-
-
 class Analyzer:
     """Run the rule library over a file set under one configuration."""
 
-    def __init__(
-        self,
-        config: DetlintConfig,
-        rules: Sequence[Rule] | None = None,
-        baseline: Baseline | None = _AUTO_BASELINE,
-        project_rules: Sequence[ProjectRule] | None = None,
-        use_cache: bool | None = None,
-    ) -> None:
+    def __init__(self, config: DetlintConfig) -> None:
         self.config = config
-        self.rules: tuple[Rule, ...] = tuple(rules if rules is not None else RULES)
-        self.project_rules: tuple[ProjectRule, ...] = tuple(
-            project_rules if project_rules is not None else PROJECT_RULES
-        )
-        if baseline is _AUTO_BASELINE:
-            baseline = (
-                Baseline.load(os.path.join(config.root, config.baseline))
-                if config.baseline is not None
-                else None
-            )
-        self.baseline = baseline
-        #: Relative cache path, or None when caching is disabled
-        #: (``use_cache=False`` overrides the config; ``None`` defers).
-        self.cache_path: str | None
-        if use_cache is False:
-            self.cache_path = None
-        else:
-            self.cache_path = config.cache
 
     def _rel_path(self, path: str) -> str:
         rel = os.path.relpath(os.path.abspath(path), self.config.root)
         return rel.replace(os.sep, "/")
 
-    def _cache_key(self) -> str:
-        """Everything that can change a file's local-pass results."""
-        return run_signature(
-            {
-                "analysis": ANALYSIS_VERSION,
-                "python": f"{sys.version_info[0]}.{sys.version_info[1]}",
-                "rules": sorted(rule.code for rule in self.rules),
-                "project_rules": sorted(
-                    rule.code for rule in self.project_rules
-                ),
-                "rule_options": {
-                    code: dict(options)
-                    for code, options in sorted(
-                        self.config.rule_options.items()
-                    )
-                },
-            }
-        )
-
-    # ------------------------------------------------------------------
-    # Local pass
-
-    def _local_pass(self, source: str, rel_path: str) -> FileRecord:
-        """Parse one module and run everything per-file and cacheable."""
+    def check_source(self, source: str, rel_path: str) -> list[Finding]:
+        """Analyze one in-memory module (the unit the fixture tests use)."""
         lines = source.splitlines()
         try:
             tree = ast.parse(source)
         except SyntaxError as exc:
-            return FileRecord(
-                rel_path=rel_path,
-                lines=lines,
-                findings=[
-                    Finding(
-                        rule=PARSE_ERROR,
-                        path=rel_path,
-                        line=exc.lineno or 1,
-                        column=(exc.offset or 1) - 1,
-                        message=f"file does not parse: {exc.msg}",
-                        snippet=(exc.text or "").strip(),
-                    )
-                ],
-                facts=None,
-                suppressions=[],
-            )
+            return [
+                Finding(
+                    rule=PARSE_ERROR,
+                    path=rel_path,
+                    line=exc.lineno or 1,
+                    column=(exc.offset or 1) - 1,
+                    message=f"file does not parse: {exc.msg}",
+                    snippet=(exc.text or "").strip(),
+                )
+            ]
         ctx = ModuleContext(
-            path=rel_path,
             rel_path=rel_path,
-            source=source,
             lines=lines,
             tree=tree,
             imports=ImportMap(tree),
             config=self.config,
         )
         raw: list[Finding] = []
-        for rule in self.rules:
-            if not self.config.rule_applies(rule.code, rel_path):
-                continue
-            raw.extend(rule.check(ctx))
-        facts = extract_module_facts(rel_path, tree, lines, imports=ctx.imports)
-        return FileRecord(
-            rel_path=rel_path,
-            lines=lines,
-            findings=raw,
-            facts=facts,
-            suppressions=parse_suppressions(lines),
+        for rule in RULES:
+            if self.config.rule_applies(rule.code, rel_path):
+                raw.extend(rule.check(ctx))
+        outcome = apply_suppressions(
+            rel_path, lines, raw, parse_suppressions(lines)
         )
-
-    # ------------------------------------------------------------------
-    # Global pass + status layering
-
-    def _project_findings(
-        self, records: Sequence[FileRecord]
-    ) -> dict[str, list[Finding]]:
-        modules = {
-            record.rel_path: record.facts
-            for record in records
-            if record.facts is not None
-        }
-        graph = build_callgraph(modules)
-        by_path: dict[str, list[Finding]] = {}
-        for rule in self.project_rules:
-            for finding in rule.check_project(graph, self.config):
-                by_path.setdefault(finding.path, []).append(finding)
-        return by_path
-
-    def _finalize(self, records: Sequence[FileRecord]) -> list[Finding]:
-        """Merge local + project findings, layer occurrences/suppressions."""
-        project = self._project_findings(records)
-        findings: list[Finding] = []
-        for record in records:
-            combined = record.findings + project.pop(record.rel_path, [])
-            indexed = _assign_occurrences(combined)
-            outcome = apply_suppressions(
-                record.rel_path, record.lines, indexed, record.suppressions
-            )
-            findings.extend(outcome.findings + outcome.hygiene)
-        # A project rule can only anchor findings in analyzed files, but
-        # stay safe if that invariant ever breaks: report, don't drop.
-        for leftovers in project.values():
-            findings.extend(leftovers)
-        return findings
-
-    # ------------------------------------------------------------------
-    # Public API
-
-    def check_source(self, source: str, rel_path: str) -> list[Finding]:
-        """Analyze one in-memory module (the unit the fixture tests use).
-
-        The project rules run over a single-module call graph, so
-        intra-module interprocedural findings (a local helper returning a
-        set into ``list(...)``, a blocking call under ``async def``) are
-        visible.  Occurrence indices and suppressions are applied; the
-        baseline is **not** (that is a run-level concern).
-        """
-        record = self._local_pass(source, rel_path)
-        findings = self._finalize([record])
+        findings = outcome.findings + outcome.hygiene
         return sorted(findings, key=lambda f: (f.line, f.column, f.rule))
 
     def check_file(self, path: str) -> list[Finding]:
@@ -344,95 +147,10 @@ class Analyzer:
         return self.check_source(source, rel_path)
 
     def run(self, paths: Sequence[str] | None = None) -> AnalysisResult:
-        """Analyze ``paths`` (default: the configured paths)."""
-        targets = list(paths) if paths else list(self.config.paths)
-        files = [
-            path
-            for path in _discover(targets, self.config.root)
-            if not self.config.exclude
-            or not any(
-                self._rel_path(path) == ex
-                or self._rel_path(path).startswith(ex.rstrip("/") + "/")
-                for ex in self.config.exclude
-            )
+        """Analyze ``paths`` (default: :data:`~repro.analysis.config.DEFAULT_PATHS`)."""
+        files = _discover(paths or DEFAULT_PATHS, self.config.root)
+        findings = [
+            finding for path in files for finding in self.check_file(path)
         ]
-        cache: SummaryCache | None = None
-        if self.cache_path is not None:
-            cache = SummaryCache.load(
-                os.path.join(self.config.root, self.cache_path),
-                self._cache_key(),
-            )
-        records: list[FileRecord] = []
-        seen: set[str] = set()
-        for path in files:
-            rel_path = self._rel_path(path)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                records.append(
-                    FileRecord(
-                        rel_path=rel_path,
-                        lines=[],
-                        findings=[
-                            Finding(
-                                rule=PARSE_ERROR,
-                                path=rel_path,
-                                line=1,
-                                column=0,
-                                message=f"file is unreadable: {exc}",
-                                snippet="",
-                            )
-                        ],
-                        facts=None,
-                        suppressions=[],
-                    )
-                )
-                continue
-            seen.add(rel_path)
-            digest = content_digest(source)
-            payload = (
-                cache.lookup(rel_path, digest) if cache is not None else None
-            )
-            if payload is not None:
-                records.append(
-                    FileRecord(
-                        rel_path=rel_path,
-                        lines=source.splitlines(),
-                        findings=payload_findings(payload),
-                        facts=payload_facts(payload),
-                        suppressions=payload_suppressions(payload),
-                    )
-                )
-            else:
-                record = self._local_pass(source, rel_path)
-                if cache is not None:
-                    cache.store(
-                        rel_path,
-                        digest,
-                        record_payload(
-                            record.findings, record.facts, record.suppressions
-                        ),
-                    )
-                records.append(record)
-        if cache is not None:
-            cache.save(seen)
-
-        findings = self._finalize(records)
-        stale: list[str] = []
-        baseline_path = None
-        if self.baseline is not None:
-            findings = self.baseline.apply(findings)
-            stale = self.baseline.stale_fingerprints(findings)
-            baseline_path = self.baseline.path
         findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-        return AnalysisResult(
-            findings=findings,
-            files_checked=len(files),
-            stale_baseline=stale,
-            baseline_path=baseline_path,
-            rule_codes=tuple(rule.code for rule in self.rules)
-            + tuple(rule.code for rule in self.project_rules),
-            cache_hits=cache.hits if cache is not None else 0,
-            cache_misses=cache.misses if cache is not None else 0,
-        )
+        return AnalysisResult(findings=findings, files_checked=len(files))

@@ -1,18 +1,9 @@
-"""Finding and Rule: the vocabulary shared by the engine and the rules.
-
-A :class:`Finding` is one violation at one source location.  Its
-:attr:`~Finding.fingerprint` is deliberately **line-number free**: it
-hashes the rule, the file, the normalized source line, and the
-occurrence index of that triple within the file, so a finding keeps its
-identity (and its baseline entry) when unrelated edits shift it up or
-down the file.
-"""
+"""Finding and Rule: the vocabulary shared by the engine and the rules."""
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -28,50 +19,18 @@ class Finding:
     line: int  # 1-based
     column: int  # 0-based, as reported by ast
     message: str
-    snippet: str  # the stripped source line, for reports and fingerprints
+    snippet: str  # the stripped source line, for reports
     #: Set by the engine, never by rules:
     suppressed: bool = False
     suppression_reason: str | None = None
-    baselined: bool = False
-    #: Occurrence index of (rule, path, snippet) within the file, assigned
-    #: by the engine so duplicated lines still fingerprint distinctly.
-    occurrence: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity used by the baseline; line-number free."""
-        payload = "\x1f".join(
-            (self.rule, self.path, self.snippet, str(self.occurrence))
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
     @property
     def counts(self) -> bool:
         """Whether this finding should fail the run."""
-        return not (self.suppressed or self.baselined)
+        return not self.suppressed
 
     def located(self) -> str:
         return f"{self.path}:{self.line}:{self.column + 1}"
-
-    def with_status(
-        self,
-        *,
-        suppressed: bool | None = None,
-        suppression_reason: str | None = None,
-        baselined: bool | None = None,
-        occurrence: int | None = None,
-    ) -> "Finding":
-        """A copy with engine-assigned status fields updated."""
-        updates: dict[str, object] = {}
-        if suppressed is not None:
-            updates["suppressed"] = suppressed
-        if suppression_reason is not None:
-            updates["suppression_reason"] = suppression_reason
-        if baselined is not None:
-            updates["baselined"] = baselined
-        if occurrence is not None:
-            updates["occurrence"] = occurrence
-        return replace(self, **updates)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -80,15 +39,13 @@ class Rule:
 
     Subclasses set the class attributes and implement :meth:`check`,
     yielding findings for one parsed module.  Rules never see
-    suppressions or the baseline — the engine applies those afterwards,
-    so every rule stays a pure function of the source tree.
+    suppressions — the engine applies those afterwards, so every rule
+    stays a pure function of the source tree.
     """
 
     code: str = "RULE000"
     name: str = "unnamed"
     description: str = ""
-    #: Default config merged under ``[tool.detlint.rules.<code>]``.
-    default_options: dict = field(default_factory=dict)
 
     def check(self, ctx: "ModuleContext") -> Iterator[Finding]:
         raise NotImplementedError

@@ -1,29 +1,24 @@
-"""Reporters: human-readable text, machine-readable JSON, and SARIF.
+"""Reporters: human-readable text and machine-readable JSON.
 
-All three render the same :class:`~repro.analysis.engine.AnalysisResult`;
-all are deterministic (findings arrive pre-sorted from the engine and
+Both render the same :class:`~repro.analysis.engine.AnalysisResult`;
+both are deterministic (findings arrive pre-sorted from the engine and
 JSON keys are emitted sorted), so report diffs track code diffs — the
-determinism test asserts two runs produce byte-identical JSON *and*
-SARIF documents.
+determinism test asserts two runs produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
 
-from repro.analysis.engine import ANALYSIS_VERSION, AnalysisResult
+from repro.analysis.engine import AnalysisResult
 from repro.analysis.findings import Finding
+from repro.analysis.rules import RULES
 
 REPORT_VERSION = 1
 
 
 def _status(finding: Finding) -> str:
-    if finding.suppressed:
-        return "suppressed"
-    if finding.baselined:
-        return "baselined"
-    return "open"
+    return "suppressed" if finding.suppressed else "open"
 
 
 def render_text(result: AnalysisResult, verbose: bool = False) -> str:
@@ -32,8 +27,7 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
     for finding in result.findings:
         if not finding.counts and not verbose:
             continue
-        status = _status(finding)
-        marker = "" if status == "open" else f" [{status}]"
+        marker = " [suppressed]" if finding.suppressed else ""
         lines.append(
             f"{finding.located()}: {finding.rule}{marker} {finding.message}"
         )
@@ -41,20 +35,11 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
             lines.append(f"    {finding.snippet}")
         if verbose and finding.suppression_reason:
             lines.append(f"    reason: {finding.suppression_reason}")
-    for fingerprint in result.stale_baseline:
-        lines.append(
-            f"stale baseline entry {fingerprint}: the finding it "
-            "grandfathered no longer exists; prune it with --write-baseline"
-        )
-    open_count = len(result.unsuppressed)
-    summary = (
-        f"{result.files_checked} file(s) checked, {open_count} open "
-        f"finding(s), {len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined"
+    lines.append(
+        f"{result.files_checked} file(s) checked, "
+        f"{len(result.unsuppressed)} open finding(s), "
+        f"{len(result.suppressed)} suppressed"
     )
-    if result.stale_baseline:
-        summary += f", {len(result.stale_baseline)} stale baseline entr(y/ies)"
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -64,12 +49,10 @@ def render_json(result: AnalysisResult) -> str:
         "version": REPORT_VERSION,
         "files_checked": result.files_checked,
         "ok": result.ok,
-        "rules": list(result.rule_codes),
+        "rules": [rule.code for rule in RULES],
         "summary": {
             "open": len(result.unsuppressed),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
         },
         "findings": [
             {
@@ -81,98 +64,8 @@ def render_json(result: AnalysisResult) -> str:
                 "snippet": finding.snippet,
                 "status": _status(finding),
                 "suppression_reason": finding.suppression_reason,
-                "fingerprint": finding.fingerprint,
             }
             for finding in result.findings
-        ],
-        "stale_baseline": list(result.stale_baseline),
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def _sarif_rules() -> list[dict[str, Any]]:
-    """Metadata for every rule the run can emit, in sorted id order."""
-    from repro.analysis.rules import RULES
-    from repro.analysis.rules_interproc import PROJECT_RULES
-
-    catalogue: dict[str, tuple[str, str]] = {
-        "SYN001": ("parse-error", "file does not parse"),
-        "SUP001": (
-            "missing-reason",
-            "detlint pragmas must carry '-- <reason>'",
-        ),
-        "SUP002": (
-            "unused-suppression",
-            "pragmas must match a finding on their target line",
-        ),
-    }
-    for rule in list(RULES) + list(PROJECT_RULES):
-        catalogue[rule.code] = (rule.name, rule.description)
-    return [
-        {
-            "id": code,
-            "name": name,
-            "shortDescription": {"text": name},
-            "fullDescription": {"text": description},
-        }
-        for code, (name, description) in sorted(catalogue.items())
-    ]
-
-
-def render_sarif(result: AnalysisResult) -> str:
-    """SARIF 2.1.0 (stable key order, trailing newline).
-
-    Open findings are ``error``-level results; suppressed and baselined
-    findings ride along with a SARIF ``suppressions`` entry (``inSource``
-    for pragmas, ``external`` for the baseline) so downstream viewers can
-    show or hide them without re-running the analyzer.
-    """
-    results: list[dict[str, Any]] = []
-    for finding in result.findings:
-        entry: dict[str, Any] = {
-            "ruleId": finding.rule,
-            "level": "error" if finding.counts else "note",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.column + 1,
-                        },
-                    }
-                }
-            ],
-            "partialFingerprints": {"detlint/v1": finding.fingerprint},
-        }
-        if finding.suppressed:
-            suppression: dict[str, Any] = {"kind": "inSource"}
-            if finding.suppression_reason:
-                suppression["justification"] = finding.suppression_reason
-            entry["suppressions"] = [suppression]
-        elif finding.baselined:
-            entry["suppressions"] = [{"kind": "external"}]
-        results.append(entry)
-    document = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "detlint",
-                        "version": ANALYSIS_VERSION,
-                        "informationUri": (
-                            "https://example.invalid/repro/docs/"
-                            "static-analysis"
-                        ),
-                        "rules": _sarif_rules(),
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
         ],
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"

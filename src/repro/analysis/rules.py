@@ -1,14 +1,12 @@
 """The detlint rule library.
 
-Each rule is a pure function of one parsed module (no suppression or
-baseline logic — the engine layers those on).  The rules encode the
-invariants the differential test harness checks dynamically:
+Each rule is a pure function of one parsed module (no suppression logic —
+the engine layers that on).  The rules encode the invariants the
+differential test harness checks dynamically:
 
 * ``workers=N`` must be bit-identical to ``workers=1``  → DET001, DET002,
   DET003, DET004 (no ambient entropy, no wall clock, no hash-order
   dependence, no unpicklable/stateful pool dispatch);
-* incremental delta costing must equal full ``plan_cost``  → OVF001
-  (both sides must clamp overflow identically, through the same helpers);
 * the resilient fallback chain must be the *only* place failures are
   swallowed  → EXC001.
 """
@@ -17,20 +15,10 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.config import path_matches
-from repro.analysis.dataflow import (
-    ORDERED_CONSUMERS,
-    SEEDED_RNG_CONSTRUCTORS,
-    WALL_CLOCK_APIS,
-    ImportMap,
-    is_unordered_expr,
-    order_sensitive_loop,
-    own_scope_walk,
-    unordered_tainted_names,
-)
 from repro.analysis.findings import Finding, Rule
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports rules at runtime
@@ -41,6 +29,46 @@ __all__ = ["RULES", "rule_registry", "ImportMap"]
 
 # ---------------------------------------------------------------------------
 # Shared helpers
+
+
+class ImportMap:
+    """Local-name → dotted-origin resolution for one module.
+
+    ``import numpy as np`` maps ``np`` to ``numpy``;
+    ``from random import shuffle as sh`` maps ``sh`` to
+    ``random.shuffle``; attribute chains resolve through the map, so
+    ``np.random.seed`` resolves to ``numpy.random.seed``.
+    """
+
+    def __init__(self, tree: ast.AST) -> None:
+        self.names: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    origin = alias.name if alias.asname else local
+                    self.names[local] = origin
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.level:  # relative import: project-internal
+                    continue
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    self.names[local] = f"{node.module}.{alias.name}"
+
+    def resolve(self, node: ast.AST) -> str | None:
+        """Dotted origin of a Name/Attribute chain, or None."""
+        parts: list[str] = []
+        current = node
+        while isinstance(current, ast.Attribute):
+            parts.append(current.attr)
+            current = current.value
+        if not isinstance(current, ast.Name):
+            return None
+        origin = self.names.get(current.id)
+        if origin is None:
+            return None
+        parts.append(origin)
+        return ".".join(reversed(parts))
 
 
 def _call_func_ids(tree: ast.AST) -> set[int]:
@@ -54,9 +82,18 @@ def _call_func_ids(tree: ast.AST) -> set[int]:
 # DET001 — unseeded / ambient RNG
 
 
-#: RNG constructors that are deterministic *when given a seed argument*
-#: (shared with the dataflow layer's ``rng`` effect extraction).
-_SEEDED_CONSTRUCTORS = SEEDED_RNG_CONSTRUCTORS
+#: RNG constructors that are deterministic *when given a seed argument*.
+_SEEDED_CONSTRUCTORS = {
+    "random.Random",
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "numpy.random.RandomState",
+    "numpy.random.PCG64",
+    "numpy.random.Philox",
+    "numpy.random.SFC64",
+    "numpy.random.MT19937",
+    "numpy.random.SeedSequence",
+}
 
 #: Names that may be *referenced* bare (annotations, isinstance checks).
 _RNG_TYPE_REFERENCES = {
@@ -140,8 +177,22 @@ class UnseededRandomRule(Rule):
 # DET002 — wall-clock reads
 
 
-#: Shared with the dataflow layer's ``clock`` effect extraction.
-_WALL_CLOCK_APIS = WALL_CLOCK_APIS
+_WALL_CLOCK_APIS = {
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "time.clock_gettime",
+    "time.clock_gettime_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+}
 
 
 @dataclass
@@ -151,10 +202,10 @@ class WallClockRule(Rule):
     Search decisions keyed on elapsed time stop at different points on
     different machines (and different runs of the same machine), so any
     clock read inside the optimizer invalidates both differential
-    invariants.  The wall-clock *budget* and the cost-model *calibrator*
-    are the two sanctioned, allowlisted consumers.
+    invariants.  The wall-clock *budget*, the cost-model *calibrator* and
+    the profiler's wall sidecar are the sanctioned, allowlisted consumers.
 
-    Configuration (``[tool.detlint.rules.DET002]``):
+    Options (``RULE_OPTIONS["DET002"]`` in :mod:`repro.analysis.config`):
 
     * ``allow`` — the sanctioned consumer modules (engine-level exempt);
     * ``verified_clean`` — modules whose published *contract* is that
@@ -174,7 +225,7 @@ class WallClockRule(Rule):
 
     def check(self, ctx: "ModuleContext") -> Iterator[Finding]:
         verified_clean = list(
-            ctx.options(self.code).get("verified_clean", [])
+            ctx.config.options_for(self.code).get("verified_clean", [])
         )
         in_verified = path_matches(ctx.rel_path, verified_clean)
         imports = ctx.imports
@@ -193,7 +244,8 @@ class WallClockRule(Rule):
                         "module: this module's contract (the trace is a "
                         "pure function of the seed) forbids clock reads "
                         "entirely; remove the read or drop the module "
-                        "from [tool.detlint.rules.DET002].verified_clean"
+                        "from DET002's verified_clean in "
+                        "repro.analysis.config"
                     )
                 else:
                     message = (
@@ -208,7 +260,188 @@ class WallClockRule(Rule):
 # DET003 — hash-order iteration feeding ordered constructs
 
 
-_ORDERED_CONSUMERS = ORDERED_CONSUMERS
+#: Ordered consumers (``sorted`` is deliberately absent: wrapping in
+#: sorted() is the *fix*).
+_ORDERED_CONSUMERS = {"list", "tuple", "enumerate", "min", "max"}
+
+
+def _own_scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
+    """Walk a scope without descending into nested function/class scopes."""
+    stack: list[ast.AST] = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_unordered_expr(
+    node: ast.AST, tainted: frozenset[str] = frozenset()
+) -> bool:
+    """Syntactically-certain unordered iterables.
+
+    Sets, set comprehensions, ``set()``/``frozenset()`` calls, set
+    algebra, ``.keys()`` views — plus, given a taint set, names proven
+    to be bound to unordered values and hash-ordered views
+    (``.items()``/``.values()``/``.keys()``) over such names.
+    """
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in tainted
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
+            return True
+        if isinstance(func, ast.Attribute) and func.attr in (
+            "keys",
+            "values",
+            "items",
+        ):
+            # Dict views are insertion-ordered, but insertion order is
+            # itself hash order whenever the dict was built from an
+            # unordered source — which the taint set proves.
+            if func.attr == "keys":
+                return True
+            return (
+                isinstance(func.value, ast.Name) and func.value.id in tainted
+            )
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        return _is_unordered_expr(node.left, tainted) or _is_unordered_expr(
+            node.right, tainted
+        )
+    return False
+
+
+def _assignment_values(scope: ast.AST) -> dict[str, list[ast.AST] | None]:
+    """Every single-Name assignment in a scope; ``None`` marks 'unknown'.
+
+    A name is only taintable when *every* binding we can see is a value
+    expression — loop targets, ``with ... as``, aug-assigns, tuple
+    unpacking, and ``global``/``nonlocal`` all poison it to unknown, so
+    the taint analysis stays conservative toward *not* flagging.
+    """
+    values: dict[str, list[ast.AST] | None] = {}
+
+    def poison(name: str) -> None:
+        values[name] = None
+
+    def record(name: str, value: ast.AST) -> None:
+        existing = values.get(name, [])
+        if existing is not None:
+            existing.append(value)
+            values[name] = existing
+
+    # A parameter default is a visible binding: ``def f(tags=frozenset(
+    # {...}))`` declares an unordered expected type, so iterating ``tags``
+    # orderly is flagged even though the caller could pass anything.
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        positional = list(args.posonlyargs) + list(args.args)
+        defaulted = positional[len(positional) - len(args.defaults) :]
+        for arg, default in zip(defaulted, args.defaults):
+            record(arg.arg, default)
+        for arg, kw_default in zip(args.kwonlyargs, args.kw_defaults):
+            if kw_default is not None:
+                record(arg.arg, kw_default)
+
+    for node in _own_scope_walk(scope):
+        if isinstance(node, ast.Assign):
+            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                record(node.targets[0].id, node.value)
+            else:
+                for target in node.targets:
+                    for inner in ast.walk(target):
+                        if isinstance(inner, ast.Name):
+                            poison(inner.id)
+        elif isinstance(node, ast.AnnAssign):
+            if isinstance(node.target, ast.Name):
+                if node.value is not None:
+                    record(node.target.id, node.value)
+        elif isinstance(node, ast.AugAssign):
+            if isinstance(node.target, ast.Name):
+                poison(node.target.id)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            for inner in ast.walk(node.target):
+                if isinstance(inner, ast.Name):
+                    poison(inner.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            for name in node.names:
+                poison(name)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if item.optional_vars is not None:
+                    for inner in ast.walk(item.optional_vars):
+                        if isinstance(inner, ast.Name):
+                            poison(inner.id)
+    return values
+
+
+def _unordered_tainted_names(scope: ast.AST) -> frozenset[str]:
+    """Names in a scope whose every visible binding is an unordered value.
+
+    Runs to a (tiny) fixpoint so second-order taint is caught: a dict
+    comprehension over a tainted set taints the dict, whose ``.items()``
+    view is then hash-ordered too.  Rebinding a name to anything ordered
+    (``xs = sorted(xs)``) removes it from the set entirely.
+    """
+    values = _assignment_values(scope)
+    tainted: frozenset[str] = frozenset()
+    while True:
+        new = set(tainted)
+        for name, bindings in sorted(values.items()):
+            if bindings is None or not bindings or name in new:
+                continue
+            if all(_taints(value, frozenset(new)) for value in bindings):
+                new.add(name)
+        if frozenset(new) == tainted:
+            return tainted
+        tainted = frozenset(new)
+
+
+def _taints(value: ast.AST, tainted: frozenset[str]) -> bool:
+    """Does binding a name to ``value`` make that name unordered?"""
+    if _is_unordered_expr(value, tainted):
+        return True
+    if isinstance(value, ast.DictComp):
+        return any(
+            _is_unordered_expr(gen.iter, tainted) for gen in value.generators
+        )
+    if isinstance(value, ast.Call):
+        func = value.func
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "dict"
+            and value.args
+            and _is_unordered_expr(value.args[0], tainted)
+        ):
+            return True
+    return False
+
+
+def _order_sensitive_loop(loop: ast.For | ast.AsyncFor) -> ast.AST | None:
+    """First statement in the body that makes iteration order observable."""
+    for node in ast.walk(loop):
+        if isinstance(node, (ast.Break, ast.Return, ast.Yield, ast.YieldFrom)):
+            return node
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("append", "extend", "insert")
+        ):
+            return node
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            if any(isinstance(t, ast.Subscript) for t in targets):
+                return node
+    return None
 
 
 @dataclass
@@ -247,17 +480,17 @@ class UnorderedIterationRule(Rule):
             )
         ]
         for scope in scopes:
-            tainted = unordered_tainted_names(scope)
+            tainted = _unordered_tainted_names(scope)
             yield from self._check_scope(ctx, scope, tainted)
 
     def _check_scope(
         self, ctx: "ModuleContext", scope: ast.AST, tainted: frozenset[str]
     ) -> Iterator[Finding]:
-        for node in own_scope_walk(scope):
-            if isinstance(node, (ast.For, ast.AsyncFor)) and is_unordered_expr(
+        for node in _own_scope_walk(scope):
+            if isinstance(node, (ast.For, ast.AsyncFor)) and _is_unordered_expr(
                 node.iter, tainted
             ):
-                witness = order_sensitive_loop(node)
+                witness = _order_sensitive_loop(node)
                 if witness is not None:
                     yield self.finding(
                         ctx,
@@ -269,7 +502,7 @@ class UnorderedIterationRule(Rule):
                     )
             elif isinstance(node, ast.ListComp):
                 for generator in node.generators:
-                    if is_unordered_expr(generator.iter, tainted):
+                    if _is_unordered_expr(generator.iter, tainted):
                         yield self.finding(
                             ctx,
                             generator.iter,
@@ -292,10 +525,10 @@ class UnorderedIterationRule(Rule):
                 if consumer is None or not node.args:
                     continue
                 head = node.args[0]
-                unordered = is_unordered_expr(head, tainted) or (
+                unordered = _is_unordered_expr(head, tainted) or (
                     isinstance(head, ast.GeneratorExp)
                     and any(
-                        is_unordered_expr(g.iter, tainted)
+                        _is_unordered_expr(g.iter, tainted)
                         for g in head.generators
                     )
                 )
@@ -542,169 +775,6 @@ class BroadExceptRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# OVF001 — cardinality products must route through the overflow guards
-
-
-_CARDINALITY_NAME = re.compile(
-    r"(?:^|_)(size|sizes|card|cards|cardinality|cardinalities|rows|tuples)"
-    r"(?:$|_)",
-    re.IGNORECASE,
-)
-
-
-def _terminal_identifier(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _mult_leaves(node: ast.BinOp) -> list[ast.AST]:
-    """Leaves of a maximal ``*`` chain (nested Mult flattened)."""
-    leaves: list[ast.AST] = []
-    for side in (node.left, node.right):
-        if isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult):
-            leaves.extend(_mult_leaves(side))
-        else:
-            leaves.append(side)
-    return leaves
-
-
-@dataclass
-class OverflowGuardRule(Rule):
-    """OVF001: cardinality products must reach an overflow guard.
-
-    ``1e200 * 1e200`` silently becomes ``inf`` in IEEE arithmetic, and an
-    ``inf`` cost compares equal for every plan — the optimizer keeps
-    "optimizing" while learning nothing, and the incremental evaluator's
-    delta (``inf - inf = nan``) diverges from the full recomputation.
-    Every product of two size-like quantities must therefore flow through
-    ``clamp_cardinality``/``join_result_cardinality`` or be checked
-    against ``MAX_CARDINALITY`` before use.
-    """
-
-    code: str = "OVF001"
-    name: str = "overflow-guard"
-    description: str = (
-        "product of cardinality-like operands not routed through the "
-        "overflow-guard helpers or a MAX_CARDINALITY check"
-    )
-    default_options: dict = field(
-        default_factory=lambda: {
-            "guards": ["clamp_cardinality", "join_result_cardinality"],
-            "bound_names": ["MAX_CARDINALITY"],
-        }
-    )
-
-    def check(self, ctx: "ModuleContext") -> Iterator[Finding]:
-        options = {**self.default_options, **ctx.options(self.code)}
-        guards = set(options.get("guards", []))
-        bounds = set(options.get("bound_names", []))
-
-        guarded: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = _terminal_identifier(node.func)
-                if name in guards:
-                    for inner in ast.walk(node):
-                        guarded.add(id(inner))
-
-        scopes = [ctx.tree] + [
-            node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        seen: set[int] = set()
-        for scope in scopes:
-            checked_names = self._names_checked_in_scope(scope, guards, bounds)
-            for node in self._own_walk(scope):
-                if (
-                    not isinstance(node, ast.BinOp)
-                    or not isinstance(node.op, ast.Mult)
-                    or id(node) in seen
-                    or id(node) in guarded
-                ):
-                    continue
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.BinOp) and isinstance(
-                        sub.op, ast.Mult
-                    ):
-                        seen.add(id(sub))
-                cardinality_leaves = [
-                    name
-                    for name in map(_terminal_identifier, _mult_leaves(node))
-                    if name is not None and _CARDINALITY_NAME.search(name)
-                ]
-                if len(cardinality_leaves) < 2:
-                    continue
-                target = self._assign_target(scope, node)
-                if target is not None and target in checked_names:
-                    continue
-                yield self.finding(
-                    ctx,
-                    node,
-                    "product of cardinalities "
-                    f"({' * '.join(cardinality_leaves)}) is never clamped; "
-                    "route it through "
-                    f"{'/'.join(sorted(guards))} or compare it against "
-                    f"{'/'.join(sorted(bounds)) or 'the overflow bound'}",
-                )
-
-    @staticmethod
-    def _own_walk(scope: ast.AST) -> Iterator[ast.AST]:
-        """Walk a scope without descending into nested function scopes."""
-        stack: list[ast.AST] = list(ast.iter_child_nodes(scope))
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _assign_target(self, scope: ast.AST, mult: ast.BinOp) -> str | None:
-        """Name a ``target = ...<mult>...`` statement assigns, if any."""
-        for stmt in self._own_walk(scope):
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AugAssign):
-                targets, value = [stmt.target], stmt.value
-            else:
-                continue
-            if any(node is mult for node in ast.walk(value)):
-                if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                    return targets[0].id
-                return None
-        return None
-
-    def _names_checked_in_scope(
-        self, scope: ast.AST, guards: set[str], bounds: set[str]
-    ) -> set[str]:
-        """Names later passed to a guard or compared to a bound name."""
-        checked: set[str] = set()
-        for node in self._own_walk(scope):
-            if isinstance(node, ast.Call):
-                if _terminal_identifier(node.func) in guards:
-                    for arg in node.args:
-                        if isinstance(arg, ast.Name):
-                            checked.add(arg.id)
-            elif isinstance(node, ast.Compare):
-                names = {
-                    part.id
-                    for part in ast.walk(node)
-                    if isinstance(part, ast.Name)
-                }
-                bound_hit = names & bounds or {
-                    _terminal_identifier(part)
-                    for part in ast.walk(node)
-                    if isinstance(part, ast.Attribute)
-                } & bounds
-                if bound_hit:
-                    checked.update(names - bounds)
-        return checked
-
-
-# ---------------------------------------------------------------------------
 # Registry
 
 
@@ -714,7 +784,6 @@ RULES: tuple[Rule, ...] = (
     UnorderedIterationRule(),
     PoolDispatchRule(),
     BroadExceptRule(),
-    OverflowGuardRule(),
 )
 
 

@@ -5,7 +5,7 @@ are recognised:
 
 * trailing, on the offending line itself::
 
-      cost = a * b  # detlint: ignore[OVF001] -- inputs pre-clamped
+      started = time.time()  # detlint: ignore[DET002] -- log stamp only
 
 * standalone, as a comment line attaching to the next code line::
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.findings import Finding
 
@@ -142,8 +142,8 @@ def apply_suppressions(
         else:
             covering.used = True
             outcome.findings.append(
-                finding.with_status(
-                    suppressed=True, suppression_reason=covering.reason
+                replace(
+                    finding, suppressed=True, suppression_reason=covering.reason
                 )
             )
     for suppression in suppressions:

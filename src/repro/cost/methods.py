@@ -45,7 +45,8 @@ class NestedLoopCostModel(CostModel):
         self, outer_size: float, inner_size: float, result_size: float
     ) -> float:
         return (
-            # detlint: ignore[OVF001] -- operands arrive clamped to MAX_CARDINALITY, and plan_cost rejects non-finite totals
+            # Operands arrive clamped to MAX_CARDINALITY, and plan_cost
+            # rejects non-finite totals.
             self.compare_cost * outer_size * inner_size
             + self.output_cost * result_size
         )

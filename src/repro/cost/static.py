@@ -42,7 +42,6 @@ def _unclamped_result(
     rejected at the plan level, where ``plan_cost``/``plan_cost_detail``
     raise :class:`CostOverflowError` on any non-finite total.
     """
-    # detlint: ignore[OVF001] -- deliberately unclamped for subset-determinism; plan_cost rejects non-finite totals
     return outer_size * inner_size * combined_selectivity(predicates)
 
 

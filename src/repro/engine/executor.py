@@ -29,25 +29,10 @@ class ExecutionResult:
     final: Table
     intermediate_sizes: tuple[int, ...]
     estimated_sizes: tuple[float, ...]
-    #: Measured row count of each base table, in *order* sequence: entry
-    #: ``k`` is the size of ``tables[order[k]]`` as scanned.
-    base_sizes: tuple[int, ...] = ()
 
     @property
     def n_rows(self) -> int:
         return self.final.n_rows
-
-    @property
-    def operator_cardinalities(self) -> tuple[int, ...]:
-        """Measured output rows of every operator in the pipeline.
-
-        Entry 0 is the scan of ``order[0]``; entry ``k >= 1`` is the
-        output of the ``k``-th hash join — the measured counterpart of
-        :func:`repro.cost.cardinality.prefix_cardinalities` on the same
-        order.
-        """
-        first = self.base_sizes[0] if self.base_sizes else self.final.n_rows
-        return (first, *self.intermediate_sizes)
 
     def size_ratios(self) -> list[float]:
         """Measured / estimated size per join (1.0 = perfect estimate).
@@ -125,5 +110,4 @@ def execute_order(
         final=current,
         intermediate_sizes=tuple(sizes),
         estimated_sizes=tuple(prefix_cardinalities(order, graph)),
-        base_sizes=tuple(tables[vertex].n_rows for vertex in order),
     )

@@ -7,8 +7,9 @@ Design constraints, in priority order:
    the wall clock, and never influences control flow — so a traced run
    is bit-identical to an untraced one, and the trace itself is a pure
    function of the run's seed (detlint's DET001/DET002 hold over this
-   package; ``[tool.detlint.rules.DET002].verified_clean`` registers it
-   as a module set that must never read the clock).
+   package; DET002's ``verified_clean`` in
+   :data:`repro.analysis.config.RULE_OPTIONS` registers it as a module
+   set that must never read the clock).
 2. **Free when off.**  The default backend is :data:`NULL_TRACER`, and
    every instrumentation site is guarded by one attribute check
    (``if tracer.enabled:``); the payload dict is only built when a

@@ -2,11 +2,11 @@
 
 The trace layer's determinism contract forbids wall-clock reads — events
 are stamped with the logical budget clock only, so traces are pure
-functions of the seed (``[tool.detlint.rules.DET002].verified_clean``
-registers the package).  This module is the deliberate, narrow
-exception: it records wall timestamps *beside* the trace, never inside
-it, and is therefore listed under ``[tool.detlint.rules.DET002].allow``
-(mirrored in ``repro.analysis.config.DEFAULT_TOOL_TABLE``).
+functions of the seed (DET002's ``verified_clean`` in
+:data:`repro.analysis.config.RULE_OPTIONS` registers the package).  This
+module is the deliberate, narrow exception: it records wall timestamps
+*beside* the trace, never inside it, and is therefore on DET002's
+``allow`` list in the same table.
 
 :class:`WallClockTracer` subclasses ``RecordingTracer`` and stamps
 ``time.perf_counter()`` into a side table keyed by event ``seq`` as each

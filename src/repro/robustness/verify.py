@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.catalog.join_graph import JoinGraph
 from repro.catalog.predicates import JoinPredicate
-from repro.catalog.relation import Relation, Selection
+from repro.catalog.relation import Relation
 from repro.cost.base import CostModel
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import first_invalid_position

@@ -2,8 +2,8 @@
 
 Every rule is demonstrated twice: a snippet that MUST flag, and a
 near-miss snippet that MUST NOT (the false-positive guard).  Fixtures run
-through the real engine (`Analyzer.check_source`), so occurrence
-indexing and suppression handling are exercised on every assertion.
+through the real engine (`Analyzer.check_source`), so suppression
+handling is exercised on every assertion.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ def analyze(source: str, rel_path: str = "fixture/mod.py") -> list[Finding]:
     The config carries no include/allow restrictions, so every rule
     applies to the fixture regardless of its pretend path.
     """
-    config = DetlintConfig(root="/nonexistent", baseline=None)
-    analyzer = Analyzer(config, baseline=None)
+    analyzer = Analyzer(DetlintConfig(root="/nonexistent"))
     return analyzer.check_source(textwrap.dedent(source), rel_path)
 
 
@@ -135,10 +134,9 @@ def test_det001_allows_seeded_numpy_generator() -> None:
 def test_det001_allowlisted_path_is_exempt() -> None:
     config = DetlintConfig(
         root="/nonexistent",
-        baseline=None,
         rule_options={"DET001": {"allow": ["src/repro/utils/rng.py"]}},
     )
-    analyzer = Analyzer(config, baseline=None)
+    analyzer = Analyzer(config)
     source = "import random\nx = random.getrandbits(64)\n"
     assert codes(analyzer.check_source(source, "src/repro/utils/rng.py")) == set()
     assert "DET001" in codes(analyzer.check_source(source, "src/repro/core/x.py"))
@@ -190,10 +188,9 @@ def test_det002_allows_injected_clock_and_sleep() -> None:
 def test_det002_escalates_message_in_verified_clean_module() -> None:
     config = DetlintConfig(
         root="/nonexistent",
-        baseline=None,
         rule_options={"DET002": {"verified_clean": ["src/repro/obs"]}},
     )
-    analyzer = Analyzer(config, baseline=None)
+    analyzer = Analyzer(config)
     source = "import time\n\ndef stamp():\n    return time.time()\n"
     escalated = [
         f
@@ -215,15 +212,15 @@ def test_det002_verified_clean_modules_are_clean_in_this_repo() -> None:
     """The registered ``repro.obs`` modules must actually be clock-free."""
     import os
 
-    from repro.analysis.config import load_config
+    from repro.analysis.config import project_config
 
     root = os.path.join(os.path.dirname(__file__), "..")
-    config = load_config(root)
+    config = project_config(root)
     verified = list(
         config.options_for("DET002").get("verified_clean", [])
     )
     assert "src/repro/obs" in verified
-    analyzer = Analyzer(config, baseline=None)
+    analyzer = Analyzer(config)
     obs_dir = os.path.join(root, "src", "repro", "obs")
     checked = 0
     for name in sorted(os.listdir(obs_dir)):
@@ -546,88 +543,6 @@ def test_exc001_requires_reason_after_boundary_tag() -> None:
 
 
 # ---------------------------------------------------------------------------
-# OVF001 — overflow guards
-
-
-def test_ovf001_flags_unguarded_cardinality_product() -> None:
-    findings = analyze(
-        """
-        def join_size(outer_size, inner_size):
-            return outer_size * inner_size
-        """
-    )
-    assert "OVF001" in codes(findings)
-
-
-def test_ovf001_flags_product_assigned_but_never_checked() -> None:
-    findings = analyze(
-        """
-        def total(outer_size, inner_size, selectivity):
-            result = outer_size * inner_size * selectivity
-            return result + 1
-        """
-    )
-    assert "OVF001" in codes(findings)
-
-
-def test_ovf001_allows_direct_guard_call() -> None:
-    findings = analyze(
-        """
-        from repro.cost.cardinality import clamp_cardinality
-
-        def join_size(outer_size, inner_size):
-            return clamp_cardinality(outer_size * inner_size)
-        """
-    )
-    assert "OVF001" not in codes(findings)
-
-
-def test_ovf001_allows_assignment_later_guarded() -> None:
-    findings = analyze(
-        """
-        from repro.cost.cardinality import MAX_CARDINALITY, clamp_cardinality
-
-        def join_size(outer_size, inner_size):
-            result = outer_size * inner_size
-            if not (1.0 <= result <= MAX_CARDINALITY):
-                result = clamp_cardinality(result)
-            return result
-        """
-    )
-    assert "OVF001" not in codes(findings)
-
-
-def test_ovf001_allows_single_cardinality_operand() -> None:
-    findings = analyze(
-        """
-        def weighted(cost_weight, outer_size):
-            return cost_weight * outer_size
-        """
-    )
-    assert "OVF001" not in codes(findings)
-
-
-def test_ovf001_guard_inside_loop_body_is_found() -> None:
-    # Regression guard: the assignment lives inside a for-loop, not at the
-    # top level of the function body.
-    findings = analyze(
-        """
-        from repro.cost.cardinality import MAX_CARDINALITY
-
-        def walk(sizes, inner_size):
-            total = 0.0
-            for size in sizes:
-                result = size * inner_size
-                if result > MAX_CARDINALITY:
-                    result = MAX_CARDINALITY
-                total += result
-            return total
-        """
-    )
-    assert "OVF001" not in codes(findings)
-
-
-# ---------------------------------------------------------------------------
 # Engine-level behaviours every rule shares
 
 
@@ -654,7 +569,7 @@ def test_findings_are_sorted_and_carry_snippets() -> None:
 
 @pytest.mark.parametrize(
     "code",
-    ["DET001", "DET002", "DET003", "DET004", "EXC001", "OVF001"],
+    ["DET001", "DET002", "DET003", "DET004", "EXC001"],
 )
 def test_every_rule_is_registered(code: str) -> None:
     from repro.analysis.rules import rule_registry

@@ -14,7 +14,7 @@ from repro.core.augmentation import (
 from repro.core.budget import Budget, BudgetExhausted
 from repro.plans.validity import is_valid_order
 
-from tests.conftest import chain_graph, make_relations, star_graph
+from tests.conftest import make_relations
 
 
 ALL_CRITERIA = list(AugmentationCriterion)

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.annealing import AnnealingSchedule, ChainStats, simulated_annealing
 from repro.core.budget import Budget
 from repro.core.combinations import MethodParams

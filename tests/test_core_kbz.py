@@ -16,7 +16,7 @@ from repro.core.kbz import (
 from repro.cost.memory import MainMemoryCostModel
 from repro.plans.validity import is_valid_order, valid_orders
 
-from tests.conftest import chain_graph, make_relations, star_graph
+from tests.conftest import make_relations, star_graph
 
 
 class TestModule:

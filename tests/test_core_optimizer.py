@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.catalog.join_graph import Query
 from repro.core.budget import Budget
 from repro.core.optimizer import OptimizationResult, available_methods, optimize
 from repro.cost.disk import DiskCostModel

@@ -5,8 +5,6 @@ import pytest
 from repro.catalog.builder import QueryBuilder
 from repro.engine.datagen import generate_database, join_column_name
 
-from tests.conftest import chain_graph
-
 
 class TestJoinColumnName:
     def test_unique_per_relation_and_edge(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cost.memory import MainMemoryCostModel
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.workloads.benchmarks import DEFAULT_SPEC, generate_benchmark
 

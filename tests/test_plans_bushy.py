@@ -18,8 +18,6 @@ from repro.plans.bushy import (
 )
 from repro.plans.join_order import JoinOrder
 
-from tests.conftest import chain_graph, star_graph
-
 
 class TestConstruction:
     def test_leaf(self):

@@ -8,6 +8,7 @@ improvement.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -23,8 +24,9 @@ from repro.core.moves import MoveSet
 from repro.core.state import Evaluation, Evaluator
 from repro.cost.cardinality import prefix_cardinalities
 from repro.cost.disk import DiskCostModel
+from repro.cost.incremental import QueryContext, extend_state, start_state
 from repro.cost.memory import MainMemoryCostModel
-from repro.plans.join_order import JoinOrder
+from repro.cost.static import StaticCostModel
 from repro.plans.validity import is_valid_order, random_valid_order
 
 
@@ -117,6 +119,51 @@ def test_plan_costs_positive_under_both_models(graph_order):
     graph, order = graph_order
     assert MainMemoryCostModel().plan_cost(order, graph) > 0
     assert DiskCostModel().plan_cost(order, graph) > 0
+
+
+def _state_fields(state):
+    return (
+        state.mask,
+        repr(state.size),
+        repr(state.cost),
+        dict(state.caps),
+        dict(state.unplaced),
+    )
+
+
+@given(graphs_with_orders())
+@settings(max_examples=60, deadline=None)
+def test_costing_is_pure(graph_order):
+    """Costing reads only its arguments and never writes them.
+
+    ``plan_cost`` repeats bit for bit and leaves the graph and order
+    unchanged; an ``extend_state`` chain leaves every input state as it
+    was, and repeating a step gives an equal state.  The search relies on
+    both: the incremental walk must agree with ``plan_cost``, and the
+    B&B frontier shares prefix states between children.
+    """
+    graph, order = graph_order
+    graph_bytes = pickle.dumps(graph)
+    order_bytes = pickle.dumps(order)
+    for model in (
+        MainMemoryCostModel(),
+        DiskCostModel(),
+        StaticCostModel(MainMemoryCostModel()),
+    ):
+        first = model.plan_cost(order, graph)
+        assert repr(model.plan_cost(order, graph)) == repr(first)
+        assert pickle.dumps(graph) == graph_bytes
+        assert pickle.dumps(order) == order_bytes
+    for model in (MainMemoryCostModel(), DiskCostModel()):
+        context = QueryContext(graph, model)
+        states = [start_state(context, order[0])]
+        for inner in order[1:]:
+            before = [_state_fields(state) for state in states]
+            step = extend_state(context, states[-1], inner)
+            again = extend_state(context, states[-1], inner)
+            assert _state_fields(again) == _state_fields(step)
+            assert [_state_fields(state) for state in states] == before
+            states.append(step)
 
 
 @given(join_graphs(), st.sampled_from(list(AugmentationCriterion)))
