@@ -332,7 +332,7 @@ class IALStrategy(Strategy):
             # with the strongest local-improvement pass that still fits.
             while best is not None:
                 strategy = best_strategy_for_budget(
-                    evaluator.budget.remaining, graph.n_relations
+                    evaluator.budget, graph.n_relations
                 )
                 if strategy is None:
                     break

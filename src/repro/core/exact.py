@@ -14,11 +14,11 @@ mathematically minimal — the differential suite in
 ``tests/test_core_exact.py`` compares against exhaustive enumeration
 with ``==``):
 
-* **Cost chains replicate the estimator op for op.**  Prefixes are
-  extended through :func:`repro.cost.incremental.extend_state` (the
-  incremental evaluator's step arithmetic) or the static model's own
-  per-step expressions, so a completed chain's cost is the identical
-  float ``plan_cost`` returns for that order.
+* **Cost chains are the estimator's own steps.**  Prefixes are
+  extended through :func:`repro.cost.cardinality.extend_state` (a copy,
+  then the :func:`~repro.cost.cardinality.step` that ``plan_cost``
+  folds) or :meth:`StaticCostModel.step`, so a completed chain's cost is
+  the identical float ``plan_cost`` returns for that order.
 * **Pruning uses only the running prefix cost.**  A node is discarded
   when its accumulated cost ``g`` already reaches the incumbent: join
   costs are non-negative, and float addition of non-negative terms is
@@ -84,15 +84,13 @@ from repro.cost.bounds import lower_bound
 from repro.cost.cardinality import (
     MAX_CARDINALITY,
     CostOverflowError,
-    combined_selectivity,
-)
-from repro.cost.incremental import (
     PrefixState,
     QueryContext,
+    combined_selectivity,
     extend_state,
     start_state,
-    supports_incremental,
 )
+from repro.cost.incremental import supports_incremental
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
 from repro.obs import events as obs_events
@@ -197,15 +195,14 @@ class _PropagatingEngine:
 
 
 class _StaticEngine:
-    """Extends prefixes with :class:`StaticCostModel`'s arithmetic.
+    """Extends prefixes with :meth:`StaticCostModel.step`.
 
-    The static walk reads the placed *list* in order
-    (``graph.edges_between(placed, vertex)``), so the per-step
-    expressions here consume the node's order tuple — same calls, same
-    sequence, bitwise-identical totals to ``StaticCostModel.plan_cost``.
-    No dominance: static sizes are subset-determined mathematically but
-    their float values are path-dependent (selectivity products multiply
-    in placed-list order), so only the airtight ``g``-prune applies.
+    The static step reads the placed *list* in order, so it is given the
+    node's order tuple — the same step ``StaticCostModel.plan_cost``
+    folds, so totals are bitwise identical.  No dominance: static sizes
+    are subset-determined mathematically but their float values are
+    path-dependent (selectivity products multiply in placed-list order),
+    so only the airtight ``g``-prune applies.
     """
 
     dominance = False
@@ -222,14 +219,8 @@ class _StaticEngine:
     def extend(
         self, order: tuple[int, ...], state: Any, vertex: int
     ) -> _StaticState:
-        graph = self._graph
-        predicates = graph.edges_between(order, vertex)
-        inner_size = graph.cardinality(vertex)
-        result = state.size * inner_size * combined_selectivity(predicates)
-        cost = state.cost + self._model.inner.join_cost(
-            state.size, inner_size, result
-        )
-        return _StaticState(state.mask | (1 << vertex), result, cost)
+        result, cost = self._model.step(self._graph, order, state.size, vertex)
+        return _StaticState(state.mask | (1 << vertex), result, state.cost + cost)
 
 
 def _engine_for(

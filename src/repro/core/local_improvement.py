@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from repro.catalog.join_graph import JoinGraph
-from repro.core.budget import BudgetExhausted
+from repro.core.budget import Budget, BudgetExhausted
 from repro.core.state import Evaluation, Evaluator
 from repro.obs import events as obs_events
 from repro.plans.validity import is_valid_order
@@ -60,18 +60,20 @@ def pass_cost_estimate(
 
 
 def best_strategy_for_budget(
-    remaining_units: float, n_relations: int
+    budget: Budget, n_relations: int
 ) -> tuple[int, int] | None:
-    """The strongest feasible ``(c, o)`` whose single pass fits the budget.
+    """The strongest feasible ``(c, o)`` whose single pass ``budget`` affords.
 
     Mirrors the paper's rule: run one pass of (5,4) if there is time for
     it, else one pass of (4,3), and so on; ``None`` when even (2,0) does
-    not fit.
+    not fit — always under a wall clock, which can promise no work.
     """
     for cluster_size, overlap in FEASIBLE_STRATEGIES:
         if cluster_size > n_relations:
             continue
-        if pass_cost_estimate(cluster_size, overlap, n_relations) <= remaining_units:
+        if budget.can_afford(
+            pass_cost_estimate(cluster_size, overlap, n_relations)
+        ):
             return cluster_size, overlap
     return None
 

@@ -159,7 +159,6 @@ def optimize(
     max_retries: int = 2,
     workers: int | None = None,
     restarts: int | None = None,
-    record_floor: float | None = None,
     trace: Tracer | str | None = None,
 ) -> OptimizationResult:
     """Optimize a join query with one of the paper's methods.
@@ -204,10 +203,6 @@ def optimize(
         bit-unchanged.  Incompatible with ``resilient=True`` (the
         orchestrator has its own crash recovery) and with a
         :class:`~repro.core.budget.WallClockBudget` (``ValueError``).
-    record_floor:
-        A trusted upper bound on the cost that still matters: start
-        states pricier than the floor are skipped.  Set by the
-        orchestrator to its pre-pass floor; rarely useful directly.
     trace:
         Observability sink (see :mod:`repro.obs`).  ``None`` (default)
         keeps the no-op backend — the run pays one attribute check per
@@ -222,6 +217,37 @@ def optimize(
     (:func:`repro.robustness.verify.verify_plan`): the order is a valid
     permutation, cross products appear only between components, and the
     cost is finite, non-negative, and agrees with recomputation.
+    """
+    return _optimize(
+        query, method, model, time_factor, units_per_n2, seed, budget,
+        params, stop_at_bound, bound_tolerance, resilient, max_retries,
+        workers, restarts, trace,
+    )
+
+
+def _optimize(
+    query: Query | JoinGraph,
+    method: str | Strategy,
+    model: CostModel | None,
+    time_factor: float,
+    units_per_n2: float,
+    seed: int,
+    budget: Budget | None,
+    params: MethodParams | None,
+    stop_at_bound: bool,
+    bound_tolerance: float,
+    resilient: bool,
+    max_retries: int,
+    workers: int | None,
+    restarts: int | None,
+    trace: Tracer | str | None,
+    record_floor: float | None = None,
+) -> OptimizationResult:
+    """:func:`optimize`, plus the orchestrator's pre-pass floor.
+
+    ``record_floor`` is a trusted upper bound on the cost that still
+    matters: on a connected graph, start states pricier than it are
+    skipped.
     """
     graph = query.graph if isinstance(query, Query) else query
     if model is None:

@@ -229,11 +229,6 @@ class DeltaEvaluator(Evaluator):
         target_cost: float | None = None,
         record_floor: float | None = None,
     ) -> None:
-        if not supports_incremental(model):
-            raise ValueError(
-                f"cost model {model!r} overrides plan_cost and cannot be "
-                "evaluated incrementally; use the base Evaluator"
-            )
         super().__init__(
             graph, model, budget, target_cost=target_cost,
             record_floor=record_floor,

@@ -6,23 +6,16 @@ implemented here behind the :class:`CostModel` interface.  Only the hash
 join method is used, as in the paper.
 """
 
-from repro.cost.base import CostModel, PlanCostDetail
+from repro.cost.base import CostModel
 from repro.cost.cardinality import (
     CostOverflowError,
     MAX_CARDINALITY,
-    PlanEstimator,
-    StepEstimate,
+    QueryContext,
     clamp_cardinality,
     combined_selectivity,
-    join_result_cardinality,
     prefix_cardinalities,
-    walk_plan,
 )
-from repro.cost.incremental import (
-    IncrementalEvaluator,
-    QueryContext,
-    supports_incremental,
-)
+from repro.cost.incremental import IncrementalEvaluator, supports_incremental
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.disk import DiskCostModel
 from repro.cost.bounds import lower_bound
@@ -38,10 +31,6 @@ __all__ = [
     "CostOverflowError",
     "MAX_CARDINALITY",
     "clamp_cardinality",
-    "PlanCostDetail",
-    "PlanEstimator",
-    "StepEstimate",
-    "walk_plan",
     "IncrementalEvaluator",
     "QueryContext",
     "supports_incremental",
@@ -52,7 +41,6 @@ __all__ = [
     "MultiMethodCostModel",
     "StaticCostModel",
     "combined_selectivity",
-    "join_result_cardinality",
     "prefix_cardinalities",
     "lower_bound",
 ]

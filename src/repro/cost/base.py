@@ -2,9 +2,9 @@
 
 A cost model prices one hash join given the operand and result sizes; plan
 cost is the sum over the joins of an outer-linear tree, with intermediate
-sizes supplied by the propagating
-:class:`~repro.cost.cardinality.PlanEstimator`.  Cost models are pure:
-budget accounting happens in :mod:`repro.core.state`, which wraps plan
+sizes from the propagating estimator
+(:func:`~repro.cost.cardinality.step`).  Cost models are pure: budget
+accounting happens in :mod:`repro.core.state`, which wraps plan
 evaluation with charging.
 """
 
@@ -12,40 +12,20 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.catalog.join_graph import JoinGraph
-from repro.cost.cardinality import CostOverflowError, PlanEstimator
 from repro.plans.join_order import JoinOrder
 
-__all__ = ["CostModel", "CostOverflowError", "PlanCostDetail"]
+__all__ = ["CostModel", "CostOverflowError"]
 
 
-@dataclass(frozen=True)
-class PlanCostDetail:
-    """Per-join breakdown of a plan's cost.
+class CostOverflowError(OverflowError):
+    """A cardinality or cost computation left the finite float range.
 
-    ``join_costs[k]`` is the cost of the ``k``-th join (joining the relation
-    at order position ``k + 1``); ``prefix_sizes[k]`` is the estimated size
-    of the intermediate after that join.  ``prefix_costs`` are cumulative.
+    Raised instead of silently propagating ``inf``/``NaN`` so that callers
+    (and the resilient optimizer's fallback chain) can distinguish a broken
+    estimate from a merely enormous one.
     """
-
-    order: JoinOrder
-    join_costs: tuple[float, ...]
-    prefix_sizes: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return sum(self.join_costs)
-
-    @property
-    def prefix_costs(self) -> tuple[float, ...]:
-        cumulative: list[float] = []
-        running = 0.0
-        for cost in self.join_costs:
-            running += cost
-            cumulative.append(running)
-        return tuple(cumulative)
 
 
 class CostModel(ABC):
@@ -67,42 +47,21 @@ class CostModel(ABC):
         broken cost model or corrupted statistics, never of a merely
         expensive plan (cardinalities are clamped upstream).
         """
-        estimator = PlanEstimator(graph, order[0])
-        total = 0.0
+        # Imported here: the step's module compiles the stock models,
+        # which subclass this one.
+        from repro.cost.cardinality import QueryContext, start_state, step
+
+        context = QueryContext(graph, self)
+        state = start_state(context, order[0])
         for position in range(1, len(order)):
-            step = estimator.step(order[position])
-            total += self.join_cost(
-                step.outer_size, step.inner_size, step.result_size
-            )
+            step(context, state, order[position])
+        total = state.cost
         if not math.isfinite(total):
             raise CostOverflowError(
                 f"{self.name} cost model produced non-finite plan cost "
                 f"{total!r} for order {order}"
             )
         return total
-
-    def plan_cost_detail(self, order: JoinOrder, graph: JoinGraph) -> PlanCostDetail:
-        """Like :meth:`plan_cost` but keeps the per-join breakdown."""
-        estimator = PlanEstimator(graph, order[0])
-        join_costs: list[float] = []
-        prefix_sizes: list[float] = []
-        for position in range(1, len(order)):
-            step = estimator.step(order[position])
-            cost = self.join_cost(
-                step.outer_size, step.inner_size, step.result_size
-            )
-            if not math.isfinite(cost):
-                raise CostOverflowError(
-                    f"{self.name} cost model produced non-finite join cost "
-                    f"{cost!r} at position {position} of {order}"
-                )
-            join_costs.append(cost)
-            prefix_sizes.append(step.result_size)
-        return PlanCostDetail(
-            order=order,
-            join_costs=tuple(join_costs),
-            prefix_sizes=tuple(prefix_sizes),
-        )
 
     def __str__(self) -> str:
         return self.name

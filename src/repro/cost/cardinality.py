@@ -1,4 +1,4 @@
-"""Cardinality estimation with distinct-value propagation.
+"""Cardinality estimation with distinct-value propagation, and its cost step.
 
 Joining relation ``j`` into an intermediate result ``S`` of size ``|S|``
 yields an estimated
@@ -22,20 +22,24 @@ high-distinct (small ``J``) predicates early keeps distinct counts — and
 hence sizes — small *throughout* the plan, while greedily minimising the
 immediate result shrinks the caps and inflates every later join.
 
-:class:`PlanEstimator` is the single walker all cost models and plan
-builders share; the static helpers (no propagation) remain for tests and
-for the heuristics' own per-edge reasoning, which the paper defines on
-base-relation statistics.
+:func:`step` is that recurrence, one join at a time, over a
+:class:`QueryContext`: ``plan_cost``, :func:`prefix_cardinalities`, the
+join-tree builder and the exact branch-and-bound all fold it.  The
+prefix-cached walk in :mod:`repro.cost.incremental` is the one other
+copy; it derives caps from its cached sizes instead of carrying them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from math import ceil
 from typing import Sequence
 
 from repro.catalog.join_graph import JoinGraph
 from repro.catalog.predicates import JoinPredicate
+from repro.cost.base import CostModel, CostOverflowError
+from repro.cost.disk import DiskCostModel
+from repro.cost.memory import MainMemoryCostModel
 from repro.plans.join_order import JoinOrder
 
 #: Ceiling on any estimated cardinality.  Chosen so that the product of two
@@ -44,15 +48,6 @@ from repro.plans.join_order import JoinOrder
 #: no ordering information anyway — every plan that reaches the clamp is
 #: equally hopeless.
 MAX_CARDINALITY = 1e150
-
-
-class CostOverflowError(OverflowError):
-    """A cardinality or cost computation left the finite float range.
-
-    Raised instead of silently propagating ``inf``/``NaN`` so that callers
-    (and the resilient optimizer's fallback chain) can distinguish a broken
-    estimate from a merely enormous one.
-    """
 
 
 def clamp_cardinality(estimate: float, context: str = "estimate") -> float:
@@ -82,135 +77,217 @@ def combined_selectivity(predicates: Sequence[JoinPredicate]) -> float:
     return selectivity
 
 
-def join_result_cardinality(
-    outer_size: float,
-    inner_size: float,
-    predicates: Sequence[JoinPredicate],
-) -> float:
-    """Static estimate (no propagation) of one join's result size."""
-    estimate = outer_size * inner_size * combined_selectivity(predicates)
-    return clamp_cardinality(estimate, "join result")
+class QueryContext:
+    """One query's catalog and cost model, precompiled for :func:`step`.
 
+    ``adjacency[k]`` holds one ``(neighbor, distinct, floor)`` triple per
+    edge, in ``graph.adjacency(k)`` order, so every selectivity product
+    multiplies in one fixed order.  ``distinct`` is
+    ``min(neighbor distinct, neighbor cardinality)``, the neighbor's cap
+    before any join lowers it; ``floor`` is ``max(1.0, own distinct)``.
 
-@dataclass(frozen=True)
-class StepEstimate:
-    """Sizes around one join while walking a plan left to right."""
-
-    inner: int
-    predicates: tuple[JoinPredicate, ...]
-    outer_size: float
-    inner_size: float
-    result_size: float
-
-    @property
-    def is_cross_product(self) -> bool:
-        return not self.predicates
-
-
-class PlanEstimator:
-    """Left-to-right size estimation with distinct-value capping.
-
-    Create it with the first relation of the order, then call
-    :meth:`step` once per subsequent relation.  Caps are maintained only
-    for *open* relations (placed relations that still have predicates to
-    unplaced ones), keeping each step near-linear in the frontier size.
+    Both stock models are compiled: the step and the incremental walk
+    price their joins inline, replicating ``join_cost`` term for term,
+    instead of calling it.  The check is on the exact type, because a
+    subclass may override ``join_cost``; any other model is priced
+    through its own method.
     """
 
-    def __init__(self, graph: JoinGraph, first: int) -> None:
+    __slots__ = (
+        "graph",
+        "model",
+        "n_relations",
+        "cardinalities",
+        "adjacency",
+        "degrees",
+        "join_cost",
+        "_memory_constants",
+        "_disk_constants",
+    )
+
+    def __init__(self, graph: JoinGraph, model: CostModel) -> None:
         self.graph = graph
-        self.placed: list[int] = [first]
-        self.size: float = clamp_cardinality(
-            graph.cardinality(first), f"relation {first}"
-        )
-        self._caps: dict[int, float] = {}
-        self._unplaced_neighbors: dict[int, int] = {}
-        self._placed_set = {first}
-        self._cardinalities = [
+        self.model = model
+        n = graph.n_relations
+        self.n_relations = n
+        self.cardinalities = [
             relation.cardinality for relation in graph.relations
         ]
-        remaining = graph.degree(first)
-        if remaining:
-            self._caps[first] = self.size
-            self._unplaced_neighbors[first] = remaining
-
-    def effective_selectivity(self, predicates: Sequence[JoinPredicate], inner: int) -> float:
-        """Product of capped selectivities for joining ``inner`` now."""
-        selectivity = 1.0
-        for predicate in predicates:
-            outer_side = predicate.other(inner)
-            outer_distinct = min(
-                predicate.distinct_values(outer_side),
-                self._caps.get(outer_side, float("inf")),
+        self.adjacency: list[tuple[tuple[int, float, float], ...]] = []
+        self.degrees: list[int] = []
+        for relation in range(n):
+            entries = []
+            for neighbor, predicate in graph.adjacency(relation).items():
+                if neighbor == predicate.left:
+                    distinct = predicate.left_distinct
+                    own = predicate.right_distinct
+                else:
+                    distinct = predicate.right_distinct
+                    own = predicate.left_distinct
+                entries.append((
+                    neighbor,
+                    min(distinct, self.cardinalities[neighbor]),
+                    max(1.0, own),
+                ))
+            self.adjacency.append(tuple(entries))
+            self.degrees.append(len(entries))
+        self.join_cost = model.join_cost
+        self._memory_constants: tuple[float, float, float] | None = None
+        self._disk_constants: (
+            tuple[float, int, float, float, list[float], list[float]] | None
+        ) = None
+        if type(model) is MainMemoryCostModel:
+            self._memory_constants = (
+                model.build_cost,
+                model.probe_cost,
+                model.output_cost,
             )
-            inner_distinct = predicate.distinct_values(inner)
-            selectivity *= 1.0 / max(outer_distinct, inner_distinct, 1.0)
-        return selectivity
-
-    def step(self, inner: int) -> StepEstimate:
-        """Join ``inner`` into the running intermediate; update caps."""
-        placed_set = self._placed_set
-        if inner in placed_set:
-            raise ValueError(f"relation {inner} already placed")
-        caps = self._caps
-        unplaced_neighbors = self._unplaced_neighbors
-        selectivity = 1.0
-        predicates: list[JoinPredicate] = []
-        open_inner = 0
-        for neighbor, predicate in self.graph.adjacency(inner).items():
-            if neighbor not in placed_set:
-                open_inner += 1
-                continue
-            predicates.append(predicate)
-            if neighbor == predicate.left:
-                outer_distinct = predicate.left_distinct
-                inner_distinct = predicate.right_distinct
-            else:
-                outer_distinct = predicate.right_distinct
-                inner_distinct = predicate.left_distinct
-            cap = caps.get(neighbor)
-            if cap is not None and cap < outer_distinct:
-                outer_distinct = cap
-            larger = max(outer_distinct, inner_distinct, 1.0)
-            selectivity *= 1.0 / larger
-            # The outer side of this predicate has one fewer unplaced edge.
-            count = unplaced_neighbors.get(neighbor, 0) - 1
-            if count <= 0:
-                unplaced_neighbors.pop(neighbor, None)
-                caps.pop(neighbor, None)
-            else:
-                unplaced_neighbors[neighbor] = count
-
-        inner_size = self._cardinalities[inner]
-        outer_size = self.size
-        result = outer_size * inner_size * selectivity
-        if not (1.0 <= result <= MAX_CARDINALITY):
-            # Slow path: clamp overflowing estimates, reject NaN/inf.
-            result = clamp_cardinality(result, f"joining relation {inner}")
-
-        if open_inner:
-            unplaced_neighbors[inner] = open_inner
-            caps[inner] = min(inner_size, result)
-        # The new intermediate caps every open column at its size.
-        for relation, cap in caps.items():
-            if cap > result:
-                caps[relation] = result
-
-        self.placed.append(inner)
-        placed_set.add(inner)
-        self.size = result
-        return StepEstimate(
-            inner=inner,
-            predicates=tuple(predicates),
-            outer_size=outer_size,
-            inner_size=inner_size,
-            result_size=result,
-        )
+        elif type(model) is DiskCostModel:
+            inner_pages, io_factors = model.inner_terms(self.cardinalities)
+            self._disk_constants = (
+                model.tuples_per_page,
+                model.memory_pages,
+                model.io_cost,
+                model.cpu_weight,
+                inner_pages,
+                io_factors,
+            )
 
 
-def walk_plan(order: JoinOrder, graph: JoinGraph) -> list[StepEstimate]:
-    """All step estimates of a full order (propagating estimator)."""
-    estimator = PlanEstimator(graph, order[0])
-    return [estimator.step(order[position]) for position in range(1, len(order))]
+class PrefixState:
+    """The propagating walk's state after placing a prefix of relations.
+
+    ``mask`` is the placed-relation bitmask (order-independent), ``size``
+    the current intermediate-result cardinality, ``cost`` the cumulative
+    plan cost so far.  ``caps`` holds the distinct-value cap of every
+    *open* relation (placed, with predicates to unplaced ones) and
+    ``unplaced`` its count of such predicates, keeping each step linear
+    in the frontier size.  :func:`step` changes a state in place;
+    :func:`extend_state` leaves it as it was.
+    """
+
+    __slots__ = ("mask", "size", "cost", "caps", "unplaced")
+
+    def __init__(
+        self,
+        mask: int,
+        size: float,
+        cost: float,
+        caps: dict[int, float],
+        unplaced: dict[int, int],
+    ) -> None:
+        self.mask = mask
+        self.size = size
+        self.cost = cost
+        self.caps = caps
+        self.unplaced = unplaced
+
+
+def start_state(context: QueryContext, first: int) -> PrefixState:
+    """The state after placing ``first`` as the outermost relation."""
+    size = clamp_cardinality(
+        context.cardinalities[first], f"relation {first}"
+    )
+    caps: dict[int, float] = {}
+    unplaced: dict[int, int] = {}
+    degree = context.degrees[first]
+    if degree:
+        caps[first] = size
+        unplaced[first] = degree
+    return PrefixState(1 << first, size, 0.0, caps, unplaced)
+
+
+def step(context: QueryContext, state: PrefixState, inner: int) -> None:
+    """Join the unplaced relation ``inner`` into ``state``, in place.
+
+    Lowers the caps, adds the join's cost, and raises
+    :class:`CostOverflowError` when the result size is not finite.  A
+    state that raised is left part-way through the step, so callers
+    discard it.  The cost total is not checked here: ``plan_cost``
+    rejects a non-finite one at its end.
+    """
+    mask = state.mask
+    caps = state.caps
+    unplaced = state.unplaced
+    size = state.size
+    selectivity = 1.0
+    open_inner = 0
+    for neighbor, distinct, floor in context.adjacency[inner]:
+        if not (mask >> neighbor) & 1:
+            open_inner += 1
+            continue
+        # A placed neighbor of an unplaced relation is open, so it has a cap.
+        cap = caps[neighbor]
+        if cap < distinct:
+            distinct = cap
+        selectivity *= 1.0 / (floor if floor > distinct else distinct)
+        # The placed side of this predicate has one fewer unplaced edge.
+        count = unplaced[neighbor] - 1
+        if count:
+            unplaced[neighbor] = count
+        else:
+            del unplaced[neighbor]
+            del caps[neighbor]
+
+    inner_size = context.cardinalities[inner]
+    result = size * inner_size * selectivity
+    if not (1.0 <= result <= MAX_CARDINALITY):
+        # Slow path: clamp overflowing estimates, reject NaN/inf.
+        result = clamp_cardinality(result, f"joining relation {inner}")
+
+    if open_inner:
+        unplaced[inner] = open_inner
+        caps[inner] = inner_size if inner_size < result else result
+    # The new intermediate caps every open column at its size.
+    for relation, cap in caps.items():
+        if cap > result:
+            caps[relation] = result
+
+    memory = context._memory_constants
+    disk = context._disk_constants
+    if memory is not None:
+        build_cost, probe_cost, output_cost = memory
+        cost = build_cost * inner_size + probe_cost * size + output_cost * result
+    elif disk is not None:
+        # DiskCostModel.join_cost, term for term.
+        (
+            tuples_per_page,
+            memory_pages,
+            io_cost,
+            cpu_weight,
+            inner_pages,
+            io_factors,
+        ) = disk
+        outer_pages = float(ceil(size / tuples_per_page))
+        if outer_pages < 1.0:
+            outer_pages = 1.0
+        result_pages = float(ceil(result / tuples_per_page))
+        if result_pages < 1.0:
+            result_pages = 1.0
+        io = io_factors[inner] * (outer_pages + inner_pages[inner])
+        if result_pages > memory_pages:
+            io += 2 * result_pages
+        cost = io_cost * io + cpu_weight * (size + inner_size + result)
+    else:
+        cost = context.join_cost(size, inner_size, result)
+    state.mask = mask | (1 << inner)
+    state.size = result
+    state.cost += cost
+
+
+def extend_state(
+    context: QueryContext, state: PrefixState, inner: int
+) -> PrefixState:
+    """A copy of ``state`` with ``inner`` joined next; ``state`` is kept.
+
+    For the branch-and-bound frontier, whose entries share a parent.
+    """
+    child = PrefixState(
+        state.mask, state.size, state.cost,
+        state.caps.copy(), state.unplaced.copy(),
+    )
+    step(context, child, inner)
+    return child
 
 
 def prefix_cardinalities(order: JoinOrder, graph: JoinGraph) -> list[float]:
@@ -219,8 +296,11 @@ def prefix_cardinalities(order: JoinOrder, graph: JoinGraph) -> list[float]:
     Element 0 is the first relation's cardinality; element ``k`` is the
     intermediate after ``k`` joins.  The list has ``len(order)`` entries.
     """
-    estimator = PlanEstimator(graph, order[0])
-    sizes = [estimator.size]
+    # Sizes do not depend on the cost model; any one compiles the table.
+    context = QueryContext(graph, MainMemoryCostModel())
+    state = start_state(context, order[0])
+    sizes = [state.size]
     for position in range(1, len(order)):
-        sizes.append(estimator.step(order[position]).result_size)
+        step(context, state, order[position])
+        sizes.append(state.size)
     return sizes

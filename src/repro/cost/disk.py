@@ -59,7 +59,7 @@ class DiskCostModel(CostModel):
         Normalized to float64: ``math.ceil`` returns an arbitrary-precision
         ``int``, whose exact integer arithmetic would silently diverge from
         the float64 page counts of
-        :class:`~repro.cost.incremental.QueryContext`'s inline disk walk
+        :class:`~repro.cost.cardinality.QueryContext`'s inline disk pricing
         above 2**53 — a regime where page counts carry no ordering
         information anyway (cardinalities are clamped long before costs
         matter there).

@@ -5,34 +5,33 @@ order only from some position onward — a swap at positions ``(i, j)``
 leaves the prefix before ``min(i, j)`` untouched, and so does an insert.
 Re-deriving that unchanged prefix through
 :meth:`~repro.cost.base.CostModel.plan_cost` is where the II/SA walks
-spend most of their time.  This module removes the redundancy:
+spend most of their time.  :class:`IncrementalEvaluator` removes the
+redundancy.  It keeps two numbers per position of an anchor order — the
+intermediate size and the cumulative cost — plus each relation's
+position in the anchor, and prices a candidate by recomputing only the
+suffix after the longest prefix it shares with the anchor.  An
+``upper_bound`` makes the walk abort the moment its running total
+exceeds the bound — the incumbent's cost in iterative improvement, the
+accept-threshold in simulated annealing.  The walk reads the query
+through a :class:`~repro.cost.cardinality.QueryContext`, so its inner
+loop performs no dict or string lookups and never touches predicate
+objects.
 
-* :class:`QueryContext` precompiles one query's catalog — relation
-  cardinalities and one per-edge table of distinct-value constants,
-  flattened into index-keyed tuples — so the inner costing loop performs
-  no dict or string lookups and never touches predicate objects.
-* :class:`IncrementalEvaluator` keeps two numbers per position of an
-  anchor order — the intermediate size and the cumulative cost — plus
-  each relation's position in the anchor, and prices a candidate by
-  recomputing only the suffix after the longest prefix it shares with
-  the anchor.  An ``upper_bound`` makes the walk abort the moment its
-  running total exceeds the bound — the incumbent's cost in iterative
-  improvement, the accept-threshold in simulated annealing.
-
-**Exactness.**  The walk keeps no distinct-value caps: it derives a
-placed neighbor's cap from the cached sizes when it reads the edge.
-``min`` and ``max`` only pick one of their operands, so every rounding
-step sees the same floats in the same order as in the base
-:meth:`~repro.cost.base.CostModel.plan_cost`, and a full (unaborted)
-evaluation returns the *bitwise identical* float.  The differential
-harness in ``tests/test_cost_incremental.py`` enforces this.
+**Exactness.**  The walk is the one copy of the propagating recurrence
+besides :func:`~repro.cost.cardinality.step`, which ``plan_cost`` folds.
+It keeps no distinct-value caps: it derives a placed neighbor's cap from
+the cached sizes when it reads the edge, so it can resume from any
+shared prefix.  ``min`` and ``max`` only pick one of their operands, so
+every rounding step sees the same floats in the same order as in
+``plan_cost``, and a full (unaborted) evaluation returns the *bitwise
+identical* float.  The differential harness in
+``tests/test_cost_incremental.py`` enforces this.
 
 **Eligibility.**  The engine reproduces the semantics of the *base*
-``plan_cost`` (propagating estimator + sum of ``join_cost``).  Models
-that override ``plan_cost`` — :class:`~repro.cost.static.StaticCostModel`
-(different estimator) and the fault-injection wrappers — must not be
-routed through it; :func:`supports_incremental` is the gate the search
-layer uses.
+``plan_cost``.  Models that override ``plan_cost`` —
+:class:`~repro.cost.static.StaticCostModel` (different estimator) and
+the fault-injection wrappers — must not be routed through it;
+:func:`supports_incremental` is the gate the search layer uses.
 
 **Bound pruning contract.**  Aborts are decision-safe only because join
 costs are non-negative: once the running total exceeds ``upper_bound``,
@@ -52,19 +51,11 @@ from repro.cost.base import CostModel
 from repro.cost.cardinality import (
     MAX_CARDINALITY,
     CostOverflowError,
+    QueryContext,
     clamp_cardinality,
 )
-from repro.cost.disk import DiskCostModel
-from repro.cost.memory import MainMemoryCostModel
 
-__all__ = [
-    "QueryContext",
-    "IncrementalEvaluator",
-    "PrefixState",
-    "supports_incremental",
-    "start_state",
-    "extend_state",
-]
+__all__ = ["IncrementalEvaluator", "supports_incremental"]
 
 
 def supports_incremental(model: CostModel) -> bool:
@@ -75,85 +66,6 @@ def supports_incremental(model: CostModel) -> bool:
     that the incremental walk would silently disagree with.
     """
     return type(model).plan_cost is CostModel.plan_cost
-
-
-class QueryContext:
-    """One query's catalog, precompiled for the incremental inner loop.
-
-    ``adjacency[k]`` holds one ``(neighbor, distinct, floor)`` triple per
-    edge, in ``graph.adjacency(k)`` order so the selectivity product stays
-    bitwise identical to the full estimator's.  ``distinct`` is
-    ``min(neighbor distinct, neighbor cardinality)``, the neighbor's cap
-    before any join lowers it; ``floor`` is ``max(1.0, own distinct)``.
-
-    Both stock models are compiled: the walk prices their joins inline,
-    replicating ``join_cost`` term for term, instead of calling it.  The
-    check is on the exact type, because a subclass may override
-    ``join_cost``; any other model is priced through its own method.
-    """
-
-    __slots__ = (
-        "graph",
-        "model",
-        "n_relations",
-        "cardinalities",
-        "adjacency",
-        "degrees",
-        "join_cost",
-        "_memory_constants",
-        "_disk_constants",
-    )
-
-    def __init__(self, graph: JoinGraph, model: CostModel) -> None:
-        if not supports_incremental(model):
-            raise ValueError(
-                f"cost model {model!r} overrides plan_cost; the incremental "
-                "engine would disagree with its semantics"
-            )
-        self.graph = graph
-        self.model = model
-        n = graph.n_relations
-        self.n_relations = n
-        self.cardinalities = [
-            relation.cardinality for relation in graph.relations
-        ]
-        self.adjacency: list[tuple[tuple[int, float, float], ...]] = []
-        self.degrees: list[int] = []
-        for relation in range(n):
-            entries = tuple(
-                (
-                    neighbor,
-                    min(
-                        predicate.distinct_values(neighbor),
-                        self.cardinalities[neighbor],
-                    ),
-                    max(1.0, predicate.distinct_values(relation)),
-                )
-                for neighbor, predicate in graph.adjacency(relation).items()
-            )
-            self.adjacency.append(entries)
-            self.degrees.append(len(entries))
-        self.join_cost = model.join_cost
-        self._memory_constants: tuple[float, float, float] | None = None
-        self._disk_constants: (
-            tuple[float, int, float, float, list[float], list[float]] | None
-        ) = None
-        if type(model) is MainMemoryCostModel:
-            self._memory_constants = (
-                model.build_cost,
-                model.probe_cost,
-                model.output_cost,
-            )
-        elif type(model) is DiskCostModel:
-            inner_pages, io_factors = model.inner_terms(self.cardinalities)
-            self._disk_constants = (
-                model.tuples_per_page,
-                model.memory_pages,
-                model.io_cost,
-                model.cpu_weight,
-                inner_pages,
-                io_factors,
-            )
 
 
 class IncrementalEvaluator:
@@ -169,6 +81,11 @@ class IncrementalEvaluator:
     """
 
     def __init__(self, graph: JoinGraph, model: CostModel) -> None:
+        if not supports_incremental(model):
+            raise ValueError(
+                f"cost model {model!r} overrides plan_cost; the incremental "
+                "engine would disagree with its semantics"
+            )
         self.context = QueryContext(graph, model)
         n = self.context.n_relations
         # Anchor state: one entry per order position.
@@ -437,122 +354,3 @@ class IncrementalEvaluator:
             )
         self._pending = (positions, shared, sizes, costs, running)
         return running, joins
-
-
-# ----------------------------------------------------------------------
-# Standalone prefix states (the branch-and-bound interface)
-# ----------------------------------------------------------------------
-#
-# The anchor-relative engine above serves *trajectory* search: II/SA walk
-# one order at a time.  A best-first branch-and-bound instead holds many
-# incomparable prefixes alive at once, so it needs the walk's state as a
-# value it can stash in a frontier and extend out of order.  PrefixState
-# keeps PlanEstimator's caps, because dominance compares them;
-# ``extend_state`` is PlanEstimator's step on the walk's per-edge table,
-# so a chain of extensions yields the bitwise-identical cost
-# ``plan_cost`` returns (enforced by tests/test_core_exact.py).
-
-
-class PrefixState:
-    """The propagating walk's state after placing a prefix of relations.
-
-    ``mask`` is the placed-relation bitmask (order-independent), ``size``
-    the current intermediate-result cardinality, ``cost`` the cumulative
-    plan cost so far, and ``caps``/``unplaced`` the distinct-value caps
-    and open-edge counts of :class:`~repro.cost.cardinality.PlanEstimator`.
-    Treat instances as immutable: ``extend_state`` copies the dicts.
-    """
-
-    __slots__ = ("mask", "size", "cost", "caps", "unplaced")
-
-    def __init__(
-        self,
-        mask: int,
-        size: float,
-        cost: float,
-        caps: dict[int, float],
-        unplaced: dict[int, int],
-    ) -> None:
-        self.mask = mask
-        self.size = size
-        self.cost = cost
-        self.caps = caps
-        self.unplaced = unplaced
-
-
-def start_state(context: QueryContext, first: int) -> PrefixState:
-    """The walk's state after placing ``first`` as the outermost relation.
-
-    Mirrors the first-relation initialisation of the incremental walk
-    (and of :class:`~repro.cost.cardinality.PlanEstimator`) exactly.
-    """
-    size = clamp_cardinality(
-        context.cardinalities[first], f"relation {first}"
-    )
-    caps: dict[int, float] = {}
-    unplaced: dict[int, int] = {}
-    degree = context.degrees[first]
-    if degree:
-        caps[first] = size
-        unplaced[first] = degree
-    return PrefixState(1 << first, size, 0.0, caps, unplaced)
-
-
-def extend_state(
-    context: QueryContext, state: PrefixState, inner: int
-) -> PrefixState:
-    """``state`` with relation ``inner`` joined next.
-
-    One :meth:`~repro.cost.cardinality.PlanEstimator.step` on
-    ``context.adjacency``; a cap is never above its relation's
-    cardinality, so the table's folded-in cardinality changes no
-    operand and extension chains stay bitwise identical to
-    ``plan_cost``.  Raises
-    :class:`~repro.cost.cardinality.CostOverflowError` exactly where the
-    full walk's clamp would.
-    """
-    mask = state.mask
-    caps = state.caps.copy()
-    unplaced = state.unplaced.copy()
-    size = state.size
-    selectivity = 1.0
-    open_inner = 0
-    for neighbor, distinct, floor in context.adjacency[inner]:
-        if not (mask >> neighbor) & 1:
-            open_inner += 1
-            continue
-        cap = caps.get(neighbor)
-        if cap is not None and cap < distinct:
-            distinct = cap
-        selectivity *= 1.0 / (floor if floor > distinct else distinct)
-        count = unplaced.get(neighbor, 0) - 1
-        if count <= 0:
-            unplaced.pop(neighbor, None)
-            caps.pop(neighbor, None)
-        else:
-            unplaced[neighbor] = count
-
-    inner_size = context.cardinalities[inner]
-    result = size * inner_size * selectivity
-    if not (1.0 <= result <= MAX_CARDINALITY):
-        result = clamp_cardinality(result, f"joining relation {inner}")
-
-    if open_inner:
-        unplaced[inner] = open_inner
-        caps[inner] = inner_size if inner_size < result else result
-    for relation, cap in caps.items():
-        if cap > result:
-            caps[relation] = result
-
-    memory = context._memory_constants
-    if memory is not None:
-        build_cost, probe_cost, output_cost = memory
-        cost = state.cost + (
-            build_cost * inner_size
-            + probe_cost * size
-            + output_cost * result
-        )
-    else:
-        cost = state.cost + context.join_cost(size, inner_size, result)
-    return PrefixState(mask | (1 << inner), result, cost, caps, unplaced)
-

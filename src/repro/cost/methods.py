@@ -27,7 +27,7 @@ from typing import Sequence
 
 from repro.catalog.join_graph import JoinGraph
 from repro.cost.base import CostModel
-from repro.cost.cardinality import PlanEstimator
+from repro.cost.cardinality import QueryContext, start_state, step
 from repro.plans.join_order import JoinOrder
 from repro.utils.validation import check_positive
 
@@ -120,15 +120,14 @@ class MultiMethodCostModel(CostModel):
 
     def chosen_methods(self, order: JoinOrder, graph: JoinGraph) -> list[str]:
         """The winning method name for each join of ``order``."""
-        estimator = PlanEstimator(graph, order[0])
+        context = QueryContext(graph, self)
+        state = start_state(context, order[0])
         chosen: list[str] = []
         for position in range(1, len(order)):
-            step = estimator.step(order[position])
-            winner = min(
-                self.methods,
-                key=lambda m: m.join_cost(
-                    step.outer_size, step.inner_size, step.result_size
-                ),
-            )
+            inner = order[position]
+            outer_size = state.size
+            step(context, state, inner)
+            sizes = (outer_size, context.cardinalities[inner], state.size)
+            winner = min(self.methods, key=lambda m: m.join_cost(*sizes))
             chosen.append(winner.name)
         return chosen

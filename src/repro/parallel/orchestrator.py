@@ -136,12 +136,12 @@ def run_job(job: OptimizeJob) -> JobOutcome:
         # Simulate a hard worker crash: no exception, no cleanup, the
         # process is simply gone.  The parent sees BrokenProcessPool.
         os._exit(17)
-    from repro.core.optimizer import optimize
+    from repro.core.optimizer import _optimize
 
     budget = Budget(limit=job.limit) if job.limit is not None else None
     tracer = RecordingTracer() if job.trace else None
     try:
-        result = optimize(
+        result = _optimize(
             job.graph,
             method=job.method,
             model=job.model,
@@ -152,8 +152,12 @@ def run_job(job: OptimizeJob) -> JobOutcome:
             params=job.params,
             stop_at_bound=job.stop_at_bound,
             bound_tolerance=job.bound_tolerance,
-            record_floor=job.record_floor,
+            resilient=False,
+            max_retries=2,
+            workers=None,
+            restarts=None,
             trace=tracer,
+            record_floor=job.record_floor,
         )
     except BudgetExhausted as exc:
         if budget is not None:

@@ -90,20 +90,33 @@ class JoinTree:
 def build_join_tree(order: JoinOrder, graph: JoinGraph) -> JoinTree:
     """Materialise the outer-linear tree for ``order``.
 
-    Intermediate cardinalities come from the propagating estimator
-    (:class:`~repro.cost.cardinality.PlanEstimator`), matching exactly
-    what the cost models price.
+    Intermediate cardinalities come from the propagating estimator's
+    :func:`~repro.cost.cardinality.step`, matching exactly what the cost
+    models price.
     """
-    from repro.cost.cardinality import walk_plan
+    from repro.cost.cardinality import QueryContext, start_state, step
+    from repro.cost.memory import MainMemoryCostModel
 
-    nodes = tuple(
-        JoinTreeNode(
-            inner=step.inner,
-            predicates=step.predicates,
-            outer_cardinality=step.outer_size,
-            inner_cardinality=step.inner_size,
-            result_cardinality=step.result_size,
+    # Sizes do not depend on the cost model; any one compiles the table.
+    context = QueryContext(graph, MainMemoryCostModel())
+    state = start_state(context, order[0])
+    nodes: list[JoinTreeNode] = []
+    for position in range(1, len(order)):
+        inner = order[position]
+        placed = state.mask
+        outer_size = state.size
+        step(context, state, inner)
+        nodes.append(
+            JoinTreeNode(
+                inner=inner,
+                predicates=tuple([
+                    predicate
+                    for neighbor, predicate in graph.adjacency(inner).items()
+                    if (placed >> neighbor) & 1
+                ]),
+                outer_cardinality=outer_size,
+                inner_cardinality=context.cardinalities[inner],
+                result_cardinality=state.size,
+            )
         )
-        for step in walk_plan(order, graph)
-    )
-    return JoinTree(graph=graph, order=order, nodes=nodes)
+    return JoinTree(graph=graph, order=order, nodes=tuple(nodes))

@@ -35,6 +35,7 @@ from repro.catalog.join_graph import JoinGraph
 from repro.core.combinations import MethodParams, Strategy, make_strategy
 from repro.core.state import Evaluator
 from repro.cost.base import CostModel
+from repro.cost.cardinality import QueryContext, start_state, step
 from repro.plans.join_order import JoinOrder
 from repro.robustness.faults import InjectedFault
 from repro.utils.rng import derive_rng
@@ -166,16 +167,11 @@ class FaultyCostModel(CostModel):
 
     def plan_cost(self, order: JoinOrder, graph: JoinGraph) -> float:
         # No finite-cost guard here, by design (see class docstring).
-        from repro.cost.cardinality import PlanEstimator
-
-        estimator = PlanEstimator(graph, order[0])
-        total = 0.0
+        context = QueryContext(graph, self)
+        state = start_state(context, order[0])
         for position in range(1, len(order)):
-            step = estimator.step(order[position])
-            total += self.join_cost(
-                step.outer_size, step.inner_size, step.result_size
-            )
-        return total
+            step(context, state, order[position])
+        return state.cost
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.budget import Budget
+from repro import DEFAULT_SPEC, generate_query
+from repro.core.budget import Budget, WallClockBudget
 from repro.core.combinations import (
     PAPER_METHODS,
     TOP_FIVE_METHODS,
@@ -123,3 +124,53 @@ class TestEvaluatorIntegration:
         strategy.run(evaluator, derive_rng(0, "t"), MethodParams())
         assert evaluator.best is not None
         assert evaluator.n_evaluations > 0
+
+
+class TestIALWindowPick:
+    """IAL asks its budget whether a local-improvement pass fits."""
+
+    # (order, cost, units_spent, n_evaluations) of IAL on
+    # generate_query(DEFAULT_SPEC, 9, 3), seed 2.  At 8,000 units the
+    # window pick runs one (4, 3) pass, at 40,000 units one (5, 4) pass.
+    PINS = {
+        8000.0: (
+            (0, 1, 2, 3, 7, 4, 9, 5, 8, 6), 46715.71885881774, 8000.0, 885
+        ),
+        40000.0: (
+            (0, 1, 2, 3, 7, 4, 9, 5, 8, 6), 46715.71885881774, 40000.0, 4441
+        ),
+    }
+
+    @pytest.mark.parametrize("limit", sorted(PINS))
+    def test_unit_budgets_pinned(self, limit):
+        query = generate_query(DEFAULT_SPEC, 9, 3)
+        result = optimize(query, "IAL", budget=Budget(limit=limit), seed=2)
+        assert (
+            result.order.positions,
+            result.cost,
+            result.units_spent,
+            result.n_evaluations,
+        ) == self.PINS[limit]
+
+    def test_wall_clock_runs_no_pass(self, monkeypatch):
+        """A wall clock promises no work, however many seconds are left."""
+        import repro.core.combinations as combinations
+        from tests.faults import StallingClock
+
+        local_improve = combinations.local_improve
+        passes = []
+
+        def spy(*args, **kwargs):
+            passes.append(args[2:4])
+            return local_improve(*args, **kwargs)
+
+        monkeypatch.setattr(combinations, "local_improve", spy)
+        # The clock stands still until its 5,000th read, then jumps past
+        # the deadline: 600 s are left when IAL picks its window.
+        budget = WallClockBudget(
+            600.0, clock=StallingClock(jumps={5000: 1000.0})
+        )
+        query = generate_query(DEFAULT_SPEC, 5, 7)
+        result = optimize(query, "IAL", budget=budget, seed=2)
+        assert passes == []
+        assert is_valid_order(result.order, query.graph)

@@ -42,17 +42,18 @@ from repro.core.exact import (
 )
 from repro.core.iterative import default_patience
 from repro.core.optimizer import optimize
-from repro.cost.cardinality import CostOverflowError, walk_plan
-from repro.cost.disk import DiskCostModel
-from repro.cost.incremental import (
+from repro.cost.cardinality import (
+    CostOverflowError,
     QueryContext,
     extend_state,
     start_state,
 )
+from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
 from repro.obs import NULL_TRACER, RecordingTracer
 from repro.plans.join_order import JoinOrder
+from repro.plans.join_tree import build_join_tree
 from repro.plans.validity import first_invalid_position, valid_orders
 from repro.robustness import verify_plan
 from repro.utils.rng import derive_rng
@@ -217,8 +218,8 @@ def test_cross_product_free_on_connected_graphs():
         if not graph.is_connected:
             continue
         result = exact_optimum(graph, MainMemoryCostModel())
-        steps = walk_plan(result.order, graph)
-        assert not any(step.is_cross_product for step in steps)
+        nodes = build_join_tree(result.order, graph).nodes
+        assert not any(node.is_cross_product for node in nodes)
 
 
 def test_prefix_state_chain_matches_plan_cost_bitwise():

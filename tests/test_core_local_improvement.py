@@ -53,18 +53,18 @@ class TestPassCostEstimate:
 
 class TestBestStrategyForBudget:
     def test_rich_budget_gets_five_four(self):
-        assert best_strategy_for_budget(1e12, 30) == (5, 4)
+        assert best_strategy_for_budget(Budget(limit=1e12), 30) == (5, 4)
 
     def test_tiny_budget_gets_none(self):
-        assert best_strategy_for_budget(1.0, 30) is None
+        assert best_strategy_for_budget(Budget(limit=1.0), 30) is None
 
     def test_moderate_budget_gets_weaker_strategy(self):
         units = pass_cost_estimate(2, 1, 30) + 1
-        strategy = best_strategy_for_budget(units, 30)
+        strategy = best_strategy_for_budget(Budget(limit=units), 30)
         assert strategy in ((2, 1), (2, 0))
 
     def test_cluster_never_exceeds_relations(self):
-        strategy = best_strategy_for_budget(1e12, 3)
+        strategy = best_strategy_for_budget(Budget(limit=1e12), 3)
         assert strategy is not None
         assert strategy[0] <= 3
 

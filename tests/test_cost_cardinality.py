@@ -5,14 +5,9 @@ import pytest
 from repro.catalog.join_graph import JoinGraph
 from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
-from repro.cost.cardinality import (
-    PlanEstimator,
-    combined_selectivity,
-    join_result_cardinality,
-    prefix_cardinalities,
-    walk_plan,
-)
+from repro.cost.cardinality import combined_selectivity, prefix_cardinalities
 from repro.plans.join_order import JoinOrder
+from repro.plans.join_tree import build_join_tree
 
 from tests.conftest import chain_graph, make_relations
 
@@ -26,19 +21,6 @@ class TestStaticHelpers:
         assert combined_selectivity(predicates) == pytest.approx(
             (1 / 10) * (1 / 20)
         )
-
-    def test_join_result_cardinality(self):
-        predicate = JoinPredicate(0, 1, 100, 50)
-        assert join_result_cardinality(1000, 200, [predicate]) == pytest.approx(
-            1000 * 200 / 100
-        )
-
-    def test_join_result_clamped_at_one(self):
-        predicate = JoinPredicate(0, 1, 1000, 1000)
-        assert join_result_cardinality(2, 3, [predicate]) == 1.0
-
-    def test_cross_product_cardinality(self):
-        assert join_result_cardinality(10, 20, []) == 200.0
 
 
 class TestPrefixCardinalities:
@@ -109,23 +91,17 @@ class TestDistinctPropagation:
         sizes = prefix_cardinalities(JoinOrder([2, 1, 0]), graph)
         assert sizes[1] == pytest.approx(2000 * 1000 / 500)
 
-    def test_estimator_rejects_duplicate_step(self, chain):
-        estimator = PlanEstimator(chain, 0)
-        estimator.step(1)
-        with pytest.raises(ValueError, match="already placed"):
-            estimator.step(1)
-
     def test_walk_plan_matches_prefix_sizes(self, cycle):
         order = JoinOrder([0, 1, 2, 3])
-        steps = walk_plan(order, cycle)
+        nodes = build_join_tree(order, cycle).nodes
         sizes = prefix_cardinalities(order, cycle)
-        assert [step.result_size for step in steps] == sizes[1:]
+        assert [node.result_cardinality for node in nodes] == sizes[1:]
 
     def test_cycle_uses_all_predicates(self, cycle):
         order = JoinOrder([0, 1, 2, 3])
-        steps = walk_plan(order, cycle)
+        nodes = build_join_tree(order, cycle).nodes
         # Final join of the cycle closes two predicates (to 2 and to 0).
-        assert len(steps[-1].predicates) == 2
+        assert len(nodes[-1].predicates) == 2
 
 
 class TestOverflowGuards:

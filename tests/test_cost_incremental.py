@@ -29,13 +29,13 @@ from repro.core.moves import MoveSet
 from repro.core import state
 from repro.core.optimizer import optimize
 from repro.core.state import DeltaEvaluator, Evaluator
-from repro.cost.cardinality import MAX_CARDINALITY, CostOverflowError
-from repro.cost.disk import DiskCostModel
-from repro.cost.incremental import (
-    IncrementalEvaluator,
-    QueryContext,
-    supports_incremental,
+from repro.cost.cardinality import (
+    MAX_CARDINALITY,
+    CostOverflowError,
+    prefix_cardinalities,
 )
+from repro.cost.disk import DiskCostModel
+from repro.cost.incremental import IncrementalEvaluator, supports_incremental
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
 from repro.plans.join_order import JoinOrder
@@ -199,9 +199,9 @@ class TestDiskParityEdges:
                 third = cards[(a + b) % len(cards)]
                 graph = _chain_of([first, second, third], distinct)
                 for order in _assert_orders_match(graph, model):
-                    detail = model.plan_cost_detail(order, graph)
                     result_pages.update(
-                        model.pages(size) for size in detail.prefix_sizes
+                        model.pages(size)
+                        for size in prefix_cardinalities(order, graph)[1:]
                     )
                 passes.update(
                     model.partition_passes(model.pages(card))
@@ -229,7 +229,7 @@ class TestDiskParityEdges:
         sizes = {
             size
             for order in valid_orders(graph)
-            for size in model.plan_cost_detail(order, graph).prefix_sizes
+            for size in prefix_cardinalities(order, graph)[1:]
         }
         assert MAX_CARDINALITY in sizes
 
@@ -378,7 +378,7 @@ class TestEngineProtocol:
         static = StaticCostModel(MainMemoryCostModel())
         assert not supports_incremental(static)
         with pytest.raises(ValueError, match="overrides plan_cost"):
-            QueryContext(graph, static)
+            IncrementalEvaluator(graph, static)
         with pytest.raises(ValueError, match="overrides plan_cost"):
             DeltaEvaluator(graph, static, Budget.unlimited())
 

@@ -28,20 +28,6 @@ class TestMainMemoryModel:
         costs = {model.plan_cost(o, star) for o in valid_orders(star)}
         assert len(costs) > 1
 
-    def test_plan_cost_detail_sums_to_total(self, chain):
-        model = MainMemoryCostModel()
-        order = JoinOrder([0, 1, 2, 3, 4])
-        detail = model.plan_cost_detail(order, chain)
-        assert detail.total == pytest.approx(model.plan_cost(order, chain))
-        assert len(detail.join_costs) == chain.n_joins
-
-    def test_prefix_costs_cumulative(self, chain):
-        model = MainMemoryCostModel()
-        detail = model.plan_cost_detail(JoinOrder([0, 1, 2, 3, 4]), chain)
-        prefix = detail.prefix_costs
-        assert prefix[-1] == pytest.approx(detail.total)
-        assert all(a <= b for a, b in zip(prefix, prefix[1:]))
-
     def test_str_names_model(self):
         assert str(MainMemoryCostModel()) == "memory"
 

@@ -8,6 +8,7 @@ improvement.
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
@@ -18,15 +19,22 @@ from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
 from repro.core.augmentation import AugmentationCriterion, augment_order
 from repro.core.budget import Budget
+from repro.core.exact import exact_optimum
 from repro.core.kbz import kbz_orders
 from repro.core.local_improvement import local_improve
 from repro.core.moves import MoveSet
 from repro.core.state import Evaluation, Evaluator
-from repro.cost.cardinality import prefix_cardinalities
+from repro.cost.cardinality import (
+    QueryContext,
+    clamp_cardinality,
+    extend_state,
+    prefix_cardinalities,
+    start_state,
+)
 from repro.cost.disk import DiskCostModel
-from repro.cost.incremental import QueryContext, extend_state, start_state
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
+from repro.plans.join_order import JoinOrder
 from repro.plans.validity import is_valid_order, random_valid_order
 
 
@@ -119,6 +127,99 @@ def test_plan_costs_positive_under_both_models(graph_order):
     graph, order = graph_order
     assert MainMemoryCostModel().plan_cost(order, graph) > 0
     assert DiskCostModel().plan_cost(order, graph) > 0
+
+
+def _reference_walk(graph, order, model):
+    """Prefix sizes and plan cost recomputed from the predicates.
+
+    Reads ``graph.adjacency`` directly, never the compiled per-edge
+    table, so a wrong fold in that table cannot hide here.  A placed
+    neighbor's cap is its cardinality lowered by every intermediate size
+    since it was placed.
+    """
+    placed_at = {order[0]: 0}
+    sizes = [clamp_cardinality(graph.cardinality(order[0]))]
+    total = 0.0
+    for position in range(1, len(order)):
+        inner = order[position]
+        selectivity = 1.0
+        for neighbor, predicate in graph.adjacency(inner).items():
+            if neighbor not in placed_at:
+                continue
+            cap = min([graph.cardinality(neighbor)] + sizes[placed_at[neighbor]:])
+            selectivity *= 1.0 / max(
+                min(predicate.distinct_values(neighbor), cap),
+                predicate.distinct_values(inner),
+                1.0,
+            )
+        size = sizes[-1]
+        inner_size = graph.cardinality(inner)
+        result = clamp_cardinality(size * inner_size * selectivity)
+        total += model.join_cost(size, inner_size, result)
+        sizes.append(result)
+        placed_at[inner] = position
+    return sizes, total
+
+
+@given(graphs_with_orders(), st.integers(0, 2**16), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_recurrence_matches_predicate_reference(graph_order, seed, shuffle):
+    """``prefix_cardinalities`` and ``plan_cost`` equal, bit for bit, the
+    recurrence written out from the predicates, on valid orders and on
+    orders with cross products."""
+    graph, order = graph_order
+    if shuffle:
+        positions = list(order)
+        random.Random(seed).shuffle(positions)
+        order = JoinOrder(positions)
+    for model in (MainMemoryCostModel(), DiskCostModel()):
+        sizes, total = _reference_walk(graph, order, model)
+        assert prefix_cardinalities(order, graph) == sizes
+        assert model.plan_cost(order, graph) == total
+
+
+def _relabeled(graph, permutation):
+    """``graph`` with relation ``k`` renamed ``permutation[k]``."""
+    relations = [None] * graph.n_relations
+    for old, new in enumerate(permutation):
+        relations[new] = graph.relations[old]
+    predicates = [
+        JoinPredicate(
+            permutation[p.left], permutation[p.right],
+            p.left_distinct, p.right_distinct,
+        )
+        for p in graph.predicates
+    ]
+    return JoinGraph(relations, predicates)
+
+
+@given(
+    join_graphs(max_relations=9),
+    st.integers(0, 2**16),
+    st.sampled_from(["memory", "disk", "static-memory"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_optimum_invariant_under_relabeling(graph, seed, model_name):
+    """Renaming the relations leaves EXACT's optimum cost unchanged, up
+    to the reassociation of the selectivity product, and the relabeled
+    optimum maps back to an order that prices the same."""
+    model = {
+        "memory": MainMemoryCostModel(),
+        "disk": DiskCostModel(),
+        "static-memory": StaticCostModel(MainMemoryCostModel()),
+    }[model_name]
+    permutation = list(range(graph.n_relations))
+    random.Random(seed).shuffle(permutation)
+    relabeled = _relabeled(graph, permutation)
+    original = exact_optimum(graph, model)
+    renamed = exact_optimum(relabeled, model)
+    assert math.isclose(renamed.cost, original.cost, rel_tol=1e-12)
+    inverse = {new: old for old, new in enumerate(permutation)}
+    mapped = JoinOrder([inverse[vertex] for vertex in renamed.order])
+    assert is_valid_order(mapped, graph)
+    assert math.isclose(
+        model.plan_cost(mapped, graph), original.cost, rel_tol=1e-12
+    )
 
 
 def _state_fields(state):
