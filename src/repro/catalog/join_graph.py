@@ -48,6 +48,10 @@ class JoinGraph:
         if len(relations) == 0:
             raise ValueError("a join graph needs at least one relation")
         self._relations = tuple(relations)
+        # Relations are frozen, so each N_k is read once here.
+        self._cardinalities = tuple(
+            relation.cardinality for relation in self._relations
+        )
         self._validated = validate
         if validate:
             for index, relation in enumerate(self._relations):
@@ -146,7 +150,7 @@ class JoinGraph:
 
     def cardinality(self, index: int) -> float:
         """Effective cardinality ``N_k`` of relation ``index``."""
-        return self._relations[index].cardinality
+        return self._cardinalities[index]
 
     def neighbors(self, index: int) -> Iterator[int]:
         """Vertices joined to ``index`` by a predicate."""

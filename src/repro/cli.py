@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="relation ceiling for the exact pass; larger queries anchor "
-        "the gap to the hybrid (unproven) reference instead",
+        "the gap to the best plan the compared methods found",
     )
 
     cmd = sub.add_parser(
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="relation ceiling for the proven-exact pass; above it the "
-        "hybrid (unproven) reference anchors the gaps",
+        "best plan the compared methods found anchors the gaps",
     )
     cmd.add_argument(
         "--json",
@@ -418,26 +418,21 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _exact_reference(query, model, args: argparse.Namespace):
-    """The exact (or hybrid, beyond the ceiling) reference for gaps.
+    """The proven optimum for gaps, or None above ``--max-exact``.
 
-    Always computed in the parent process, so gap output inherits the
+    ``None`` makes the gap report anchor on the best plan found.  Always
+    computed in the parent process, so gap output inherits the
     comparison's workers-invariance byte for byte.
     """
-    from repro.core.exact import exact_optimum, hybrid_optimum
+    if query.graph.n_relations > args.max_exact:
+        return None
+    from repro.core.exact import exact_optimum
 
-    if query.graph.n_relations <= args.max_exact:
-        return exact_optimum(
-            query.graph,
-            model,
-            max_relations=args.max_exact,
-            seed=args.seed,
-        )
-    return hybrid_optimum(
+    return exact_optimum(
         query.graph,
         model,
-        max_exact=args.max_exact,
+        max_relations=args.max_exact,
         seed=args.seed,
-        time_factor=args.time_factor,
     )
 
 
@@ -465,20 +460,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(failure_log.summary(), file=sys.stderr)
     best = min(result.cost for result in results.values())
     ranked = sorted(results.items(), key=lambda kv: kv[1].cost)
-    if exact is None:
+    if not args.gap:
         column_labels = ["scaled", "evals"]
         values = [
             [result.cost / best, float(result.n_evaluations)]
             for _, result in ranked
         ]
     else:
-        from repro.core.exact import optimality_gap
+        from repro.core.exact import build_gap_report, optimality_gap
 
+        report = build_gap_report(query, model, results, exact)
         column_labels = ["scaled", "gap", "evals"]
         values = [
             [
                 result.cost / best,
-                optimality_gap(result.cost, exact.cost),
+                optimality_gap(result.cost, report.exact_cost),
                 float(result.n_evaluations),
             ]
             for _, result in ranked
@@ -492,9 +488,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             row_header="method",
         )
     )
-    if exact is not None:
-        anchor = "proven optimum" if exact.proven else f"best known ({exact.mode})"
-        print(f"exact anchor: {exact.cost:,.2f} ({anchor})")
+    if args.gap:
+        anchor = "proven optimum" if report.proven else f"best known ({report.mode})"
+        print(f"exact anchor: {report.exact_cost:,.2f} ({anchor})")
     return 0
 
 

@@ -47,18 +47,17 @@ sure to complete expands the same nodes from any incumbent (best-first
 on an admissible floor), so there they could only add work.
 Feasibility: exhaustive enumeration dies around 10 relations; the
 branch-and-bound is comfortable to N≈15–18 depending on graph shape (see
-``docs/exact.md`` and ``benchmarks/test_perf_exact.py``).  Beyond the
-frontier, :func:`hybrid_optimum` contracts the graph to a small cluster
-skeleton, solves the skeleton and the cluster interiors exactly,
-expands, and polishes with the existing II machinery — a
-certified-*construction* (not certified-optimal) mode, reported with
-``proven=False``.
+``docs/exact.md`` and ``benchmarks/test_perf_exact.py``).  Beyond
+:data:`DEFAULT_MAX_EXACT` relations the EXACT method runs iterative
+improvement instead.
 
 The optimality-gap surface (:func:`optimality_gap`,
 :func:`build_gap_report`, :func:`gap_report_json`) turns any
 ``compare_methods`` result mapping into *true cost / exact optimum*
-ratios with a byte-stable JSON rendering; the CLI's ``repro gap`` and
-``repro compare --gap`` are thin wrappers over it.
+ratios with a byte-stable JSON rendering; without an exact result it
+anchors on the best plan the compared methods found (the paper's §6.1
+scaling).  The CLI's ``repro gap`` and ``repro compare --gap`` are thin
+wrappers over it.
 """
 
 from __future__ import annotations
@@ -71,22 +70,21 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.catalog.join_graph import JoinGraph, Query
-from repro.catalog.predicates import JoinPredicate
-from repro.catalog.relation import Relation
-from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
-from repro.core.combinations import MethodParams, Strategy
+from repro.core.budget import Budget, BudgetExhausted
+from repro.core.combinations import (
+    IterativeImprovementStrategy,
+    MethodParams,
+    Strategy,
+)
 from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
-from repro.core.optimizer import postpone_cross_products
 from repro.core.state import Evaluation, Evaluator, make_evaluator
 from repro.cost.base import CostModel
 from repro.cost.bounds import lower_bound
 from repro.cost.cardinality import (
-    MAX_CARDINALITY,
     CostOverflowError,
     PrefixState,
     QueryContext,
-    combined_selectivity,
     extend_state,
     start_state,
 )
@@ -96,11 +94,7 @@ from repro.cost.static import StaticCostModel
 from repro.obs import events as obs_events
 from repro.obs.tracer import Tracer, as_tracer
 from repro.plans.join_order import JoinOrder
-from repro.plans.validity import (
-    deterministic_fallback_order,
-    first_invalid_position,
-    random_valid_order,
-)
+from repro.plans.validity import deterministic_fallback_order
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -110,14 +104,13 @@ __all__ = [
     "GapReport",
     "GapRow",
     "build_gap_report",
-    "exact_feasible",
     "exact_optimum",
     "gap_report_json",
-    "hybrid_optimum",
     "optimality_gap",
 ]
 
-#: Relation-count ceiling for the pure branch-and-bound entry point.
+#: Relation-count ceiling for the branch-and-bound entry point, and the
+#: size above which the EXACT method runs iterative improvement instead.
 #: Chosen from the feasibility measurements in BENCH_exact.json: chains
 #: and stars stay sub-second well past this, dense cyclic graphs start
 #: to strain around it.
@@ -127,29 +120,20 @@ DEFAULT_MAX_EXACT = 16
 #: the same unit every other method's accounting is denominated in.
 _EXTEND_CHARGE = 1.0
 
-_MODE_BNB = "branch-and-bound"
-_MODE_HYBRID = "hybrid"
-
-#: Restart cap for the hybrid polish phase — the budget is the real
-#: governor; this only keeps an unlimited budget from looping forever.
-_MAX_POLISH_RESTARTS = 256
-
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of an exact (or hybrid) optimization pass.
+    """Outcome of an exact optimization pass.
 
     ``proven`` distinguishes a certificate of optimality (the search ran
     to completion) from a best-effort answer (budget expired with
-    ``allow_partial``, or hybrid mode, which never proves anything about
-    the full graph).  ``cost`` is always the true ``plan_cost`` of
+    ``allow_partial``).  ``cost`` is always the true ``plan_cost`` of
     ``order`` under the model searched — bitwise.
     """
 
     order: JoinOrder
     cost: float
     proven: bool
-    mode: str
     n_relations: int
     nodes_expanded: int
     nodes_pruned_bound: int
@@ -250,38 +234,6 @@ class _SearchStats:
     incumbent_updates: int = 0
     n_cost_evaluations: int = 0
     overflowed: int = 0
-
-    def add(self, result: ExactResult) -> None:
-        """Count a hybrid sub-solve's search into these totals."""
-        self.nodes_expanded += result.nodes_expanded
-        self.pruned_bound += result.nodes_pruned_bound
-        self.pruned_dominated += result.nodes_pruned_dominated
-        self.incumbent_updates += result.incumbent_updates
-        self.n_cost_evaluations += result.n_cost_evaluations
-
-    def hybrid_result(
-        self,
-        order: JoinOrder,
-        cost: float,
-        graph: JoinGraph,
-        model: CostModel,
-        units_spent: float,
-    ) -> ExactResult:
-        """A hybrid answer over ``graph``, carrying these totals."""
-        return ExactResult(
-            order=order,
-            cost=cost,
-            proven=False,
-            mode=_MODE_HYBRID,
-            n_relations=graph.n_relations,
-            nodes_expanded=self.nodes_expanded,
-            nodes_pruned_bound=self.pruned_bound,
-            nodes_pruned_dominated=self.pruned_dominated,
-            incumbent_updates=self.incumbent_updates,
-            n_cost_evaluations=self.n_cost_evaluations,
-            units_spent=units_spent,
-            lower_bound=lower_bound(graph, model),
-        )
 
 
 def _search_worst_case(n: int) -> int:
@@ -513,13 +465,6 @@ def _flush_trace(tracer: Tracer, sink: str | None) -> None:
     write_trace(getattr(tracer, "events", []), sink)
 
 
-def exact_feasible(
-    graph: JoinGraph, max_relations: int = DEFAULT_MAX_EXACT
-) -> bool:
-    """Whether the pure branch-and-bound is admissible for this graph."""
-    return graph.n_relations <= max_relations
-
-
 def exact_optimum(
     query: Query | JoinGraph,
     model: CostModel | None = None,
@@ -539,8 +484,8 @@ def exact_optimum(
     case the best incumbent found so far is returned with
     ``proven=False`` (still raising when not even one order completed).
     ``max_relations`` guards against accidentally launching an
-    exponential search — raise it explicitly, or use
-    :func:`hybrid_optimum` past the feasibility frontier.
+    exponential search — raise it explicitly past the feasibility
+    frontier.
     """
     graph = query.graph if isinstance(query, Query) else query
     if model is None:
@@ -549,7 +494,7 @@ def exact_optimum(
     if n > max_relations:
         raise ValueError(
             f"exact search over {n} relations exceeds max_relations="
-            f"{max_relations}; raise it explicitly or use hybrid_optimum"
+            f"{max_relations}; raise it explicitly"
         )
     engine = _engine_for(graph, model)
     tracer, sink = as_tracer(trace)
@@ -567,7 +512,6 @@ def exact_optimum(
             order=JoinOrder([0]),
             cost=0.0,
             proven=True,
-            mode=_MODE_BNB,
             n_relations=1,
             nodes_expanded=0,
             nodes_pruned_bound=0,
@@ -619,7 +563,6 @@ def exact_optimum(
         order=JoinOrder(best_order),
         cost=best_cost,
         proven=proven,
-        mode=_MODE_BNB,
         n_relations=n,
         nodes_expanded=stats.nodes_expanded,
         nodes_pruned_bound=stats.pruned_bound,
@@ -628,325 +571,6 @@ def exact_optimum(
         n_cost_evaluations=stats.n_cost_evaluations,
         units_spent=budget.spent,
         lower_bound=bound,
-    )
-
-
-# ----------------------------------------------------------------------
-# Hybrid mode: contract, solve exactly, expand, polish
-# ----------------------------------------------------------------------
-
-
-def _contract_clusters(
-    graph: JoinGraph, max_clusters: int, cluster_cap: int
-) -> list[list[int]]:
-    """Partition vertices into ≤ ``max_clusters`` connected clusters.
-
-    Greedy edge contraction: repeatedly merge the adjacent cluster pair
-    whose estimated join size (static, independence) is smallest — the
-    most tightly joined pair, whose relative order the skeleton solve
-    would get least wrong.  Deterministic tie-breaks on cluster indices;
-    ``cluster_cap`` bounds cluster size so the interiors stay exactly
-    solvable (relaxed, doubling, when it wedges the contraction).
-    """
-    n = graph.n_relations
-    clusters: dict[int, list[int]] = {v: [v] for v in range(n)}
-    sizes: dict[int, float] = {
-        v: float(graph.cardinality(v)) for v in range(n)
-    }
-    selectivities: dict[tuple[int, int], float] = {}
-    for predicate in graph.predicates:
-        a, b = predicate.left, predicate.right
-        key = (a, b) if a < b else (b, a)
-        selectivities[key] = (
-            selectivities.get(key, 1.0) * predicate.selectivity
-        )
-    cap = cluster_cap
-    while len(clusters) > max_clusters and selectivities:
-        best: tuple[float, int, int] | None = None
-        for (a, b), joint in selectivities.items():
-            if len(clusters[a]) + len(clusters[b]) > cap:
-                continue
-            estimate = sizes[a] * sizes[b] * joint
-            if not math.isfinite(estimate):
-                estimate = MAX_CARDINALITY
-            candidate = (estimate, a, b)
-            if best is None or candidate < best:
-                best = candidate
-        if best is None:
-            # Every adjacent pair exceeds the cap: relax it so the
-            # contraction always terminates (oversized interiors fall
-            # back to greedy ordering downstream).
-            cap *= 2
-            continue
-        _, a, b = best
-        clusters[a].extend(clusters[b])
-        clusters[a].sort()
-        merged_size = sizes[a] * sizes[b] * selectivities.pop((a, b))
-        sizes[a] = min(max(merged_size, 1.0), MAX_CARDINALITY)
-        del clusters[b]
-        del sizes[b]
-        for key in sorted(selectivities):
-            if b not in key:
-                continue
-            other = key[0] if key[1] == b else key[1]
-            joint = selectivities.pop(key)
-            if other == a:
-                continue
-            new_key = (a, other) if a < other else (other, a)
-            selectivities[new_key] = (
-                selectivities.get(new_key, 1.0) * joint
-            )
-    return [clusters[root] for root in sorted(clusters)]
-
-
-def _contracted_graph(
-    graph: JoinGraph, clusters: list[list[int]]
-) -> JoinGraph:
-    """A join graph whose relations are the clusters.
-
-    Cluster cardinalities are static size estimates of their interior
-    joins; inter-cluster selectivities are the products of the crossing
-    predicates', encoded as symmetric distinct counts ``1/s``.  Built
-    with ``validate=False``: these are derived quantities, not catalog
-    statistics, and may legitimately violate the catalog sanity checks.
-    """
-    cluster_of: dict[int, int] = {}
-    for index, members in enumerate(clusters):
-        for vertex in members:
-            cluster_of[vertex] = index
-    sizes: list[float] = []
-    for members in clusters:
-        size = float(graph.cardinality(members[0]))
-        placed = [members[0]]
-        for vertex in members[1:]:
-            predicates = graph.edges_between(placed, vertex)
-            size = size * graph.cardinality(vertex) * combined_selectivity(
-                predicates
-            )
-            placed.append(vertex)
-        sizes.append(min(max(size, 1.0), 1e15))
-    relations = [
-        Relation(f"cluster{index}", max(1, int(size)))
-        for index, size in enumerate(sizes)
-    ]
-    crossing: dict[tuple[int, int], float] = {}
-    for predicate in graph.predicates:
-        a = cluster_of[predicate.left]
-        b = cluster_of[predicate.right]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        crossing[key] = crossing.get(key, 1.0) * predicate.selectivity
-    predicates = []
-    for (a, b) in sorted(crossing):
-        distinct = max(1.0, 1.0 / crossing[(a, b)])
-        predicates.append(JoinPredicate(a, b, distinct, distinct))
-    return JoinGraph(relations, predicates, validate=False)
-
-
-def _expand_skeleton(
-    graph: JoinGraph,
-    clusters: list[list[int]],
-    skeleton_order: tuple[int, ...],
-    local_orders: list[tuple[int, ...]],
-) -> JoinOrder:
-    """Interleave cluster-local orders along the skeleton order.
-
-    Clusters are visited in skeleton order; within the active cluster,
-    the next relation is the lowest-local-rank member adjacent to what
-    is already placed (always exists: clusters are edge-connected and,
-    after the first, the skeleton guarantees a crossing edge), so the
-    result is a valid order by construction.
-    """
-    placed: list[int] = []
-    placed_set: set[int] = set()
-    for cluster_index in skeleton_order:
-        local = local_orders[cluster_index]
-        rank = {vertex: position for position, vertex in enumerate(local)}
-        remaining = list(local)
-        while remaining:
-            if not placed:
-                pick = remaining[0]
-            else:
-                frontier = [
-                    vertex
-                    for vertex in remaining
-                    if any(u in placed_set for u in graph.neighbors(vertex))
-                ]
-                pool = frontier if frontier else remaining
-                pick = min(pool, key=lambda vertex: (rank[vertex], vertex))
-            placed.append(pick)
-            placed_set.add(pick)
-            remaining.remove(pick)
-    return JoinOrder(placed)
-
-
-def hybrid_optimum(
-    query: Query | JoinGraph,
-    model: CostModel | None = None,
-    *,
-    budget: Budget | None = None,
-    max_exact: int = DEFAULT_MAX_EXACT,
-    seed: int = 0,
-    time_factor: float = 3.0,
-    units_per_n2: float = DEFAULT_UNITS_PER_N2,
-    trace: Tracer | str | None = None,
-) -> ExactResult:
-    """Exact where feasible, contracted-skeleton + polish beyond.
-
-    At or below ``max_exact`` relations this *is* :func:`exact_optimum`.
-    Beyond it, the graph is contracted to ``max_exact`` clusters of at
-    most ``max_exact`` relations each, the cluster skeleton and each
-    cluster interior are solved exactly, the orders are interleaved into
-    a full valid order, and a budgeted iterative-improvement descent
-    polishes it — ``proven`` is then always False.  A disconnected graph
-    goes through :func:`~repro.core.optimizer.postpone_cross_products`,
-    each component recursing here on its share of the budget.
-    """
-    graph = query.graph if isinstance(query, Query) else query
-    if model is None:
-        model = MainMemoryCostModel()
-    n = graph.n_relations
-    tracer, sink = as_tracer(trace)
-    if budget is None:
-        budget = Budget.for_query(
-            max(1, graph.n_joins), time_factor, units_per_n2
-        )
-    if sink is not None:
-        tracer.bind_clock(budget)
-    if n <= max_exact:
-        result = exact_optimum(
-            graph,
-            model,
-            budget=budget,
-            max_relations=max_exact,
-            seed=seed,
-            allow_partial=True,
-            trace=tracer,
-        )
-        _flush_trace(tracer, sink)
-        return result
-
-    if not graph.is_connected:
-        totals = _SearchStats()
-
-        def solve(
-            component: tuple[int, ...], subgraph: JoinGraph, share: Budget
-        ) -> JoinOrder:
-            piece = hybrid_optimum(
-                subgraph,
-                model,
-                budget=share,
-                max_exact=max_exact,
-                seed=seed,
-                trace=tracer,
-            )
-            totals.add(piece)
-            return piece.order
-
-        order = postpone_cross_products(graph, budget, solve)
-        cost = model.plan_cost(order, graph)
-        _flush_trace(tracer, sink)
-        return totals.hybrid_result(order, cost, graph, model, budget.spent)
-
-    if tracer.enabled:
-        tracer.phase_start("hybrid_contract")
-    clusters = _contract_clusters(graph, max_exact, max_exact)
-    contracted = _contracted_graph(graph, clusters)
-    if tracer.enabled:
-        tracer.phase_end("hybrid_contract")
-
-    totals = _SearchStats()
-
-    def _exact_order(target: JoinGraph, fraction: float) -> tuple[int, ...]:
-        share = budget.share(fraction, 1)
-        try:
-            result = exact_optimum(
-                target,
-                model,
-                budget=share,
-                max_relations=target.n_relations,
-                seed=seed,
-                allow_partial=True,
-                trace=tracer,
-            )
-        # boundary: a starved or overflowing sub-solve falls back to the
-        # greedy order — hybrid mode promises a valid construction, not
-        # a certificate (proven=False either way).
-        except (BudgetExhausted, CostOverflowError, OverflowError):
-            return deterministic_fallback_order(target).positions
-        finally:
-            budget.spent = min(budget.limit, budget.spent + share.spent)
-        totals.add(result)
-        return result.order.positions
-
-    skeleton_order = _exact_order(contracted, 0.3)
-    local_orders: list[tuple[int, ...]] = []
-    interior = sum(len(members) for members in clusters if len(members) > 1)
-    for members in clusters:
-        if len(members) == 1:
-            local_orders.append((members[0],))
-            continue
-        subgraph = graph.subgraph(members)
-        if subgraph.n_relations > max_exact or not subgraph.is_connected:
-            local = deterministic_fallback_order(subgraph).positions
-        else:
-            local = _exact_order(
-                subgraph, 0.4 * len(members) / max(1, interior)
-            )
-        local_orders.append(
-            tuple(members[position] for position in local)
-        )
-    start = _expand_skeleton(graph, clusters, skeleton_order, local_orders)
-    invalid = first_invalid_position(start, graph)
-    if invalid is not None:
-        raise RuntimeError(
-            f"hybrid expansion produced an invalid order at position "
-            f"{invalid}: {start}"
-        )
-
-    evaluator = make_evaluator(graph, model, budget)
-    evaluator.tracer = tracer
-    if tracer.enabled:
-        tracer.phase_start("hybrid_polish")
-    rng = derive_rng(seed, "exact", "hybrid-polish", n)
-    try:
-        start_cost = evaluator.evaluate(start)
-        improvement_run(
-            start, evaluator, MoveSet(), rng, start_cost=start_cost
-        )
-        # Spend whatever budget remains on II restarts (bounded, so an
-        # unlimited budget cannot spin forever).  A unit budget stops
-        # short of a restart it cannot finish; a wall clock runs them
-        # until its deadline.
-        for _ in range(_MAX_POLISH_RESTARTS):
-            if (
-                math.isfinite(budget.limit)
-                and budget.remaining < 2.0 * graph.n_joins
-            ):
-                break
-            improvement_run(
-                random_valid_order(graph, rng), evaluator, MoveSet(), rng
-            )
-    # boundary: polish is strictly opportunistic; the expanded order is
-    # already a complete valid answer.
-    except (BudgetExhausted, CostOverflowError, OverflowError):
-        pass
-    if tracer.enabled:
-        tracer.phase_end("hybrid_polish")
-    best = evaluator.best
-    if best is None:
-        # Budget died before even the start order was priced.
-        best = Evaluation(start, model.plan_cost(start, graph))
-    totals.n_cost_evaluations += int(
-        getattr(
-            evaluator, "n_joins_evaluated",
-            evaluator.n_evaluations * graph.n_joins,
-        )
-    )
-    _flush_trace(tracer, sink)
-    return totals.hybrid_result(
-        best.order, best.cost, graph, model, budget.spent
     )
 
 
@@ -982,8 +606,9 @@ class GapRow:
 class GapReport:
     """A method comparison anchored to the exact optimum.
 
-    ``proven`` is the exact pass's flag: when False (partial budget or
-    hybrid mode) the "gaps" are ratios to the best *known* cost, and
+    ``proven`` is the exact pass's flag.  When False (a partial budget,
+    or ``mode="best-found"``: no exact pass, the anchor is the cheapest
+    compared plan) the "gaps" are ratios to the best *known* cost, and
     may understate the true distance to optimal (never overstate a
     method: the reference can only be too high).
     """
@@ -1006,40 +631,55 @@ def build_gap_report(
     query: Query | JoinGraph,
     model: CostModel,
     results: Mapping[str, Any],
-    exact: ExactResult,
+    exact: ExactResult | None = None,
 ) -> GapReport:
     """Anchor a ``compare_methods`` result mapping to an exact result.
 
-    Rows are sorted by (cost, method) — deterministic, and identical for
-    any ``workers`` count because both inputs are (the comparison is
-    bit-identical across worker counts and the exact pass runs in the
-    parent process).
+    Without one, the anchor is the cheapest result (ties broken by
+    method name), reported with ``proven=False`` and
+    ``mode="best-found"``.  Rows are sorted by (cost, method) —
+    deterministic, and identical for any ``workers`` count because both
+    inputs are (the comparison is bit-identical across worker counts and
+    the exact pass runs in the parent process).
     """
     graph = query.graph if isinstance(query, Query) else query
     name = query.name if isinstance(query, Query) else "adhoc"
-    rows = [
+    ranked = sorted(results.items(), key=lambda item: (item[1].cost, item[0]))
+    if exact is None:
+        best = ranked[0][1]
+        anchor_cost, anchor_order = best.cost, best.order.positions
+        proven, mode, counters = False, "best-found", (0, 0, 0, 0)
+    else:
+        anchor_cost, anchor_order = exact.cost, exact.order.positions
+        proven, mode = exact.proven, "branch-and-bound"
+        counters = (
+            exact.nodes_expanded,
+            exact.nodes_pruned_bound,
+            exact.nodes_pruned_dominated,
+            exact.incumbent_updates,
+        )
+    rows = tuple(
         GapRow(
             method=method,
             cost=result.cost,
-            gap=optimality_gap(result.cost, exact.cost),
+            gap=optimality_gap(result.cost, anchor_cost),
             n_evaluations=result.n_evaluations,
         )
-        for method, result in results.items()
-    ]
-    rows.sort(key=lambda row: (row.cost, row.method))
+        for method, result in ranked
+    )
     return GapReport(
         query=name,
         n_relations=graph.n_relations,
         model=model.name,
-        exact_cost=exact.cost,
-        exact_order=exact.order.positions,
-        proven=exact.proven,
-        mode=exact.mode,
-        nodes_expanded=exact.nodes_expanded,
-        nodes_pruned_bound=exact.nodes_pruned_bound,
-        nodes_pruned_dominated=exact.nodes_pruned_dominated,
-        incumbent_updates=exact.incumbent_updates,
-        rows=tuple(rows),
+        exact_cost=anchor_cost,
+        exact_order=anchor_order,
+        proven=proven,
+        mode=mode,
+        nodes_expanded=counters[0],
+        nodes_pruned_bound=counters[1],
+        nodes_pruned_dominated=counters[2],
+        incumbent_updates=counters[3],
+        rows=rows,
     )
 
 
@@ -1084,14 +724,13 @@ class ExactStrategy(Strategy):
     back (:meth:`~repro.core.budget.Budget.hold_back`) by what pricing
     the answer through the evaluator costs: that records it into the
     best/trajectory bookkeeping every other method uses.  Beyond
-    :data:`DEFAULT_MAX_EXACT` relations it transparently degrades to
-    :func:`hybrid_optimum`.
+    :data:`DEFAULT_MAX_EXACT` relations it runs iterative improvement
+    (II) on the same evaluator and random stream instead.
     """
 
     name = "EXACT"
-    description = "exact branch-and-bound (hybrid contraction at large N)"
+    description = "exact branch-and-bound (II above 16 relations)"
     stochastic = False
-    max_exact = DEFAULT_MAX_EXACT
 
     def run(
         self,
@@ -1100,26 +739,19 @@ class ExactStrategy(Strategy):
         params: MethodParams,
     ) -> None:
         graph = evaluator.graph
+        if graph.n_relations > DEFAULT_MAX_EXACT:
+            IterativeImprovementStrategy().run(evaluator, rng, params)
+            return
         budget = evaluator.budget
         sub = budget.hold_back(float(max(1, graph.n_joins)))
         try:
-            if graph.n_relations <= self.max_exact:
-                result = exact_optimum(
-                    graph,
-                    evaluator.model,
-                    budget=sub,
-                    max_relations=self.max_exact,
-                    allow_partial=True,
-                    trace=evaluator.tracer,
-                )
-            else:
-                result = hybrid_optimum(
-                    graph,
-                    evaluator.model,
-                    budget=sub,
-                    max_exact=self.max_exact,
-                    trace=evaluator.tracer,
-                )
+            result = exact_optimum(
+                graph,
+                evaluator.model,
+                budget=sub,
+                allow_partial=True,
+                trace=evaluator.tracer,
+            )
         finally:
             budget.spent = min(budget.limit, budget.spent + sub.spent)
         evaluator.evaluate(result.order)

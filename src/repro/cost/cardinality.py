@@ -110,9 +110,7 @@ class QueryContext:
         self.model = model
         n = graph.n_relations
         self.n_relations = n
-        self.cardinalities = [
-            relation.cardinality for relation in graph.relations
-        ]
+        self.cardinalities = [graph.cardinality(i) for i in range(n)]
         self.adjacency: list[tuple[tuple[int, float, float], ...]] = []
         self.degrees: list[int] = []
         for relation in range(n):

@@ -39,7 +39,7 @@ CASES: dict[str, list[str]] = {
         "optimize", "--joins", "8", "--seed", "5", "--method", "EXACT",
         "--explain",
     ],
-    "optimize-j20-s2-exact-hybrid": [
+    "optimize-j20-s2-exact-large": [
         "optimize", "--joins", "20", "--seed", "2", "--method", "EXACT",
     ],
     "optimize-j10-s7-resilient": [
@@ -59,6 +59,11 @@ CASES: dict[str, list[str]] = {
     "gap-j8-s7": [
         "gap", "--joins", "8", "--seed", "7", "--time-factor", "1",
         "--methods", "II", "AGI",
+    ],
+    # Above --max-exact: the gaps anchor on the best plan found.
+    "gap-j8-s7-max-exact-4": [
+        "gap", "--joins", "8", "--seed", "7", "--time-factor", "1",
+        "--methods", "II", "AGI", "--max-exact", "4",
     ],
     # Above 21 relations, where swaps draw as ``random.sample``'s set
     # branch does.

@@ -2,10 +2,10 @@
 
 ``postpone_cross_products`` splits a disconnected graph, solves each
 component on a share of the budget proportional to its ``N^2`` and
-concatenates the component orders smallest result first.  ``optimize``,
-the resilient chain and hybrid EXACT all go through it, so a wall clock
-works on a disconnected graph for every method, and unit-budget results
-keep the values pinned below.
+concatenates the component orders smallest result first.  ``optimize``
+and the resilient chain both go through it, so a wall clock works on a
+disconnected graph for every method, and unit-budget results keep the
+values pinned below.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ and gap reports are byte-identical across worker counts.
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,8 @@ from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
 from repro.core.budget import Budget, BudgetExhausted, WallClockBudget
 from repro.core.combinations import (
+    IterativeImprovementStrategy,
+    MethodParams,
     Strategy,
     compare_methods,
     make_strategy,
@@ -34,14 +37,13 @@ from repro.core.exact import (
     _SearchStats,
     _seed_incumbent,
     build_gap_report,
-    exact_feasible,
     exact_optimum,
     gap_report_json,
-    hybrid_optimum,
     optimality_gap,
 )
 from repro.core.iterative import default_patience
 from repro.core.optimizer import optimize
+from repro.core.state import make_evaluator
 from repro.cost.cardinality import (
     CostOverflowError,
     QueryContext,
@@ -246,8 +248,6 @@ def test_single_relation_and_max_relations_guard():
     big = generate_query(DEFAULT_SPEC, 20, 0).graph
     with pytest.raises(ValueError, match="max_relations"):
         exact_optimum(big, MainMemoryCostModel())
-    assert not exact_feasible(big)
-    assert exact_feasible(big, max_relations=big.n_relations)
 
 
 # ----------------------------------------------------------------------
@@ -594,11 +594,23 @@ def test_exact_in_compare_methods():
     assert results["II"].cost >= results["EXACT"].cost
 
 
-def test_exact_strategy_degrades_to_hybrid_at_large_n():
-    query = generate_query(DEFAULT_SPEC, DEFAULT_MAX_EXACT + 5, 1)
-    result = optimize(query, method="EXACT", model=MainMemoryCostModel())
-    assert first_invalid_position(result.order, query.graph) is None
-    assert math.isfinite(result.cost)
+def test_exact_strategy_runs_ii_above_the_frontier():
+    """Above DEFAULT_MAX_EXACT relations EXACT is II, draw for draw."""
+    graph = generate_query(DEFAULT_SPEC, DEFAULT_MAX_EXACT + 5, 1).graph
+    model = MainMemoryCostModel()
+    runs = []
+    for strategy in (ExactStrategy(), IterativeImprovementStrategy()):
+        evaluator = make_evaluator(
+            graph, model, Budget.for_query(graph.n_joins, 1.0)
+        )
+        strategy.run(evaluator, random.Random(3), MethodParams())
+        runs.append(evaluator)
+    exact, ii = runs
+    assert exact.best == ii.best
+    assert exact.trajectory == ii.trajectory
+    assert exact.n_evaluations == ii.n_evaluations
+    assert exact.budget.spent == ii.budget.spent
+    assert first_invalid_position(exact.best.order, graph) is None
 
 
 # ----------------------------------------------------------------------
@@ -679,6 +691,14 @@ def test_gap_report_rows_ranked_and_anchored():
     for row in report.rows:
         assert row.gap == optimality_gap(row.cost, exact.cost)
         assert row.gap >= 1.0
+    # Without an exact result the cheapest row, ties by method, anchors.
+    best_found = build_gap_report(query, model, results)
+    anchor = best_found.rows[0]
+    assert (best_found.proven, best_found.mode) == (False, "best-found")
+    assert best_found.exact_cost == anchor.cost
+    assert best_found.exact_order == results[anchor.method].order.positions
+    assert anchor.gap == 1.0
+    assert all(row.gap >= 1.0 for row in best_found.rows)
 
 
 def test_optimality_gap_edge_cases():
@@ -709,84 +729,13 @@ def test_dp_recost_upper_bounds_exact_propagating_optimum(model):
 
 
 # ----------------------------------------------------------------------
-# Hybrid mode
+# Above the frontier
 # ----------------------------------------------------------------------
 
 
-def test_hybrid_below_frontier_is_exact():
-    graph = generate_query(DEFAULT_SPEC, 7, 1).graph
-    hybrid = hybrid_optimum(graph, MainMemoryCostModel())
-    exact = exact_optimum(graph, MainMemoryCostModel())
-    assert hybrid.cost == exact.cost
-    assert hybrid.mode == "branch-and-bound"
-
-
-def test_hybrid_large_n_valid_and_deterministic():
-    graph = generate_query(DEFAULT_SPEC, 23, 5).graph
-    first = hybrid_optimum(graph, MainMemoryCostModel(), max_exact=8)
-    second = hybrid_optimum(graph, MainMemoryCostModel(), max_exact=8)
-    assert first.order == second.order
-    assert first.cost == second.cost
-    assert not first.proven
-    assert first.mode == "hybrid"
-    assert first_invalid_position(first.order, graph) is None
-    assert first.cost == MainMemoryCostModel().plan_cost(first.order, graph)
-
-
-def _hybrid_disconnected_graph() -> JoinGraph:
-    pieces = [generate_query(DEFAULT_SPEC, 10, s).graph for s in (0, 1)]
-    relations = []
-    predicates = []
-    offset = 0
-    for piece in pieces:
-        relations.extend(
-            Relation(f"C{offset + i}", int(piece.cardinality(i)))
-            for i in range(piece.n_relations)
-        )
-        for predicate in piece.predicates:
-            predicates.append(
-                JoinPredicate(
-                    predicate.left + offset,
-                    predicate.right + offset,
-                    predicate.left_distinct,
-                    predicate.right_distinct,
-                )
-            )
-        offset += piece.n_relations
-    return JoinGraph(relations, predicates)
-
-
-def test_hybrid_disconnected_large_graph():
-    graph = _hybrid_disconnected_graph()
-    assert not graph.is_connected
-    result = hybrid_optimum(graph, MainMemoryCostModel(), max_exact=8)
-    assert first_invalid_position(result.order, graph) is None
-    assert not result.proven
-    assert result.cost == MainMemoryCostModel().plan_cost(result.order, graph)
-
-
-def test_hybrid_disconnected_result_is_pinned():
-    """Hybrid's disconnected answer and effort, pinned: the shared
-    cross-product path must not move them."""
-    result = hybrid_optimum(
-        _hybrid_disconnected_graph(), MainMemoryCostModel(), max_exact=8
-    )
-    assert result.order.positions == (
-        1, 0, 5, 2, 7, 4, 3, 8, 6, 9, 10,
-        12, 13, 15, 16, 11, 21, 14, 18, 20, 19, 17,
-    )
-    assert result.cost == 5716913046567309.0
-    assert result.units_spent == 29767.5
-    assert (
-        result.nodes_expanded, result.nodes_pruned_bound,
-        result.nodes_pruned_dominated, result.incumbent_updates,
-        result.n_cost_evaluations,
-    ) == (371, 53, 466, 5, 20130)
-
-
-def test_hybrid_searches_and_polishes_to_a_wall_clock_deadline():
-    """Each exact sub-solve gets seconds, not one unit, and the polish
-    restarts until the deadline instead of stopping after one descent."""
+def test_exact_above_the_frontier_runs_ii_to_a_wall_clock_deadline():
+    """EXACT's II restarts until the deadline instead of stopping after
+    one descent."""
     tracer = RecordingTracer()
     optimize(
         generate_query(DEFAULT_SPEC, 20, 1),
@@ -795,22 +744,4 @@ def test_hybrid_searches_and_polishes_to_a_wall_clock_deadline():
         trace=tracer,
     )
     counters = tracer.metrics.snapshot()["counters"]
-    assert counters["exact_nodes_expanded"] > 100
     assert counters["evaluations"] > 1000
-
-
-def test_hybrid_beats_or_matches_greedy_quality():
-    """The hybrid answer is at worst the polished start, never garbage."""
-    graph = generate_query(DEFAULT_SPEC, 20, 7).graph
-    result = hybrid_optimum(
-        graph, MainMemoryCostModel(), budget=Budget.for_query(20, 9.0)
-    )
-    ii = optimize(
-        generate_query(DEFAULT_SPEC, 20, 7),
-        method="II",
-        model=MainMemoryCostModel(),
-        time_factor=9.0,
-    )
-    # Not a strict dominance claim — but within 2x of II means the
-    # skeleton expansion + polish is doing real work.
-    assert result.cost <= 2.0 * ii.cost

@@ -19,7 +19,8 @@ from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
 from repro.core.augmentation import AugmentationCriterion, augment_order
 from repro.core.budget import Budget
-from repro.core.exact import exact_optimum
+from repro.core.combinations import available_method_names, compare_methods
+from repro.core.exact import exact_optimum, optimality_gap
 from repro.core.kbz import kbz_orders
 from repro.core.local_improvement import local_improve
 from repro.core.moves import MoveSet
@@ -220,6 +221,30 @@ def test_exact_optimum_invariant_under_relabeling(graph, seed, model_name):
     assert math.isclose(
         model.plan_cost(mapped, graph), original.cost, rel_tol=1e-12
     )
+
+
+@given(
+    join_graphs(max_relations=12),
+    st.integers(0, 2**16),
+    st.sampled_from(["memory", "disk"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_every_method_gap_at_least_one(graph, seed, model_name):
+    """No registered method beats EXACT's optimum: every gap is >= 1.0,
+    exactly."""
+    model = {"memory": MainMemoryCostModel(), "disk": DiskCostModel()}[
+        model_name
+    ]
+    exact = exact_optimum(graph, model)
+    results = compare_methods(
+        graph,
+        methods=available_method_names(),
+        model=model,
+        time_factor=1.0,
+        seed=seed,
+    )
+    for method, result in results.items():
+        assert optimality_gap(result.cost, exact.cost) >= 1.0, method
 
 
 def _state_fields(state):
