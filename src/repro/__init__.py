@@ -31,9 +31,9 @@ from repro.core import (
     BudgetExhausted,
     OptimizationResult,
     available_methods,
-    dp_optimal_order,
     optimize,
 )
+from repro.core.exact import exact_optimum
 from repro.cost import DiskCostModel, MainMemoryCostModel, StaticCostModel
 from repro.frontend import ColumnStats, StatsCatalog, parse_query
 from repro.plans import JoinOrder, JoinTree, build_join_tree, is_valid_order
@@ -60,7 +60,7 @@ __all__ = [
     "MainMemoryCostModel",
     "DiskCostModel",
     "StaticCostModel",
-    "dp_optimal_order",
+    "exact_optimum",
     "ColumnStats",
     "StatsCatalog",
     "parse_query",

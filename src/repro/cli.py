@@ -187,21 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser(
         "exact",
         parents=[common],
-        help="exact optimum (branch-and-bound or dynamic programming)",
+        help="proven optimum under --model, by branch-and-bound "
+        "(see docs/exact.md)",
     )
     cmd.add_argument(
         "--max-relations",
         type=int,
         default=16,
         help="refuse the exponential search beyond this many relations",
-    )
-    cmd.add_argument(
-        "--engine",
-        choices=("dp", "bnb"),
-        default="dp",
-        help="'dp' is the System R subset DP (exact under the static "
-        "estimator); 'bnb' is the branch-and-bound, exact under the true "
-        "propagating model (see docs/exact.md)",
     )
 
     cmd = sub.add_parser(
@@ -420,9 +413,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _exact_reference(query, model, args: argparse.Namespace):
     """The proven optimum for gaps, or None above ``--max-exact``.
 
-    ``None`` makes the gap report anchor on the best plan found.  Always
-    computed in the parent process, so gap output inherits the
-    comparison's workers-invariance byte for byte.
+    ``None`` makes the gaps anchor on the best plan found, which carries
+    no bound, so the output labels it as such.  Always computed in the
+    parent process, so gap output inherits the comparison's
+    workers-invariance byte for byte.
     """
     if query.graph.n_relations > args.max_exact:
         return None
@@ -460,21 +454,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(failure_log.summary(), file=sys.stderr)
     best = min(result.cost for result in results.values())
     ranked = sorted(results.items(), key=lambda kv: kv[1].cost)
-    if not args.gap:
+    if exact is None:
+        # Without an exact pass a gap column would repeat ``scaled``.
         column_labels = ["scaled", "evals"]
         values = [
             [result.cost / best, float(result.n_evaluations)]
             for _, result in ranked
         ]
     else:
-        from repro.core.exact import build_gap_report, optimality_gap
+        from repro.core.exact import optimality_gap
 
-        report = build_gap_report(query, model, results, exact)
         column_labels = ["scaled", "gap", "evals"]
         values = [
             [
                 result.cost / best,
-                optimality_gap(result.cost, report.exact_cost),
+                optimality_gap(result.cost, exact.cost),
                 float(result.n_evaluations),
             ]
             for _, result in ranked
@@ -488,9 +482,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             row_header="method",
         )
     )
-    if args.gap:
-        anchor = "proven optimum" if report.proven else f"best known ({report.mode})"
-        print(f"exact anchor: {report.exact_cost:,.2f} ({anchor})")
+    if exact is not None:
+        print(f"exact anchor: {exact.cost:,.2f} (proven optimum)")
+    elif args.gap:
+        print(
+            f"gap anchor: the best plan found, {best:,.2f} "
+            f"(no exact pass above --max-exact {args.max_exact})"
+        )
     return 0
 
 
@@ -538,34 +536,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     spec = benchmark_spec(args.benchmark)
     query = generate_query(spec, args.joins, args.seed)
-    if args.engine == "bnb":
-        from repro.core.exact import exact_optimum
+    from repro.core.exact import exact_optimum
 
-        bnb = exact_optimum(
-            query.graph,
-            _cost_model(args.model),
-            max_relations=args.max_relations,
-            seed=args.seed,
-        )
-        pruned = bnb.nodes_pruned_bound + bnb.nodes_pruned_dominated
-        print(f"query            : {query.name} (N={query.n_joins})")
-        print(f"optimal order    : {bnb.order}")
-        print(f"optimal cost     : {bnb.cost:,.2f}")
-        print(f"proven           : {'yes' if bnb.proven else 'no'}")
-        print(f"nodes expanded   : {bnb.nodes_expanded:,}")
-        print(f"nodes pruned     : {pruned:,}")
-        print(f"cost evaluations : {bnb.n_cost_evaluations:,}")
-        return 0
-    from repro.core.dynamic_programming import dp_optimal_order
-
-    result = dp_optimal_order(
-        query.graph, _cost_model(args.model), max_relations=args.max_relations
+    result = exact_optimum(
+        query.graph,
+        _cost_model(args.model),
+        max_relations=args.max_relations,
+        seed=args.seed,
     )
+    pruned = result.nodes_pruned_bound + result.nodes_pruned_dominated
     print(f"query            : {query.name} (N={query.n_joins})")
     print(f"optimal order    : {result.order}")
-    print(f"static-world cost: {result.cost:,.2f}")
-    print(f"propagated cost  : {result.recost:,.2f}")
-    print(f"subsets explored : {result.n_subsets:,}")
+    print(f"optimal cost     : {result.cost:,.2f}")
+    print(f"proven           : {'yes' if result.proven else 'no'}")
+    print(f"nodes expanded   : {result.nodes_expanded:,}")
+    print(f"nodes pruned     : {pruned:,}")
     print(f"cost evaluations : {result.n_cost_evaluations:,}")
     return 0
 
@@ -608,10 +593,16 @@ def _cmd_gap(args: argparse.Namespace) -> int:
             row_header="method",
         )
     )
-    anchor = "proven optimum" if report.proven else f"best known ({report.mode})"
     order = "-".join(str(vertex) for vertex in report.exact_order)
+    if exact is None:
+        print(
+            f"best found    : {report.exact_cost:,.2f} "
+            f"(no exact pass above --max-exact {args.max_exact})"
+        )
+        print(f"best order    : {order}")
+        return 0
     pruned = report.nodes_pruned_bound + report.nodes_pruned_dominated
-    print(f"exact cost    : {report.exact_cost:,.2f} ({anchor})")
+    print(f"exact cost    : {report.exact_cost:,.2f} (proven optimum)")
     print(f"exact order   : {order}")
     print(f"nodes expanded: {report.nodes_expanded:,} (pruned {pruned:,})")
     return 0

@@ -16,7 +16,6 @@ from repro.core.budget import Budget, BudgetExhausted, WallClockBudget
 from repro.core.moves import Move, MoveSet, NoValidMove
 from repro.core.state import DeltaEvaluator, Evaluation, Evaluator, TargetReached
 from repro.core.augmentation import AugmentationCriterion
-from repro.core.dynamic_programming import DPResult, dp_optimal_order
 from repro.core.bushy_search import bushy_iterative_improvement
 from repro.core.optimizer import OptimizationResult, available_methods, optimize
 
@@ -32,8 +31,6 @@ __all__ = [
     "Evaluator",
     "DeltaEvaluator",
     "AugmentationCriterion",
-    "DPResult",
-    "dp_optimal_order",
     "bushy_iterative_improvement",
     "OptimizationResult",
     "available_methods",

@@ -1,13 +1,13 @@
-"""Exact branch-and-bound join ordering under the true cost models.
+"""Exact branch-and-bound join ordering under the propagating cost models.
 
-:mod:`repro.core.dynamic_programming` is exact only under the *static*
-estimator: distinct-value propagation makes a plan's suffix cost depend
-on its prefix order, which breaks the Bellman principle subset DP needs.
-This module closes that gap with a memoized best-first branch-and-bound
-over left-deep orders that searches **prefixes**, not subsets, and so is
-exact under the propagating estimator the rest of the library actually
-optimizes for (and, through a second engine, under
-:class:`~repro.cost.static.StaticCostModel` too).
+Distinct-value propagation makes a plan's suffix cost depend on its
+prefix *order*, which breaks the Bellman principle System R's subset DP
+needs.  This module searches **prefixes**, not subsets, with a memoized
+best-first branch-and-bound over left-deep orders, and so is exact under
+the propagating estimator every method optimizes for: both stock
+models.  A model that overrides ``plan_cost`` (a different estimator
+such as :class:`~repro.cost.static.StaticCostModel`, or a fault
+injector) is refused, since the search cannot replicate its semantics.
 
 Design (and why the result is *bitwise* minimal, not merely
 mathematically minimal — the differential suite in
@@ -17,8 +17,8 @@ with ``==``):
 * **Cost chains are the estimator's own steps.**  Prefixes are
   extended through :func:`repro.cost.cardinality.extend_state` (a copy,
   then the :func:`~repro.cost.cardinality.step` that ``plan_cost``
-  folds) or :meth:`StaticCostModel.step`, so a completed chain's cost is
-  the identical float ``plan_cost`` returns for that order.
+  folds), so a completed chain's cost is the identical float
+  ``plan_cost`` returns for that order.
 * **Pruning uses only the running prefix cost.**  A node is discarded
   when its accumulated cost ``g`` already reaches the incumbent: join
   costs are non-negative, and float addition of non-negative terms is
@@ -28,13 +28,11 @@ with ``==``):
   frontier — best-first — but is never used to prune, because ``g + h``
   re-associates the final sum and could exceed a completion's computed
   total by an ulp near ties.
-* **Dominance memoization, propagating engine only.**  Two prefixes over
-  the same relation set are compared componentwise, by a test written
-  inline in :func:`_branch_and_bound`'s expansion loop; a dominated
-  prefix cannot complete cheaper, bitwise, because every downstream
-  operation is float-monotone in the dominated components.  The static
-  engine walks the placed *list* in order (its per-step selectivities
-  are not mask-determined), so it runs without dominance.
+* **Dominance memoization.**  Two prefixes over the same relation set
+  are compared componentwise, by a test written inline in
+  :func:`_branch_and_bound`'s expansion loop; a dominated prefix cannot
+  complete cheaper, bitwise, because every downstream operation is
+  float-monotone in the dominated components.
 * **Disconnected graphs are searched natively**: the branching rule is
   exactly :func:`repro.plans.validity.first_invalid_position`'s — finish
   the open component before starting another — so the search space *is*
@@ -80,7 +78,6 @@ from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
 from repro.core.state import Evaluation, Evaluator, make_evaluator
 from repro.cost.base import CostModel
-from repro.cost.bounds import lower_bound
 from repro.cost.cardinality import (
     CostOverflowError,
     PrefixState,
@@ -90,7 +87,6 @@ from repro.cost.cardinality import (
 )
 from repro.cost.incremental import supports_incremental
 from repro.cost.memory import MainMemoryCostModel
-from repro.cost.static import StaticCostModel
 from repro.obs import events as obs_events
 from repro.obs.tracer import Tracer, as_tracer
 from repro.plans.join_order import JoinOrder
@@ -141,84 +137,6 @@ class ExactResult:
     incumbent_updates: int
     n_cost_evaluations: int
     units_spent: float
-    lower_bound: float
-
-
-# ----------------------------------------------------------------------
-# Search engines: one per cost-model semantics
-# ----------------------------------------------------------------------
-
-
-class _StaticState:
-    """Prefix state of the static (non-propagating) walk."""
-
-    __slots__ = ("mask", "size", "cost")
-
-    def __init__(self, mask: int, size: float, cost: float) -> None:
-        self.mask = mask
-        self.size = size
-        self.cost = cost
-
-
-class _PropagatingEngine:
-    """Extends prefixes with the propagating estimator's arithmetic."""
-
-    #: Componentwise dominance is bitwise-sound here (see module doc).
-    dominance = True
-
-    def __init__(self, graph: JoinGraph, model: CostModel) -> None:
-        self._context = QueryContext(graph, model)
-
-    def start(self, first: int) -> PrefixState:
-        return start_state(self._context, first)
-
-    def extend(
-        self, order: tuple[int, ...], state: Any, vertex: int
-    ) -> PrefixState:
-        return extend_state(self._context, state, vertex)
-
-
-class _StaticEngine:
-    """Extends prefixes with :meth:`StaticCostModel.step`.
-
-    The static step reads the placed *list* in order, so it is given the
-    node's order tuple — the same step ``StaticCostModel.plan_cost``
-    folds, so totals are bitwise identical.  No dominance: static sizes
-    are subset-determined mathematically but their float values are
-    path-dependent (selectivity products multiply in placed-list order),
-    so only the airtight ``g``-prune applies.
-    """
-
-    dominance = False
-
-    def __init__(self, graph: JoinGraph, model: StaticCostModel) -> None:
-        self._graph = graph
-        self._model = model
-
-    def start(self, first: int) -> _StaticState:
-        return _StaticState(
-            1 << first, self._graph.cardinality(first), 0.0
-        )
-
-    def extend(
-        self, order: tuple[int, ...], state: Any, vertex: int
-    ) -> _StaticState:
-        result, cost = self._model.step(self._graph, order, state.size, vertex)
-        return _StaticState(state.mask | (1 << vertex), result, state.cost + cost)
-
-
-def _engine_for(
-    graph: JoinGraph, model: CostModel
-) -> "_PropagatingEngine | _StaticEngine":
-    if supports_incremental(model):
-        return _PropagatingEngine(graph, model)
-    if isinstance(model, StaticCostModel):
-        return _StaticEngine(graph, model)
-    raise ValueError(
-        f"cost model {model!r} overrides plan_cost with semantics the "
-        "exact search cannot replicate; use the base propagating models "
-        "or StaticCostModel"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +221,7 @@ def _seed_incumbent(
 
 
 def _branch_and_bound(
-    graph: JoinGraph,
-    model: CostModel,
-    engine: "_PropagatingEngine | _StaticEngine",
+    context: QueryContext,
     budget: Budget,
     incumbent: Evaluation | None,
     tracer: Tracer,
@@ -317,6 +233,7 @@ def _branch_and_bound(
     whether the incumbent reached so far is an acceptable answer) and
     returns ``(None, inf)`` only when every valid order overflowed.
     """
+    graph, model = context.graph, context.model
     n = graph.n_relations
     full = (1 << n) - 1
     neighbor_masks = graph.neighbor_masks
@@ -353,18 +270,16 @@ def _branch_and_bound(
     # Heap entries: (priority, insertion counter, order, state, h,
     # adjacency mask of the placed set).  The counter makes equal
     # priorities pop in insertion order — fully deterministic.
-    heap: list[tuple[float, int, tuple[int, ...], Any, float, int]] = []
+    heap: list[tuple[float, int, tuple[int, ...], PrefixState, float, int]] = []
     store: dict[int, list[PrefixState]] = {}
-    use_dominance = engine.dominance
     for first in range(n):
-        state = engine.start(first)
+        state = start_state(context, first)
         h = total_floor - floors[first]
         heapq.heappush(
             heap, (state.cost + h, counter, (first,), state, h, neighbor_masks[first])
         )
         counter += 1
-        if use_dominance:
-            store[state.mask] = [state]
+        store[state.mask] = [state]
 
     while heap:
         _, _, order, state, h, adjacent = heapq.heappop(heap)
@@ -385,7 +300,7 @@ def _branch_and_bound(
             budget.charge(_EXTEND_CHARGE)
             stats.n_cost_evaluations += 1
             try:
-                child = engine.extend(order, state, vertex)
+                child = extend_state(context, state, vertex)
             # boundary: an overflowing prefix means every completion of
             # it overflows too (the walk is prefix-deterministic), i.e.
             # plan_cost raises for all of them — the branch holds no
@@ -407,34 +322,33 @@ def _branch_and_bound(
                 if tracer.enabled:
                     tracer.emit(obs_events.BEST, cost=child.cost)
                 continue
-            if use_dominance:
-                # A kept prefix over the same relations with no larger cost
-                # or size and no smaller caps completes every suffix at no
-                # higher cost, bitwise: the walk is float-monotone in each
-                # (caps clamp through min in a fixed adjacency order, sizes
-                # multiply by positive factors, and both stock join costs
-                # rise with outer and result size).  Equal masks give equal
-                # cap key sets; the key checks only guard that.
-                bucket = store.setdefault(child_mask, [])
-                cost, size, caps = child.cost, child.size, child.caps
-                dominated = False
-                for kept in bucket:
-                    if kept.cost > cost or kept.size > size:
-                        continue
-                    kept_caps = kept.caps
-                    if len(kept_caps) != len(caps):
-                        continue
-                    for relation, cap in kept_caps.items():
-                        other = caps.get(relation)
-                        if other is None or cap < other:
-                            break
-                    else:
-                        dominated = True
-                        break
-                if dominated:
-                    stats.pruned_dominated += 1
+            # A kept prefix over the same relations with no larger cost
+            # or size and no smaller caps completes every suffix at no
+            # higher cost, bitwise: the walk is float-monotone in each
+            # (caps clamp through min in a fixed adjacency order, sizes
+            # multiply by positive factors, and both stock join costs
+            # rise with outer and result size).  Equal masks give equal
+            # cap key sets; the key checks only guard that.
+            bucket = store.setdefault(child_mask, [])
+            cost, size, caps = child.cost, child.size, child.caps
+            dominated = False
+            for kept in bucket:
+                if kept.cost > cost or kept.size > size:
                     continue
-                bucket.append(child)
+                kept_caps = kept.caps
+                if len(kept_caps) != len(caps):
+                    continue
+                for relation, cap in kept_caps.items():
+                    other = caps.get(relation)
+                    if other is None or cap < other:
+                        break
+                else:
+                    dominated = True
+                    break
+            if dominated:
+                stats.pruned_dominated += 1
+                continue
+            bucket.append(child)
             child_h = h - floors[vertex]
             heapq.heappush(
                 heap,
@@ -485,7 +399,10 @@ def exact_optimum(
     ``proven=False`` (still raising when not even one order completed).
     ``max_relations`` guards against accidentally launching an
     exponential search — raise it explicitly past the feasibility
-    frontier.
+    frontier.  A model that overrides ``plan_cost`` (such as
+    :class:`~repro.cost.static.StaticCostModel`) raises
+    :class:`ValueError`: the search folds the propagating step, so it
+    cannot reproduce that model's costs.
     """
     graph = query.graph if isinstance(query, Query) else query
     if model is None:
@@ -496,7 +413,12 @@ def exact_optimum(
             f"exact search over {n} relations exceeds max_relations="
             f"{max_relations}; raise it explicitly"
         )
-    engine = _engine_for(graph, model)
+    if not supports_incremental(model):
+        raise ValueError(
+            f"cost model {model!r} overrides plan_cost with semantics the "
+            "exact search cannot replicate; use a model that inherits "
+            "CostModel.plan_cost"
+        )
     tracer, sink = as_tracer(trace)
     if budget is None:
         budget = Budget.unlimited()
@@ -505,7 +427,6 @@ def exact_optimum(
         # this search's own logical clock.  A caller-owned tracer keeps
         # whatever clock its owner bound.
         tracer.bind_clock(budget)
-    bound = lower_bound(graph, model)
     if n == 1:
         _flush_trace(tracer, sink)
         return ExactResult(
@@ -519,7 +440,6 @@ def exact_optimum(
             incumbent_updates=0,
             n_cost_evaluations=0,
             units_spent=budget.spent,
-            lower_bound=bound,
         )
 
     stats = _SearchStats()
@@ -533,7 +453,7 @@ def exact_optimum(
     proven = True
     try:
         best_order, best_cost = _branch_and_bound(
-            graph, model, engine, budget, incumbent, tracer, stats
+            QueryContext(graph, model), budget, incumbent, tracer, stats
         )
     except BudgetExhausted:
         if not allow_partial or incumbent is None:
@@ -570,7 +490,6 @@ def exact_optimum(
         incumbent_updates=stats.incumbent_updates,
         n_cost_evaluations=stats.n_cost_evaluations,
         units_spent=budget.spent,
-        lower_bound=bound,
     )
 
 

@@ -13,10 +13,10 @@ classic System-R estimator instead: every join's selectivity is the base
 one tuple here — the clamp (kept in the propagating estimator) would
 itself make sizes order-dependent and break subset-determinism; overflow
 is instead rejected at the plan level, where ``plan_cost`` raises
-:class:`CostOverflowError` on any non-finite total.  In this world
-subset DP is exact — which is why :mod:`repro.core.dynamic_programming`
-uses it — and every other method can be evaluated under the same
-wrapper for an apples-to-apples optimality-gap measurement.
+:class:`CostOverflowError` on any non-finite total.  Bushy trees are
+sized the same way (:mod:`repro.plans.bushy`), so linear plans searched
+under this wrapper and bushy trees are priced alike.  The exact search
+refuses it: it folds the propagating step, not this one.
 """
 
 from __future__ import annotations

@@ -130,44 +130,34 @@ class TestExperimentCommand:
 
 class TestExactCommand:
     def test_reports_optimum(self, capsys):
-        assert main(["exact", "--joins", "8", "--seed", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "optimal order" in out
-        assert "subsets explored" in out
+        for model in ("memory", "disk"):
+            argv = ["exact", "--joins", "8", "--seed", "2", "--model", model]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "optimal cost" in out, model
+            assert "proven           : yes" in out, model
+            assert "nodes expanded" in out, model
 
     def test_refuses_large_n(self, capsys):
         assert main(["exact", "--joins", "20", "--max-relations", "16"]) == 2
-        assert "subsets" in capsys.readouterr().err
+        assert (
+            "exact search over 21 relations exceeds max_relations=16"
+            in capsys.readouterr().err
+        )
 
     def test_bnb_engine_reports_proof(self, capsys):
-        code = main(
-            ["exact", "--joins", "8", "--seed", "2", "--engine", "bnb"]
-        )
-        assert code == 0
+        """The printed optimum is the branch-and-bound's under --model."""
+        from repro import DiskCostModel, exact_optimum, generate_query
+        from repro.workloads.benchmarks import benchmark_spec
+
+        argv = ["exact", "--joins", "8", "--seed", "2", "--model", "disk"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "optimal cost" in out
-        assert "proven" in out
-        assert "nodes expanded" in out
-
-    def test_bnb_cost_lower_bounds_dp_recost(self, capsys):
-        """The B&B works in the propagating world the DP only re-prices."""
-        import re
-
-        main(["exact", "--joins", "8", "--seed", "2", "--engine", "bnb"])
-        bnb_out = capsys.readouterr().out
-        main(["exact", "--joins", "8", "--seed", "2"])
-        dp_out = capsys.readouterr().out
-        bnb_cost = float(
-            re.search(r"optimal cost\s*:\s*([\d,.]+)", bnb_out)
-            .group(1)
-            .replace(",", "")
-        )
-        dp_recost = float(
-            re.search(r"propagated cost\s*:\s*([\d,.]+)", dp_out)
-            .group(1)
-            .replace(",", "")
-        )
-        assert bnb_cost <= dp_recost + 1e-9
+        query = generate_query(benchmark_spec(0), 8, 2)
+        result = exact_optimum(query.graph, DiskCostModel(), seed=2)
+        assert f"optimal order    : {result.order}\n" in out
+        assert f"optimal cost     : {result.cost:,.2f}\n" in out
+        assert f"nodes expanded   : {result.nodes_expanded:,}\n" in out
 
 
 class TestGapCommand:
@@ -247,6 +237,21 @@ class TestCompareGapFlag:
         assert main(self.BASE) == 0
         out = capsys.readouterr().out
         assert "gap" not in out
+        assert "exact anchor" not in out
+
+    def test_above_max_exact_prints_the_plain_table_and_the_anchor(
+        self, capsys
+    ):
+        """Without an exact pass a gap column would repeat ``scaled``."""
+        assert main(self.BASE) == 0
+        plain = capsys.readouterr().out
+        assert main([*self.BASE, "--gap", "--max-exact", "4"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(plain)
+        extra = out[len(plain):].splitlines()
+        assert len(extra) == 1
+        assert "best plan found" in extra[0]
+        assert "--max-exact 4" in extra[0]
         assert "exact anchor" not in out
 
 

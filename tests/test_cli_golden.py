@@ -53,14 +53,13 @@ CASES: dict[str, list[str]] = {
         "compare", "--joins", "8", "--time-factor", "1", "--methods",
         "II", "SA", "IAI", "EXACT",
     ],
-    "exact-j10-s7-bnb": [
-        "exact", "--joins", "10", "--seed", "7", "--engine", "bnb",
-    ],
+    "exact-j10-s7": ["exact", "--joins", "10", "--seed", "7"],
     "gap-j8-s7": [
         "gap", "--joins", "8", "--seed", "7", "--time-factor", "1",
         "--methods", "II", "AGI",
     ],
-    # Above --max-exact: the gaps anchor on the best plan found.
+    # Above --max-exact: the gaps anchor on the best plan found, and
+    # the output says so.
     "gap-j8-s7-max-exact-4": [
         "gap", "--joins", "8", "--seed", "7", "--time-factor", "1",
         "--methods", "II", "AGI", "--max-exact", "4",

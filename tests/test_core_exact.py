@@ -5,8 +5,8 @@ be **bitwise** equal to exhaustive enumeration — same float, not merely
 close — for both cost models, on connected and disconnected graphs
 alike.  Everything else in this file leans on that anchor: optimality
 gaps are exactly ``>= 1.0``, a method handed the exact order scores a
-gap of exactly ``1.0``, DP's propagating recost is a true upper bound,
-and gap reports are byte-identical across worker counts.
+gap of exactly ``1.0``, and gap reports are byte-identical across worker
+counts.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from repro.core.combinations import (
     compare_methods,
     make_strategy,
 )
-from repro.core.dynamic_programming import dp_optimal_order
 from repro.core.exact import (
     DEFAULT_MAX_EXACT,
     ExactStrategy,
     _branch_and_bound,
-    _engine_for,
     _SearchStats,
     _seed_incumbent,
     build_gap_report,
@@ -179,31 +177,12 @@ def test_bitwise_equal_on_every_connected_four_vertex_graph(model):
         assert result.cost == brute_force_optimum(graph, model)
 
 
-def test_bitwise_equal_under_static_model():
-    static = StaticCostModel(MainMemoryCostModel())
-    for name, graph in shape_graphs():
-        result = exact_optimum(graph, static)
-        assert result.cost == brute_force_optimum(graph, static), name
-    for graph in random_graphs(count=5):
-        result = exact_optimum(graph, static)
-        assert result.cost == brute_force_optimum(graph, static)
-
-
-def test_matches_dp_under_static_model():
-    """B&B under the static engine never exceeds DP, and agrees closely.
-
-    DP relies on the Bellman principle, which holds mathematically but
-    not bitwise under float arithmetic (static sizes are path-dependent
-    floats), so the contract is `<=` plus closeness, not equality.
-    """
-    static = StaticCostModel(MainMemoryCostModel())
-    for graph in random_graphs(count=6):
-        if not graph.is_connected:
-            continue
-        bnb = exact_optimum(graph, static)
-        dp = dp_optimal_order(graph, static)
-        assert bnb.cost <= dp.cost
-        assert bnb.cost == pytest.approx(dp.cost, rel=1e-9)
+def test_refuses_a_model_that_overrides_plan_cost():
+    """The search folds the propagating step; a model with its own
+    ``plan_cost``, the static estimator included, is refused up front."""
+    graph = generate_query(DEFAULT_SPEC, 5, 0).graph
+    with pytest.raises(ValueError, match="overrides plan_cost"):
+        exact_optimum(graph, StaticCostModel(MainMemoryCostModel()))
 
 
 def test_disconnected_graphs_searched_natively():
@@ -427,9 +406,7 @@ def test_the_incumbent_changes_no_expansion(model):
                     )
                     stats = _SearchStats()
                     order, cost = _branch_and_bound(
-                        graph,
-                        model,
-                        _engine_for(graph, model),
+                        QueryContext(graph, model),
                         Budget.unlimited(),
                         incumbent,
                         NULL_TRACER,
@@ -705,27 +682,6 @@ def test_optimality_gap_edge_cases():
     assert optimality_gap(0.0, 0.0) == 1.0
     assert optimality_gap(5.0, 0.0) == math.inf
     assert optimality_gap(7.5, 7.5) == 1.0
-
-
-# ----------------------------------------------------------------------
-# DP is a bound, not the answer
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-def test_dp_recost_upper_bounds_exact_propagating_optimum(model):
-    """DP's propagating recost can never beat the propagating optimum.
-
-    ``recost`` is the true cost of one particular valid order, and the
-    exact optimum is the bitwise minimum over all of them — so the
-    inequality is exact, no tolerance.
-    """
-    for graph in random_graphs(count=6):
-        if not graph.is_connected:
-            continue
-        dp = dp_optimal_order(graph, model)
-        exact = exact_optimum(graph, model)
-        assert dp.recost >= exact.cost
 
 
 # ----------------------------------------------------------------------

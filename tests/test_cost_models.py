@@ -1,9 +1,10 @@
-"""Tests for the main-memory and disk cost models."""
+"""Tests for the main-memory and disk cost models and the static wrapper."""
 
 import pytest
 
 from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
+from repro.cost.static import StaticCostModel
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import valid_orders
 
@@ -101,3 +102,44 @@ class TestDiskModel:
             assert memory.plan_cost(order, medium_query.graph) != pytest.approx(
                 disk.plan_cost(order, medium_query.graph)
             )
+
+
+class TestStaticCostModel:
+    def test_join_cost_delegates(self):
+        inner = MainMemoryCostModel()
+        static = StaticCostModel(inner)
+        assert static.join_cost(10, 20, 30) == inner.join_cost(10, 20, 30)
+
+    def test_name(self):
+        assert StaticCostModel(MainMemoryCostModel()).name == "static-memory"
+
+    def test_no_propagation_effect(self):
+        """Where propagation inflates, the static model does not."""
+        from repro.catalog.join_graph import JoinGraph
+        from repro.catalog.predicates import JoinPredicate
+        from repro.catalog.relation import Relation
+
+        relations = [Relation("A", 10), Relation("B", 1000), Relation("C", 2000)]
+        predicates = [
+            JoinPredicate(0, 1, 10, 400),
+            JoinPredicate(1, 2, 500, 100),
+        ]
+        graph = JoinGraph(relations, predicates)
+        inner = MainMemoryCostModel()
+        static = StaticCostModel(inner)
+        order = JoinOrder([0, 1, 2])
+        assert static.plan_cost(order, graph) < inner.plan_cost(order, graph)
+
+    def test_final_size_subset_determined(self, cycle):
+        """All orders of the same relation set share the final size."""
+        static = StaticCostModel(MainMemoryCostModel())
+        sizes = set()
+        for order in valid_orders(cycle):
+            positions = order.positions
+            size = cycle.cardinality(positions[0])
+            for position in range(1, len(positions)):
+                size, _ = static.step(
+                    cycle, positions[:position], size, positions[position]
+                )
+            sizes.add(round(size, 6))
+        assert len(sizes) == 1

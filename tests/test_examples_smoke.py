@@ -57,3 +57,13 @@ class TestQuickExamples:
         out = run_example("sa_diagnostics", capsys)
         assert "temperature" in out
         assert "JAMS87" in out
+
+    def test_optimality_gap(self, capsys):
+        out = run_example("optimality_gap", capsys)
+        rows = {
+            line.split()[0]: [float(cell.rstrip("x")) for cell in line.split()[1:]]
+            for line in out.splitlines()
+            if line.endswith("x")
+        }
+        assert set(rows) == {"IAI", "AGI", "II", "SA", "AUG3", "KBZ3"}
+        assert all(gap >= 1.0 for gaps in rows.values() for gap in gaps)

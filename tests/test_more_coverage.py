@@ -91,18 +91,6 @@ class TestAssortedAccessors:
         tree = build_join_tree(JoinOrder([0, 1, 2, 3, 4]), two_components)
         assert "cross product" in tree.explain()
 
-    def test_dp_result_fields_consistent(self, chain):
-        from repro.core.dynamic_programming import dp_optimal_order
-        from repro.cost.memory import MainMemoryCostModel
-        from repro.cost.static import StaticCostModel
-
-        model = MainMemoryCostModel()
-        result = dp_optimal_order(chain, model)
-        static = StaticCostModel(model)
-        assert result.cost == pytest.approx(
-            static.plan_cost(result.order, chain)
-        )
-
     def test_convergence_with_explicit_model(self):
         from repro.experiments.convergence import convergence_curves
 

@@ -197,18 +197,16 @@ def _relabeled(graph, permutation):
 @given(
     join_graphs(max_relations=9),
     st.integers(0, 2**16),
-    st.sampled_from(["memory", "disk", "static-memory"]),
+    st.sampled_from(["memory", "disk"]),
 )
 @settings(max_examples=40, deadline=None)
 def test_exact_optimum_invariant_under_relabeling(graph, seed, model_name):
     """Renaming the relations leaves EXACT's optimum cost unchanged, up
     to the reassociation of the selectivity product, and the relabeled
     optimum maps back to an order that prices the same."""
-    model = {
-        "memory": MainMemoryCostModel(),
-        "disk": DiskCostModel(),
-        "static-memory": StaticCostModel(MainMemoryCostModel()),
-    }[model_name]
+    model = {"memory": MainMemoryCostModel(), "disk": DiskCostModel()}[
+        model_name
+    ]
     permutation = list(range(graph.n_relations))
     random.Random(seed).shuffle(permutation)
     relabeled = _relabeled(graph, permutation)

@@ -10,7 +10,6 @@ from repro.catalog.serialization import query_from_dict, query_to_dict
 from repro.catalog.join_graph import Query
 from repro.core.budget import Budget
 from repro.core.bushy_search import random_bushy_neighbor
-from repro.core.dynamic_programming import dp_optimal_order
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
 from repro.experiments.paperdata import spearman_rank_correlation
@@ -35,17 +34,6 @@ def test_serialization_round_trip_property(graph):
     assert model.plan_cost(order, graph) == model.plan_cost(
         order, restored.graph
     )
-
-
-@given(join_graphs(min_relations=3, max_relations=7))
-@settings(max_examples=30, deadline=None)
-def test_dp_lower_bounds_search_methods(graph):
-    """The DP optimum (static pricing) lower-bounds any searched plan."""
-    model = MainMemoryCostModel()
-    static = StaticCostModel(model)
-    dp = dp_optimal_order(graph, model)
-    order = random_valid_order(graph, random.Random(3))
-    assert dp.cost <= static.plan_cost(order, graph) + 1e-9
 
 
 @given(join_graphs(min_relations=3, max_relations=7), st.integers(0, 2**16))
