@@ -13,7 +13,7 @@ Rules shipped:
 
 ========  ==============================================================
 DET001    no unseeded RNG outside ``repro.utils.rng``
-DET002    no wall-clock reads outside the budget/calibration allowlist
+DET002    no wall-clock reads outside the budget/wall-sidecar allowlist
 DET003    no ordered consumption of bare ``set``/``dict.keys()``/tainted
           unordered names
 DET004    pool-dispatched callables must be module-level and closure-free

@@ -28,13 +28,11 @@ RULE_OPTIONS: dict[str, dict[str, list[str]]] = {
     # derive_rng/derive_seed.
     "DET001": {"allow": ["src/repro/utils/rng.py"]},
     "DET002": {
-        # The wall-clock budget, the cost-model calibrator, and the
-        # profiler's wall-sidecar boundary are the three sanctioned clock
-        # consumers; the sidecar records timestamps beside the trace,
-        # never inside it.
+        # The wall-clock budget and the profiler's wall-sidecar boundary
+        # are the two sanctioned clock consumers; the sidecar records
+        # timestamps beside the trace, never inside it.
         "allow": [
             "src/repro/core/budget.py",
-            "src/repro/cost/calibration.py",
             "src/repro/obs/wallclock.py",
         ],
         # Modules whose determinism contract *depends* on never reading

@@ -197,13 +197,13 @@ _WALL_CLOCK_APIS = {
 
 @dataclass
 class WallClockRule(Rule):
-    """DET002: no wall-clock reads outside the budget/calibration modules.
+    """DET002: no wall-clock reads outside the budget and wall-sidecar modules.
 
     Search decisions keyed on elapsed time stop at different points on
     different machines (and different runs of the same machine), so any
     clock read inside the optimizer invalidates both differential
-    invariants.  The wall-clock *budget*, the cost-model *calibrator* and
-    the profiler's wall sidecar are the sanctioned, allowlisted consumers.
+    invariants.  The wall-clock *budget* and the profiler's wall sidecar
+    are the sanctioned, allowlisted consumers.
 
     Options (``RULE_OPTIONS["DET002"]`` in :mod:`repro.analysis.config`):
 
@@ -220,7 +220,7 @@ class WallClockRule(Rule):
     name: str = "wall-clock"
     description: str = (
         "wall-clock reads (time.*, datetime.now/today) outside the "
-        "allowlisted budget/calibration modules"
+        "allowlisted budget and wall-sidecar modules"
     )
 
     def check(self, ctx: "ModuleContext") -> Iterator[Finding]:

@@ -18,7 +18,7 @@ Commands
     trailing window and exits 1 on regression (the CI perf gate).
 ``obs``
     Passthrough to the trace reader CLI (``python -m repro.obs``):
-    ``summarize`` / ``diff`` / ``profile``.
+    ``profile`` / ``diff``.
 ``methods``
     List the available optimization methods.
 ``benchmarks``
@@ -133,15 +133,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="record a deterministic trace of the run's search dynamics "
         "to this JSONL file (read it with `python -m repro.obs "
-        "summarize`); tracing never changes the result or the rng "
+        "profile`); tracing never changes the result or the rng "
         "stream (see docs/observability.md)",
     )
     observability.add_argument(
         "--metrics",
         metavar="FILE.json",
         default=None,
-        help="write the run's metrics registry (counters, gauges, "
-        "histograms) to this JSON file",
+        help="write the run's metrics counters to this JSON file, "
+        'as {"counters": {...}}',
     )
     observability.add_argument(
         "--wall",
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "obs_args",
         nargs=argparse.REMAINDER,
         help="arguments for the repro.obs reader CLI "
-        "(summarize | diff | profile)",
+        "(profile | diff)",
     )
 
     sub.add_parser("methods", help="list optimization methods")

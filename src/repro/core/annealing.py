@@ -196,7 +196,6 @@ def simulated_annealing(
                     best_cost=best.cost,
                 )
                 tracer.metrics.inc("sa_chains")
-                tracer.metrics.observe("sa_acceptance_ratio", acceptance_ratio)
             if observer is not None:
                 observer(
                     ChainStats(

@@ -603,21 +603,28 @@ def build_gap_report(
 
 
 def gap_report_json(report: GapReport) -> str:
-    """Canonical byte-stable JSON rendering of a gap report."""
+    """Canonical byte-stable JSON rendering of a gap report.
+
+    A best-found anchor ran no search, so it carries no search counters.
+    """
+    anchor: dict[str, Any] = {
+        "cost": report.exact_cost,
+        "order": list(report.exact_order),
+        "proven": report.proven,
+        "mode": report.mode,
+    }
+    if report.mode != "best-found":
+        anchor.update(
+            nodes_expanded=report.nodes_expanded,
+            nodes_pruned_bound=report.nodes_pruned_bound,
+            nodes_pruned_dominated=report.nodes_pruned_dominated,
+            incumbent_updates=report.incumbent_updates,
+        )
     payload = {
         "query": report.query,
         "n_relations": report.n_relations,
         "model": report.model,
-        "exact": {
-            "cost": report.exact_cost,
-            "order": list(report.exact_order),
-            "proven": report.proven,
-            "mode": report.mode,
-            "nodes_expanded": report.nodes_expanded,
-            "nodes_pruned_bound": report.nodes_pruned_bound,
-            "nodes_pruned_dominated": report.nodes_pruned_dominated,
-            "incumbent_updates": report.incumbent_updates,
-        },
+        "exact": anchor,
         "methods": [
             {
                 "method": row.method,

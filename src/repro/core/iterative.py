@@ -73,7 +73,6 @@ def improvement_run(
         evaluator.prime(start)
     tracer = evaluator.tracer
     check = move_validity(current, evaluator.graph)
-    depth = 0  # accepted moves this descent (improvement_depth histogram)
     failures = 0
     while failures < patience:
         try:
@@ -96,7 +95,6 @@ def improvement_run(
             prev_cost = current_cost
             current, current_cost = neighbor, neighbor_cost
             failures = 0
-            depth += 1
             if tracer.enabled:
                 tracer.emit(
                     obs_events.MOVE,
@@ -119,8 +117,6 @@ def improvement_run(
                     if neighbor_cost is None
                     else "moves_rejected"
                 )
-    if tracer.enabled:
-        tracer.metrics.observe("improvement_depth", float(depth))
     return Evaluation(current, current_cost)
 
 

@@ -270,7 +270,6 @@ def _optimize(
             seed=seed,
             budget=budget.limit,
         )
-        tracer.metrics.gauge("budget_limit", budget.limit)
         if target_cost is not None:
             tracer.emit(obs_events.BOUND, kind="early_stop", value=target_cost)
             tracer.metrics.inc("bounds_published")
@@ -393,8 +392,6 @@ def _finish_trace(
             evaluations=result.n_evaluations,
             degraded=result.degraded,
         )
-        tracer.metrics.gauge("best_cost", result.cost)
-        tracer.metrics.gauge("budget_spent", budget.spent)
         events = getattr(tracer, "events", None)
         if events is not None:
             # Reconstructed from the trace just closed — a pure fold

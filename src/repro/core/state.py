@@ -168,7 +168,6 @@ class Evaluator:
             if self.tracer.enabled:
                 self.tracer.emit(obs_events.BEST, cost=cost)
                 self.tracer.metrics.inc("best_updates")
-                self.tracer.metrics.gauge("best_cost", cost)
 
     def best_cost_within(self, units: float) -> float | None:
         """Best cost found by the time ``units`` had been spent.

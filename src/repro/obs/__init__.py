@@ -2,7 +2,7 @@
 
 The package gives every optimizer run an optional structured record of
 its search dynamics (a *trace* of events stamped with the logical
-budget clock) plus an aggregate *metrics* registry — without ever
+budget clock) plus a *metrics* registry of counters — without ever
 perturbing the run itself.  The determinism contract, event schema, and
 metrics catalog live in ``docs/observability.md``; the contract in one
 line: **a traced run is bit-identical to an untraced one, and a seeded
@@ -13,7 +13,7 @@ Entry points::
     optimize(query, method="SA", seed=1, trace="run.jsonl")   # file sink
     tracer = RecordingTracer()
     optimize(query, method="SA", seed=1, trace=tracer)        # in memory
-    python -m repro.obs summarize run.jsonl                   # reader CLI
+    python -m repro.obs profile run.jsonl                     # reader CLI
 """
 
 from repro.obs.events import (
@@ -31,7 +31,7 @@ from repro.obs.bench import (
     check as bench_check,
     record as bench_record,
 )
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, Metrics
+from repro.obs.metrics import Metrics
 from repro.obs.profile import (
     SearchProfile,
     collapsed_stacks,
@@ -47,20 +47,12 @@ from repro.obs.provenance import (
     provenance_json,
     render_provenance,
 )
-from repro.obs.summarize import (
-    TraceSummary,
-    diff_traces,
-    render_summary,
-    summarize_events,
-    summary_json,
-)
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer, as_tracer
 from repro.obs.writer import (
     TRACE_VERSION,
+    diff_traces,
     iter_trace,
-    read_metrics,
     read_trace,
-    read_trace_meta,
     write_metrics,
     write_trace,
 )
@@ -69,9 +61,7 @@ __all__ = [
     "ACCEPTED",
     "BenchCheckReport",
     "BenchDelta",
-    "DEFAULT_BUCKETS",
     "EVENT_KINDS",
-    "Histogram",
     "IncumbentStep",
     "Metrics",
     "MOVE_OUTCOMES",
@@ -84,7 +74,6 @@ __all__ = [
     "TRACE_VERSION",
     "TraceEvent",
     "TraceFormatError",
-    "TraceSummary",
     "Tracer",
     "as_tracer",
     "bench_check",
@@ -97,14 +86,9 @@ __all__ = [
     "profile_json",
     "profile_report",
     "provenance_json",
-    "read_metrics",
     "read_trace",
-    "read_trace_meta",
     "render_profile",
     "render_provenance",
-    "render_summary",
-    "summarize_events",
-    "summary_json",
     "write_metrics",
     "write_trace",
 ]

@@ -1,13 +1,13 @@
-"""Reader CLI: ``python -m repro.obs summarize|diff|profile``.
+"""Reader CLI: ``python -m repro.obs profile|diff``.
 
-``summarize TRACE.jsonl`` prints a per-kind/per-phase report (or, with
-``--format json``, a canonical machine-readable document) and exits 0;
-``diff A.jsonl B.jsonl`` exits 0 when the traces are bit-identical and
-1 with a divergence report when they are not (the CI determinism gate
-is literally this command); ``profile TRACE.jsonl`` folds the trace
-into the method → phase → move-kind attribution tree (text, canonical
-JSON, or folded-stack lines for flamegraph tooling; ``--wall`` adds the
-wall-clock column from the ``TRACE.jsonl.wall`` sidecar).
+``profile TRACE.jsonl`` folds the trace into the run header (the run's
+parameters, event counts per kind, SA chains and mean acceptance,
+best-cost updates) and the method → phase → move-kind attribution tree
+(text, canonical JSON, or folded-stack lines for flamegraph tooling;
+``--wall`` adds the wall-clock column from the ``TRACE.jsonl.wall``
+sidecar); ``diff A.jsonl B.jsonl`` exits 0 when the traces are
+bit-identical and 1 with a divergence report when they are not (the CI
+determinism gate is literally this command).
 
 Exit codes: 0 success, 1 traces differ (``diff`` only), 2 usage error —
 a missing, empty, or malformed trace file always produces a one-line
@@ -29,13 +29,7 @@ from repro.obs.profile import (
     profile_report,
     render_profile,
 )
-from repro.obs.summarize import (
-    diff_traces,
-    render_summary,
-    summarize_events,
-    summary_json,
-)
-from repro.obs.writer import iter_trace, read_trace, read_trace_meta
+from repro.obs.writer import diff_traces, iter_trace, read_trace
 
 EXIT_OK = 0
 EXIT_DIFFERS = 1
@@ -48,17 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Read repro.obs trace files (JSONL).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    summarize = commands.add_parser(
-        "summarize", help="print an aggregate report of one trace"
-    )
-    summarize.add_argument("trace", help="path to a .jsonl trace file")
-    summarize.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (json is canonical and byte-stable)",
-    )
 
     diff = commands.add_parser(
         "diff", help="compare two traces event-by-event"
@@ -74,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = commands.add_parser(
         "profile",
-        help="fold one trace into the budget attribution tree",
+        help="fold one trace into the run header and the budget "
+        "attribution tree",
     )
     profile.add_argument("trace", help="path to a .jsonl trace file")
     profile.add_argument(
@@ -91,17 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(recorded by `repro optimize --trace ... --wall`)",
     )
     return parser
-
-
-def _cmd_summarize(args: argparse.Namespace) -> int:
-    with open(args.trace, "r", encoding="utf-8") as handle:
-        summary = summarize_events(iter_trace(handle))
-    meta = read_trace_meta(args.trace)
-    if args.format == "json":
-        sys.stdout.write(summary_json(summary, meta))
-    else:
-        print(render_summary(summary, meta))
-    return EXIT_OK
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -139,13 +112,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "summarize":
-            return _cmd_summarize(args)
         if args.command == "profile":
             return _cmd_profile(args)
         return _cmd_diff(args)
     except BrokenPipeError:
-        # Reader closed early (e.g. `summarize trace | head`): not an
+        # Reader closed early (e.g. `profile trace | head`): not an
         # error.  Point stdout at devnull so the interpreter's exit
         # flush cannot raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-# Event kinds (the closed vocabulary; summarize groups by these).
+# Event kinds (the closed vocabulary; profile counts by these).
 RUN_START = "run_start"
 RUN_END = "run_end"
 PHASE_START = "phase_start"

@@ -1,195 +1,67 @@
-"""The metrics registry: counters, gauges, and histograms.
+"""The metrics registry: named counters.
 
 Metrics aggregate what events enumerate: the trace answers "what
 happened, in order", the registry answers "how much, in total".  Both
-are deterministic — a metric is only ever derived from logical
-quantities (evaluation counts, work units, costs), never from wall
-time, so two runs of the same seed snapshot identical registries.
+are deterministic — a counter is only ever incremented by logical
+quantities (evaluation counts, join steps, moves), never by wall time,
+so two runs of the same seed snapshot identical registries.
 
-Catalog of the names the instrumented stack emits (see
-``docs/observability.md`` for the full table):
+Catalog of the counters the instrumented stack increments (see
+``docs/observability.md`` for the full table): ``evaluations`` (plans
+priced), ``joins_walked`` (join-cost steps actually computed),
+``joins_charged`` (steps the budget paid for), ``pruned`` (candidates
+abandoned by the upper bound), ``best_updates``, ``moves_accepted`` /
+``moves_rejected`` / ``moves_pruned``, ``sa_chains``, ``restarts``,
+``bounds_published``, ``faults``, ``degraded_runs`` and the exact
+search's four ``exact_*`` search counters.
 
-counters
-    ``evaluations`` (plans priced), ``joins_walked`` (join-cost steps
-    actually computed), ``joins_charged`` (steps the budget paid for),
-    ``pruned`` (candidates abandoned by the upper bound), ``best_updates``,
-    ``moves_accepted`` / ``moves_rejected`` / ``moves_pruned``,
-    ``sa_chains``, ``restarts``, ``bounds_published``, ``faults``,
-    ``degraded_runs``.
-gauges
-    ``best_cost``, ``budget_limit``, ``budget_spent``,
-    ``worker.<k>.units`` (per-restart share actually consumed).
-histograms
-    ``sa_acceptance_ratio`` (one observation per completed temperature
-    chain — the paper's acceptance-per-plateau view),
-    ``improvement_depth`` (accepted moves per II descent).
-
-Derived ratios (prune rate, prefix-cache hit rate, acceptance ratio)
-are computed by readers from the counters, so the hot path only ever
-increments.
+Per-run values (final cost, budget, units per restart, acceptance per
+SA plateau) are not counters: the ``run_start``, ``run_end``,
+``restart`` and ``chain`` events carry them, and ``repro.obs profile``
+folds them.  Derived ratios (prune rate, acceptance ratio) are computed
+by readers from the counters, so the hot path only ever increments.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Iterable, Mapping
-
-#: Histogram bucket upper bounds: powers of ten from 1e-3 up, plus +inf.
-#: Fixed (not adaptive) so merged histograms from different workers are
-#: always bucket-compatible and the snapshot is schedule-independent.
-DEFAULT_BUCKETS: tuple[float, ...] = tuple(
-    10.0**exponent for exponent in range(-3, 13)
-) + (math.inf,)
-
-
-class Histogram:
-    """A fixed-bucket histogram with count/sum/min/max sidecars."""
-
-    __slots__ = ("buckets", "counts", "count", "total", "minimum", "maximum")
-
-    def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
-        self.buckets: tuple[float, ...] = tuple(buckets)
-        if not self.buckets or self.buckets[-1] != math.inf:
-            raise ValueError("histogram buckets must end with +inf")
-        self.counts: list[int] = [0] * len(self.buckets)
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def observe(self, value: float) -> None:
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                break
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        if self.buckets != other.buckets:
-            raise ValueError("cannot merge histograms with different buckets")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        populated = {
-            _bound_label(bound): count
-            for bound, count in zip(self.buckets, self.counts)
-            if count
-        }
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum if self.count else None,
-            "mean": self.mean,
-            "buckets": populated,
-        }
-
-
-def _bound_label(bound: float) -> str:
-    return "+inf" if math.isinf(bound) else f"{bound:g}"
+from typing import Any, Mapping
 
 
 class Metrics:
-    """A deterministic registry of named counters, gauges, histograms.
+    """A deterministic registry of named counters.
 
-    Registration is implicit (first touch creates the series); snapshots
-    sort every name, so the serialized form never depends on touch
-    order.  ``merge`` folds another registry in: counters add, gauges
-    take the other side's value (last-writer-wins in merge order, which
-    the orchestrator keeps deterministic by merging in restart index
-    order), histograms merge bucket-wise.
+    Registration is implicit (first touch creates the counter);
+    snapshots sort every name, so the serialized form never depends on
+    touch order.  ``merge`` adds another registry's counters in; the
+    orchestrator merges restarts in restart-index order.
     """
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
 
     def inc(self, name: str, value: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + value
 
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram()
-        histogram.observe(value)
-
-    def counter(self, name: str) -> float:
-        return self.counters.get(name, 0.0)
-
     def merge(self, other: "Metrics") -> None:
         for name in sorted(other.counters):
             self.inc(name, other.counters[name])
-        for name in sorted(other.gauges):
-            self.gauges[name] = other.gauges[name]
-        for name in sorted(other.histograms):
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                histogram = self.histograms[name] = Histogram(
-                    other.histograms[name].buckets
-                )
-            histogram.merge(other.histograms[name])
 
     def snapshot(self) -> dict[str, Any]:
         """A JSON-safe snapshot with sorted, stable key order."""
         return {
             "counters": {
                 name: self.counters[name] for name in sorted(self.counters)
-            },
-            "gauges": {
-                name: self.gauges[name] for name in sorted(self.gauges)
-            },
-            "histograms": {
-                name: self.histograms[name].to_json_dict()
-                for name in sorted(self.histograms)
-            },
+            }
         }
 
     @classmethod
     def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "Metrics":
-        """Rebuild counters/gauges from a snapshot (histograms summarized).
+        """Rebuild a registry from :meth:`snapshot`'s output.
 
         Used to fold pool-worker snapshots (which cross a process
         boundary as JSON-safe dicts) back into the parent registry.
-        Histogram bucket counts are restored exactly; min/max/sum come
-        from the sidecars.
         """
         metrics = cls()
         for name, value in sorted(dict(snapshot.get("counters", {})).items()):
             metrics.counters[name] = float(value)
-        for name, value in sorted(dict(snapshot.get("gauges", {})).items()):
-            metrics.gauges[name] = float(value)
-        for name, data in sorted(dict(snapshot.get("histograms", {})).items()):
-            histogram = Histogram()
-            labels = {_bound_label(b): i for i, b in enumerate(histogram.buckets)}
-            for label, count in dict(data.get("buckets", {})).items():
-                if label not in labels:
-                    raise ValueError(
-                        f"histogram {name!r} bucket {label!r} does not match "
-                        "the registry's fixed bucket bounds"
-                    )
-                histogram.counts[labels[label]] = int(count)
-            histogram.count = int(data.get("count", 0))
-            histogram.total = float(data.get("sum", 0.0))
-            if histogram.count:
-                histogram.minimum = float(data["min"])
-                histogram.maximum = float(data["max"])
-            metrics.histograms[name] = histogram
         return metrics

@@ -12,6 +12,12 @@ to the ``workers=1`` profile of the same seed — the merge the
 orchestrator performs is already deterministic, and this fold is a pure
 function of the event sequence.
 
+Beside the tree, the fold keeps the run-level header: the first
+``run_start`` payload (the run's own method, size, seed and budget —
+later ones belong to restarts and components), event counts per kind,
+the SA chain count with its mean acceptance, and the number of
+best-cost updates.
+
 Three output forms, all deterministic:
 
 * :func:`profile_report` — a plain JSON-able dict (the schema below);
@@ -27,9 +33,9 @@ clock boundary — and each node gains a ``wall_s`` column.  Without a
 sidecar the report contains no timing information at all.
 
 Forward compatibility: event kinds outside the documented vocabulary
-are attributed to an ``other`` leaf (and counted per unknown kind in
-the report header) instead of crashing, so this reader can profile
-traces written by newer writers.
+are attributed to an ``other`` leaf and counted under ``other`` in the
+per-kind counts (and per unknown kind in the report header) instead of
+crashing, so this reader can profile traces written by newer writers.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from repro.obs.events import TraceEvent
 OTHER_LEAF = "other"
 
 #: Report schema version (bumped when the dict layout changes).
-PROFILE_VERSION = 1
+PROFILE_VERSION = 2
 
 #: Event kinds that attribute to the open frame itself (no leaf): they
 #: delimit frames rather than describe work inside one.
@@ -98,6 +104,15 @@ class SearchProfile:
     final_cost: float | None = None
     unknown_kinds: dict[str, int] = field(default_factory=dict)
     has_wall: bool = False
+    run: dict[str, Any] | None = None  # the first run_start payload
+    kinds: dict[str, int] = field(default_factory=dict)  # unknown: "other"
+    chains: int = 0
+    acceptance_sum: float = 0.0
+    best_updates: int = 0
+
+    @property
+    def mean_acceptance(self) -> float:
+        return self.acceptance_sum / self.chains if self.chains else 0.0
 
 
 @dataclass
@@ -153,6 +168,8 @@ def profile_events(
         stream.last_clock = event.clock
 
         if event.kind == ev.RUN_START:
+            if profile.run is None:
+                profile.run = dict(event.data)
             method = str(event.data.get("method", "?"))
             stream.methods.append(method)
             if method not in methods_seen:
@@ -164,10 +181,14 @@ def profile_events(
             profile.evaluations = (
                 int(evaluations) if evaluations is not None else None
             )
-        if event.kind not in ev.EVENT_KINDS:
+        if event.kind in ev.EVENT_KINDS:
+            bucket = event.kind
+        else:
+            bucket = OTHER_LEAF
             profile.unknown_kinds[event.kind] = (
                 profile.unknown_kinds.get(event.kind, 0) + 1
             )
+        profile.kinds[bucket] = profile.kinds.get(bucket, 0) + 1
 
         frames = [stream.methods[-1] if stream.methods else "?"]
         frames.extend(stream.phases)
@@ -201,6 +222,10 @@ def profile_events(
                 node.improvement += -float(move_delta)
         elif event.kind == ev.BEST:
             node.best_updates += 1
+            profile.best_updates += 1
+        elif event.kind == ev.CHAIN:
+            profile.chains += 1
+            profile.acceptance_sum += float(event.data.get("acceptance", 0.0))
         elif event.kind == ev.PHASE_START:
             stream.phases.append(str(event.data.get("phase", "?")))
         elif event.kind == ev.PHASE_END:
@@ -240,7 +265,7 @@ def _node_report(node: ProfileNode) -> dict[str, Any]:
 
 
 def profile_report(profile: SearchProfile) -> dict[str, Any]:
-    """The profile as a plain JSON-able dict (schema version 1)."""
+    """The profile as a plain JSON-able dict (schema version 2)."""
     return {
         "profiler": "repro.obs.profile",
         "version": PROFILE_VERSION,
@@ -258,6 +283,11 @@ def profile_report(profile: SearchProfile) -> dict[str, Any]:
             key: profile.unknown_kinds[key]
             for key in sorted(profile.unknown_kinds)
         },
+        "run": profile.run,
+        "kinds": {key: profile.kinds[key] for key in sorted(profile.kinds)},
+        "chains": profile.chains,
+        "mean_acceptance": profile.mean_acceptance,
+        "best_updates": profile.best_updates,
         "tree": _node_report(profile.root),
     }
 
@@ -307,6 +337,22 @@ def render_profile(profile: SearchProfile) -> str:
         f"profile: {report['events']} events  "
         f"clock span: {report['clock_span']:g} units  methods: {methods}"
     )
+    if report["run"]:
+        run = report["run"]
+        described = ", ".join(f"{key}={run[key]}" for key in sorted(run))
+        lines.append(f"run: {described}")
+    if report["kinds"]:
+        kinds = report["kinds"]
+        ordered = [k for k in (*ev.EVENT_KINDS, OTHER_LEAF) if k in kinds]
+        described = ", ".join(f"{kind} {kinds[kind]}" for kind in ordered)
+        lines.append(f"by kind: {described}")
+    if report["chains"]:
+        lines.append(
+            f"sa chains: {report['chains']}  "
+            f"mean acceptance: {report['mean_acceptance']:.3f}"
+        )
+    if report["best_updates"]:
+        lines.append(f"best-cost updates: {report['best_updates']}")
     if report["workers"]:
         indices = report["workers"]
         lines.append(

@@ -16,7 +16,7 @@ Design constraints, in priority order:
    recording backend is installed.  ``benchmarks/test_perf_obs.py``
    holds this to <2% on the incremental-evaluation hot path.
 3. **Mergeable.**  Worker-local tracers cross the process boundary as
-   plain event tuples and metric snapshots; the orchestrator merges
+   plain event tuples and counter snapshots; the orchestrator merges
    them in restart-index order (never completion order).
 
 Usage::
@@ -24,7 +24,7 @@ Usage::
     tracer = RecordingTracer()
     result = optimize(query, method="II", trace=tracer)
     write_trace(tracer.events, "run.jsonl")        # or optimize(trace="run.jsonl")
-    tracer.metrics.snapshot()                       # counters/gauges/histograms
+    tracer.metrics.snapshot()                       # {"counters": {...}}
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ NULL_TRACER = Tracer()
 
 
 class RecordingTracer(Tracer):
-    """Collects events in memory and aggregates metrics.
+    """Collects events in memory and counts metrics.
 
     The logical clock reads ``Budget.spent`` of whichever budget is
     currently bound (the optimizer binds its own as the run starts);

@@ -1,4 +1,4 @@
-"""Trace and metrics serialization: JSONL out, JSONL in.
+"""Trace and metrics serialization, and the trace comparator.
 
 The on-disk trace format is one JSON object per line, preceded by a
 header line carrying the format version::
@@ -7,8 +7,8 @@ header line carrying the format version::
     {"seq": 0, "clock": 0.0, "kind": "run_start", "data": {...}}
     {"seq": 1, "clock": 19.0, "kind": "move", "data": {...}}
 
-Line-oriented so traces stream (a reader can summarize a trace larger
-than memory line by line) and diff cleanly under standard tools.  Keys
+Line-oriented so traces stream (a reader can fold a trace larger than
+memory line by line) and diff cleanly under standard tools.  Keys
 are emitted in a fixed order and floats round-trip exactly (``json``
 serializes them via ``repr``), so *identical traces serialize to
 identical bytes* — the property ``python -m repro.obs diff`` and the
@@ -18,7 +18,7 @@ workers=N ≡ workers=1 companion check rely on.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 from repro.obs.events import TraceEvent, TraceFormatError
 from repro.obs.metrics import Metrics
@@ -38,8 +38,8 @@ def write_trace(
 ) -> None:
     """Write a trace file: header line, then one event per line.
 
-    ``meta`` (method, seed, query size, ...) rides on the header so the
-    reader CLI can label its summary without scanning for ``run_start``.
+    ``meta`` (method, seed, query size, ...) rides on the header; the
+    readers take the same values from the first ``run_start`` event.
     """
     header: dict[str, Any] = {"kind": _HEADER_KIND, "version": TRACE_VERSION}
     if meta:
@@ -87,16 +87,6 @@ def read_trace(path: str) -> list[TraceEvent]:
         return list(iter_trace(handle))
 
 
-def read_trace_meta(path: str) -> dict[str, Any]:
-    """The header's ``meta`` table (empty when the writer attached none)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        header = _parse_line(handle.readline() or "null", 1)
-    if not isinstance(header, dict) or header.get("kind") != _HEADER_KIND:
-        raise TraceFormatError("missing trace_header line")
-    meta = header.get("meta", {})
-    return dict(meta) if isinstance(meta, dict) else {}
-
-
 def write_metrics(metrics: Metrics, path: str) -> None:
     """Persist a metrics snapshot as pretty-printed, sorted JSON."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -104,10 +94,39 @@ def write_metrics(metrics: Metrics, path: str) -> None:
         handle.write("\n")
 
 
-def read_metrics(path: str) -> Metrics:
-    """Load a metrics snapshot written by :func:`write_metrics`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    if not isinstance(snapshot, dict):
-        raise TraceFormatError("metrics file must hold a JSON object")
-    return Metrics.from_snapshot(snapshot)
+def diff_traces(
+    left: Sequence[TraceEvent],
+    right: Sequence[TraceEvent],
+    max_report: int = 10,
+) -> list[str]:
+    """Describe where two traces diverge (empty list == identical).
+
+    Compares event-by-event on the full tuple (seq, clock, kind, worker,
+    data) — the bit-identity the determinism contract promises for equal
+    seeds, so *any* line here is a determinism violation worth a bug
+    report.  At most ``max_report`` differing events are described; the
+    cap is only tested once a difference is found, so identical traces
+    always compare empty.
+    """
+    differences: list[str] = []
+    common = min(len(left), len(right))
+    for index in range(common):
+        a, b = left[index], right[index]
+        if a != b:
+            if len(differences) >= max_report:
+                differences.append("... (further differences suppressed)")
+                return differences
+            differences.append(
+                f"event {index}: "
+                f"{a.kind}@{a.clock:g}{_worker_tag(a)} {dict(a.data)!r} != "
+                f"{b.kind}@{b.clock:g}{_worker_tag(b)} {dict(b.data)!r}"
+            )
+    if len(left) != len(right):
+        differences.append(
+            f"length: {len(left)} events vs {len(right)} events"
+        )
+    return differences
+
+
+def _worker_tag(event: TraceEvent) -> str:
+    return f"/w{event.worker}" if event.worker is not None else ""

@@ -430,9 +430,6 @@ def multi_start_optimize(
                 worker=outcome.index,
             )
             tracer.metrics.inc("restarts")
-            tracer.metrics.gauge(
-                f"worker.{outcome.index}.units", outcome.units_spent
-            )
             if outcome.metrics is not None:
                 tracer.metrics.merge(Metrics.from_snapshot(outcome.metrics))
         if outcome.result is not None:

@@ -11,6 +11,7 @@ counts.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import combinations
@@ -676,6 +677,36 @@ def test_gap_report_rows_ranked_and_anchored():
     assert best_found.exact_order == results[anchor.method].order.positions
     assert anchor.gap == 1.0
     assert all(row.gap >= 1.0 for row in best_found.rows)
+
+
+SEARCH_COUNTERS = {
+    "nodes_expanded",
+    "nodes_pruned_bound",
+    "nodes_pruned_dominated",
+    "incumbent_updates",
+}
+
+
+def test_gap_report_json_carries_search_counters_only_after_a_search():
+    query = generate_query(DEFAULT_SPEC, 7, 2)
+    model = MainMemoryCostModel()
+    exact = exact_optimum(query.graph, model)
+    results = compare_methods(query, methods=("II", "IAI"), model=model)
+    proven = json.loads(
+        gap_report_json(build_gap_report(query, model, results, exact))
+    )["exact"]
+    assert proven["mode"] == "branch-and-bound"
+    assert SEARCH_COUNTERS <= set(proven)
+    assert proven["nodes_expanded"] == exact.nodes_expanded > 0
+    best_found = json.loads(
+        gap_report_json(build_gap_report(query, model, results))
+    )["exact"]
+    assert best_found == {
+        "cost": best_found["cost"],
+        "order": best_found["order"],
+        "proven": False,
+        "mode": "best-found",
+    }
 
 
 def test_optimality_gap_edge_cases():

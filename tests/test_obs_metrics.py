@@ -2,66 +2,18 @@
 
 from __future__ import annotations
 
-import math
+import json
 
 import pytest
 
 from repro.obs import (
-    DEFAULT_BUCKETS,
-    Histogram,
     Metrics,
     TraceEvent,
     TraceFormatError,
-    read_metrics,
     read_trace,
     write_metrics,
     write_trace,
 )
-
-
-# ---------------------------------------------------------------------------
-# Histogram
-
-
-def test_histogram_observe_and_mean() -> None:
-    histogram = Histogram()
-    for value in (0.5, 5.0, 50.0):
-        histogram.observe(value)
-    assert histogram.count == 3
-    assert histogram.total == 55.5
-    assert histogram.mean == pytest.approx(18.5)
-    assert histogram.minimum == 0.5
-    assert histogram.maximum == 50.0
-
-
-def test_histogram_buckets_must_end_with_inf() -> None:
-    with pytest.raises(ValueError):
-        Histogram(buckets=(1.0, 10.0))
-
-
-def test_histogram_merge_requires_same_buckets() -> None:
-    left = Histogram()
-    right = Histogram(buckets=(1.0, math.inf))
-    with pytest.raises(ValueError):
-        left.merge(right)
-
-
-def test_histogram_merge_adds_bucketwise() -> None:
-    left, right = Histogram(), Histogram()
-    left.observe(1.0)
-    right.observe(100.0)
-    right.observe(0.001)
-    left.merge(right)
-    assert left.count == 3
-    assert left.minimum == 0.001
-    assert left.maximum == 100.0
-    assert sum(left.counts) == 3
-
-
-def test_default_buckets_are_powers_of_ten_plus_inf() -> None:
-    assert DEFAULT_BUCKETS[-1] == math.inf
-    assert DEFAULT_BUCKETS[0] == pytest.approx(1e-3)
-    assert all(b > a for a, b in zip(DEFAULT_BUCKETS, DEFAULT_BUCKETS[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -71,45 +23,34 @@ def test_default_buckets_are_powers_of_ten_plus_inf() -> None:
 def test_metrics_merge_semantics() -> None:
     left, right = Metrics(), Metrics()
     left.inc("evaluations", 3)
-    left.gauge("best_cost", 10.0)
-    left.observe("depth", 2.0)
+    left.inc("pruned")
     right.inc("evaluations", 4)
-    right.gauge("best_cost", 7.0)
-    right.observe("depth", 6.0)
+    right.inc("restarts")
     left.merge(right)
-    assert left.counter("evaluations") == 7.0
-    assert left.gauges["best_cost"] == 7.0  # last-writer wins
-    assert left.histograms["depth"].count == 2
+    assert left.counters == {"evaluations": 7.0, "pruned": 1.0, "restarts": 1.0}
+    assert right.counters == {"evaluations": 4.0, "restarts": 1.0}
 
 
 def test_metrics_snapshot_round_trip() -> None:
     metrics = Metrics()
     metrics.inc("b_counter")
     metrics.inc("a_counter", 2.5)
-    metrics.gauge("g", -1.0)
-    metrics.observe("h", 4.0)
     snapshot = metrics.snapshot()
+    assert list(snapshot) == ["counters"]
     assert list(snapshot["counters"]) == ["a_counter", "b_counter"]
     rebuilt = Metrics.from_snapshot(snapshot)
     assert rebuilt.snapshot() == snapshot
 
 
-def test_metrics_from_snapshot_rejects_foreign_buckets() -> None:
-    snapshot = {
-        "histograms": {"h": {"count": 1, "sum": 1.0, "min": 1.0, "max": 1.0,
-                             "buckets": {"7.5": 1}}},
-    }
-    with pytest.raises(ValueError):
-        Metrics.from_snapshot(snapshot)
-
-
 def test_metrics_json_file_round_trip(tmp_path) -> None:
     metrics = Metrics()
     metrics.inc("evaluations", 12)
-    metrics.gauge("best_cost", 3.5)
+    metrics.inc("best_updates", 3)
     path = tmp_path / "metrics.json"
     write_metrics(metrics, str(path))
-    assert read_metrics(str(path)).snapshot() == metrics.snapshot()
+    written = json.loads(path.read_text())
+    assert written == {"counters": {"best_updates": 3.0, "evaluations": 12.0}}
+    assert Metrics.from_snapshot(written).snapshot() == metrics.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ from repro.obs import (
     TraceEvent,
     diff_traces,
     iter_trace,
+    profile_events,
     read_trace,
-    read_trace_meta,
-    summarize_events,
     write_trace,
 )
 from repro.workloads.benchmarks import DEFAULT_SPEC
@@ -122,6 +121,27 @@ def test_worker_count_does_not_change_result(query) -> None:
         assert result_fingerprint(traced) == result_fingerprint(untraced)
 
 
+@pytest.mark.parametrize("method", ("II", "SA", "IAI"))
+def test_worker_count_does_not_change_counters(query, method) -> None:
+    # Pool workers ship their counters back as snapshots; the merge adds
+    # them in restart-index order, so the totals cannot see the pool.
+    snapshots = {}
+    for workers in (1, 2):
+        tracer = RecordingTracer()
+        optimize(
+            query,
+            method=method,
+            seed=5,
+            workers=workers,
+            restarts=4,
+            trace=tracer,
+        )
+        snapshots[workers] = tracer.metrics.snapshot()
+    assert snapshots[1] == snapshots[2]
+    assert list(snapshots[1]) == ["counters"]
+    assert snapshots[1]["counters"]["evaluations"] > 0
+
+
 # ---------------------------------------------------------------------------
 # Determinism of the trace itself
 
@@ -152,7 +172,7 @@ def test_event_sequence_and_clock_are_monotonic(query) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Schema round-trip: emit → JSONL → read → summarize
+# Schema round-trip: emit → JSONL → read → profile
 
 
 def test_trace_round_trip(query, tmp_path) -> None:
@@ -160,19 +180,26 @@ def test_trace_round_trip(query, tmp_path) -> None:
     optimize(query, method="SA", seed=4, trace=tracer)
     path = tmp_path / "trace.jsonl"
     write_trace(tracer.events, str(path), meta={"method": "SA"})
-    assert read_trace_meta(str(path)) == {"method": "SA"}
+    with open(path, "r", encoding="utf-8") as handle:
+        header = json.loads(handle.readline())
+    assert header["meta"] == {"method": "SA"}
     loaded = read_trace(str(path))
     assert list(loaded) == list(tracer.events)
     with open(path, "r", encoding="utf-8") as handle:
         streamed = list(iter_trace(handle))
     assert streamed == list(tracer.events)
 
-    summary = summarize_events(loaded)
-    assert summary.n_events == len(tracer.events)
-    assert summary.final_cost is not None
-    assert summary.kinds["run_start"] == 1
-    assert summary.kinds["run_end"] == 1
-    assert sum(summary.move_outcomes.values()) == summary.kinds.get("move", 0)
+    profile = profile_events(loaded)
+    assert profile.n_events == len(tracer.events)
+    assert profile.final_cost is not None
+    assert profile.kinds["run_start"] == 1
+    assert profile.kinds["run_end"] == 1
+    assert profile.root.total_units() == profile.clock_span
+
+    def moves_in(node) -> int:
+        return node.n_moves + sum(map(moves_in, node.children.values()))
+
+    assert moves_in(profile.root) == profile.kinds.get("move", 0)
 
 
 def test_trace_file_is_valid_jsonl(query, tmp_path) -> None:

@@ -11,9 +11,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_import_does_not_load_numpy():
     # The package depends on the standard library only; a module that
     # imported numpy would add its load time and memory to every process,
-    # pool workers included.  The execution engine is for calibration
-    # only: the verification gate, which every query passes, must not
-    # load it either.
+    # pool workers included.  The execution engine only runs plans to
+    # check estimates against real intermediate sizes: the verification
+    # gate, which every query passes, must not load it either.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (str(SRC), env.get("PYTHONPATH")) if path
