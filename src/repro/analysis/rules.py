@@ -7,7 +7,7 @@ differential test harness checks dynamically:
 * ``workers=N`` must be bit-identical to ``workers=1``  → DET001, DET002,
   DET003, DET004 (no ambient entropy, no wall clock, no hash-order
   dependence, no unpicklable/stateful pool dispatch);
-* the resilient fallback chain must be the *only* place failures are
+* the resilient path's guards must be the *only* place failures are
   swallowed  → EXC001.
 """
 
@@ -726,7 +726,7 @@ def _is_broad(handler: ast.ExceptHandler) -> bool:
 class BroadExceptRule(Rule):
     """EXC001: broad ``except`` only inside annotated boundaries.
 
-    Outside the resilience chain, ``except Exception`` converts bugs
+    Outside the resilient guards, ``except Exception`` converts bugs
     (including determinism bugs: a divergent worker crashing instead of
     agreeing) into silently different results.  A broad handler is legal
     only where a ``# boundary: <why>`` annotation marks a deliberate

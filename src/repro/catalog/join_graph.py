@@ -34,9 +34,9 @@ class JoinGraph:
         construction time: every relation must have a positive finite
         cardinality and no join column may claim more distinct values than
         its relation has rows.  ``validate=False`` skips only these
-        statistical checks (structural checks always run) and exists for
-        fault injection (the test suite's ``corrupt_catalog``), which
-        deliberately builds graphs with corrupted statistics.
+        statistical checks (structural checks always run).  The SQL
+        frontend is its one user in the package: a folded parallel predicate carries a
+        scaled distinct count that may exceed its relation's rows.
     """
 
     def __init__(

@@ -33,13 +33,15 @@ Exit codes
     ``obs diff`` found trace divergence.
 2
     Usage error: bad arguments, unknown method, unparsable query,
-    invalid statistics.
+    invalid statistics, missing input file.
 3
     Degraded success (``--resilient``): a verified plan was produced,
-    but the fallback chain had to recover from failures; the failure
-    log is printed to stderr.
+    but only after recovering from a failure; the failure log is
+    printed to stderr.
 4
-    No valid plan: every stage of the resilient fallback chain failed.
+    No plan: the budget paid for no evaluation, every priced order
+    overflowed, or (with ``--resilient``) neither the search nor the
+    spanning order verified.
 """
 
 from __future__ import annotations
@@ -116,14 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--resilient",
         action="store_true",
-        help="absorb optimizer failures via the fallback chain "
-        "(exit code 3 when the result is degraded)",
-    )
-    resilience.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="rotated-seed retries per stage of the fallback chain",
+        help="keep the search's best plan if the method raises, and fall "
+        "back to the deterministic spanning order if no plan verifies "
+        "(exit code 3 when the result is degraded, 4 when nothing verifies)",
     )
 
     observability = argparse.ArgumentParser(add_help=False)
@@ -391,7 +388,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         time_factor=args.time_factor,
         seed=args.seed,
         resilient=args.resilient,
-        max_retries=args.max_retries,
         workers=args.workers,
         restarts=args.restarts,
         trace=tracer,
@@ -640,7 +636,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
         time_factor=args.time_factor,
         seed=args.seed,
         resilient=args.resilient,
-        max_retries=args.max_retries,
         workers=args.workers,
         restarts=args.restarts,
         trace=tracer,
@@ -791,14 +786,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code (see module docstring)."""
+    from repro.core.budget import BudgetExhausted
+    from repro.cost.base import CostOverflowError
     from repro.robustness.resilience import NoValidPlanError
 
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except NoValidPlanError as exc:
+    except (NoValidPlanError, BudgetExhausted, CostOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PLAN
+    except FileNotFoundError as exc:
+        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, KeyError) as exc:
         # Unknown methods/benchmarks/tables, unparsable queries, invalid
         # statistics: usage errors, matching argparse's own exit code.

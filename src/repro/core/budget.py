@@ -145,18 +145,6 @@ class Budget:
         limit = self.spent + self.remaining * part / whole
         return lambda: self.spent >= limit
 
-    def carve(self, fraction: float) -> "Budget":
-        """A fresh budget of ``fraction`` of this budget's *original* limit.
-
-        Used by the resilient fallback chain to grant each recovery stage a
-        bounded, unspent allowance regardless of how much the failed attempt
-        consumed (a crashed attempt may have drained everything).  The carve
-        is intentionally not deducted from this budget: recovery overhead is
-        bounded extra work, priced at ``fraction`` per stage.
-        """
-        check_positive("fraction", fraction)
-        return Budget(limit=max(1.0, self.limit * fraction))
-
 
 class WallClockBudget(Budget):
     """A budget bounded by elapsed wall-clock time instead of work units.
@@ -238,8 +226,3 @@ class WallClockBudget(Budget):
         left = max(0.0, self.seconds - (now - self._start))
         deadline = now + left * part / whole
         return lambda: self._clock() >= deadline
-
-    def carve(self, fraction: float) -> "WallClockBudget":
-        """A fresh wall-clock allowance sharing this budget's clock."""
-        check_positive("fraction", fraction)
-        return WallClockBudget(self.seconds * fraction, clock=self._clock)

@@ -75,11 +75,6 @@ class Strategy(ABC):
 
     name: str = "abstract"
     description: str = ""
-    #: Whether the method's outcome depends on its random stream.  The
-    #: resilient fallback chain retries stochastic methods with rotated
-    #: derived seeds; deterministic (pure-heuristic) methods get a single
-    #: retry, since re-running them with a new seed changes nothing.
-    stochastic: bool = True
 
     @abstractmethod
     def run(
@@ -403,8 +398,6 @@ class KBIStrategy(AGIStrategy):
 class PureAugmentationStrategy(Strategy):
     """Generate and evaluate the augmentation states, then stop."""
 
-    stochastic = False
-
     def __init__(self, criterion: AugmentationCriterion) -> None:
         self.criterion = criterion
         self.name = f"AUG{int(criterion)}"
@@ -424,8 +417,6 @@ class PureAugmentationStrategy(Strategy):
 
 class PureKBZStrategy(Strategy):
     """Generate and evaluate the KBZ per-root states, then stop."""
-
-    stochastic = False
 
     def __init__(self, weight: AugmentationCriterion) -> None:
         self.weight = weight

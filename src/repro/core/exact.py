@@ -656,7 +656,6 @@ class ExactStrategy(Strategy):
 
     name = "EXACT"
     description = "exact branch-and-bound (II above 16 relations)"
-    stochastic = False
 
     def run(
         self,

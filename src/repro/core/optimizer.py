@@ -45,8 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 class OptimizationResult:
     """Outcome of one optimizer invocation.
 
-    ``degraded`` is True when the resilient fallback chain had to recover
-    from at least one failure to produce this result; ``failures`` holds
+    ``degraded`` is True when the resilient path had to recover from at
+    least one failure to produce this result; ``failures`` holds
     the corresponding :class:`~repro.robustness.resilience.FailureRecord`
     entries, in the order they occurred (empty for clean runs).
 
@@ -123,8 +123,14 @@ def _optimize_connected(
     target_cost: float | None = None,
     record_floor: float | None = None,
     tracer: Tracer | None = None,
+    on_error: Callable[[Exception], None] | None = None,
 ) -> Evaluator:
-    """Run one strategy on a connected graph; returns its evaluator."""
+    """Run one strategy on a connected graph; returns its evaluator.
+
+    With ``on_error`` (the resilient path's guard) any other exception the
+    strategy raises goes to it instead of the caller, and the evaluator
+    keeps the best plan recorded before it.
+    """
     strategy = make_strategy(method)
     # The RNG stream is keyed on the method *string* exactly as passed, so
     # historical seeds stay bit-for-bit reproducible; Strategy instances
@@ -141,6 +147,12 @@ def _optimize_connected(
         strategy.run(evaluator, rng, params)
     except (BudgetExhausted, TargetReached):
         pass
+    # boundary: only the resilient guard swallows a crashing strategy;
+    # every other caller gets the exception back.
+    except Exception as exc:
+        if on_error is None:
+            raise
+        on_error(exc)
     return evaluator
 
 
@@ -156,7 +168,6 @@ def optimize(
     stop_at_bound: bool = False,
     bound_tolerance: float = 1.05,
     resilient: bool = False,
-    max_retries: int = 2,
     workers: int | None = None,
     restarts: int | None = None,
     trace: Tracer | str | None = None,
@@ -182,14 +193,16 @@ def optimize(
         Enable the paper's early-stopping rule: stop as soon as a plan
         costs at most ``bound_tolerance`` times the lower bound on the
         optimum (see :func:`repro.cost.bounds.lower_bound`).
-    resilient / max_retries:
-        With ``resilient=True``, failures (cost-model exceptions, NaN/inf
-        costs, corrupted statistics, exhausted budgets) are absorbed by a
-        fallback chain — rotated-seed retries, method degradation, and a
-        deterministic spanning order as a last resort — instead of
-        propagating; see :mod:`repro.robustness.resilience`.  The result's
-        ``degraded``/``failures`` fields record what happened.
-        ``max_retries`` bounds the rotated-seed retries per stage.
+    resilient:
+        With ``resilient=True`` the same search runs once, guarded: a
+        strategy that raises still hands back the best plan its evaluator
+        recorded, and when no plan passes the verification gate the
+        deterministic spanning order is the last resort; see
+        :mod:`repro.robustness.resilience`.  A run where nothing fails
+        returns exactly the plain result.  The result's
+        ``degraded``/``failures`` fields record what happened, and
+        :class:`~repro.robustness.resilience.NoValidPlanError` is raised
+        when not even the spanning order verifies.
     workers / restarts:
         Setting either routes the call through the multi-start
         orchestrator (:func:`repro.parallel.multi_start_optimize`):
@@ -220,8 +233,8 @@ def optimize(
     """
     return _optimize(
         query, method, model, time_factor, units_per_n2, seed, budget,
-        params, stop_at_bound, bound_tolerance, resilient, max_retries,
-        workers, restarts, trace,
+        params, stop_at_bound, bound_tolerance, resilient, workers,
+        restarts, trace,
     )
 
 
@@ -237,7 +250,6 @@ def _optimize(
     stop_at_bound: bool,
     bound_tolerance: float,
     resilient: bool,
-    max_retries: int,
     workers: int | None,
     restarts: int | None,
     trace: Tracer | str | None,
@@ -314,7 +326,6 @@ def _optimize(
             seed=seed,
             params=params,
             target_cost=target_cost,
-            max_retries=max_retries,
             tracer=tracer,
         )
         return _finish_trace(result, tracer, trace_path, budget)

@@ -23,8 +23,8 @@ class CostOverflowError(OverflowError):
     """A cardinality or cost computation left the finite float range.
 
     Raised instead of silently propagating ``inf``/``NaN`` so that callers
-    (and the resilient optimizer's fallback chain) can distinguish a broken
-    estimate from a merely enormous one.
+    (the resilient path's guards, the CLI's exit code 4) can distinguish
+    a broken estimate from a merely enormous one.
     """
 
 

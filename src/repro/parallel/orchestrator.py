@@ -153,7 +153,6 @@ def run_job(job: OptimizeJob) -> JobOutcome:
             stop_at_bound=job.stop_at_bound,
             bound_tolerance=job.bound_tolerance,
             resilient=False,
-            max_retries=2,
             workers=None,
             restarts=None,
             trace=tracer,
@@ -342,6 +341,10 @@ def multi_start_optimize(
     if tracing and floor is not None:
         tracer.emit(obs_events.BOUND, kind="prepass_floor", value=floor)
         tracer.metrics.inc("bounds_published")
+        # The pre-pass is one priced plan, counted in n_evaluations below.
+        tracer.metrics.inc("evaluations")
+        tracer.metrics.inc("joins_walked", float(n_joins))
+        tracer.metrics.inc("joins_charged", float(n_joins))
 
     share = budget.share(1, restarts).limit
     jobs = [

@@ -115,7 +115,7 @@ def deterministic_fallback_order(graph: JoinGraph) -> JoinOrder:
     vertex index); components are emitted smallest-first and contiguously.
     Valid by construction and stable across runs: the exact search's
     first incumbent, the orchestrator's pre-pass floor and the resilient
-    chain's last resort.
+    path's last resort.
     """
     keys: list[tuple[float, int]] = []
     for vertex in range(graph.n_relations):

@@ -1,16 +1,18 @@
-"""Robustness subsystem: verification, fallbacks, injected faults.
+"""Robustness subsystem: verification, the resilient guards, injected faults.
 
-Production query optimizers must *always* return the best valid plan found
-so far, degraded if necessary — a crash, a corrupt statistic, or an expired
-budget must never propagate to the caller as an unhandled exception.
+The paper's methods are anytime searches: they return the best valid plan
+found so far.  Under ``resilient=True`` a crashing strategy or an expired
+budget yields a degraded plan or ``NoValidPlanError``, never another
+exception; on every path, no plan reaches the caller unverified.
 
 :mod:`repro.robustness.verify`
     The plan-verification gate every optimization result passes before it
-    is returned, plus catalog validation and sanitization.
+    is returned.
 :mod:`repro.robustness.resilience`
-    The fallback chain behind ``optimize(..., resilient=True)``: retry
-    with rotated seeds, degrade method → augmentation → deterministic
-    spanning order, and record every step in a structured ``FailureLog``.
+    The two guards behind ``optimize(..., resilient=True)``: the plain
+    search run once with its exceptions caught, and the deterministic
+    spanning order as the last resort, every failure recorded in a
+    structured ``FailureLog``.
 :mod:`repro.robustness.faults`
     :class:`InjectedFault`, the error the test suite's fault-injection
     doubles raise and the orchestrator's pre-pass catches.
@@ -27,8 +29,6 @@ from repro.robustness.resilience import (
 from repro.robustness.verify import (
     PlanVerificationError,
     VerificationReport,
-    catalog_violations,
-    sanitize_catalog,
     verify_or_raise,
     verify_plan,
 )
@@ -42,8 +42,6 @@ __all__ = [
     "resilient_optimize",
     "PlanVerificationError",
     "VerificationReport",
-    "catalog_violations",
-    "sanitize_catalog",
     "verify_or_raise",
     "verify_plan",
 ]

@@ -8,6 +8,7 @@ without hand-marking hundreds of quick tests.
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,17 @@ from repro.catalog.predicates import JoinPredicate
 from repro.catalog.relation import Relation
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
+
+
+def documented_exit_codes(doc: str) -> dict[int, str]:
+    """Parse the two-column exit-code table out of ``docs/<doc>``."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / doc).read_text()
+    table: dict[int, str] = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].strip("`").isdigit():
+            table[int(cells[0].strip("`"))] = cells[1]
+    return table
 
 
 def make_relations(cardinalities: list[int]) -> list[Relation]:

@@ -5,10 +5,6 @@ so every chaos test is bit-for-bit reproducible:
 
 * :class:`FaultyCostModel` wraps any cost model and injects NaN/inf/negative
   costs, exceptions, or artificial wall-clock stalls at chosen evaluations.
-* :func:`corrupt_catalog` returns a structurally identical join graph whose
-  statistics have been corrupted (zero/negative/NaN cardinalities, missing
-  or excessive distinct-value counts) — the graphs a stale or bit-rotted
-  statistics store would produce.
 * :class:`FaultyStrategy` wraps any optimization method and makes it crash
   after a chosen number of evaluations — the mid-anneal worker death the
   massively-parallel setting must tolerate.
@@ -25,7 +21,6 @@ identically across runs and processes.
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from dataclasses import dataclass
@@ -47,22 +42,6 @@ NEGATIVE_COST = "negative-cost"
 COST_EXCEPTION = "exception"
 STALL = "stall"
 FAULT_KINDS = (NAN_COST, INF_COST, NEGATIVE_COST, COST_EXCEPTION, STALL)
-
-#: Catalog-corruption kinds accepted by :func:`corrupt_catalog`.
-ZERO_CARDINALITY = "zero-cardinality"
-NEGATIVE_CARDINALITY = "negative-cardinality"
-NAN_CARDINALITY = "nan-cardinality"
-MISSING_DISTINCT = "missing-distinct"
-NEGATIVE_DISTINCT = "negative-distinct"
-EXCESS_DISTINCT = "excess-distinct"
-CORRUPTION_KINDS = (
-    ZERO_CARDINALITY,
-    NEGATIVE_CARDINALITY,
-    NAN_CARDINALITY,
-    MISSING_DISTINCT,
-    NEGATIVE_DISTINCT,
-    EXCESS_DISTINCT,
-)
 
 
 @dataclass(frozen=True)
@@ -116,11 +95,13 @@ class FaultyCostModel(CostModel):
     :meth:`CostModel.plan_cost` (it re-implements the sum without the
     check), simulating a third-party model that does not use the guarded
     base implementation — precisely the misbehaving component the
-    verification gate and the resilient fallback chain must catch.
+    verification gate and the resilient guards must catch.
 
-    The fault counter persists across optimization attempts, so a fault
-    pinned to one evaluation fires once and retries see a healthy model —
-    the transient-failure scenario.  ``stall_hook`` (default: no-op) is
+    The fault counter persists across calls, so a fault pinned to one
+    evaluation fires once and later calls (the verification gate's
+    re-price among them) see a healthy model.  Such call-dependent
+    faults exist only in this double: the shipped models are pure
+    (``test_costing_is_pure``).  ``stall_hook`` (default: no-op) is
     called with ``stall_seconds`` when a stall fires; pass a
     :class:`StallingClock`'s ``advance`` or ``time.sleep`` as desired.
     """
@@ -206,57 +187,6 @@ class StallingClock:
     def advance(self, seconds: float) -> None:
         """Jump the clock forward (a stall just happened)."""
         self.now += seconds
-
-
-def _corrupt_copy(obj, **attrs):
-    """Copy a frozen dataclass instance and overwrite attributes unchecked."""
-    clone = copy.copy(obj)
-    for name, value in attrs.items():
-        object.__setattr__(clone, name, value)
-    return clone
-
-
-def corrupt_catalog(graph: JoinGraph, kind: str, seed: int = 0) -> JoinGraph:
-    """A copy of ``graph`` with one deterministically chosen corrupt statistic.
-
-    The victim relation or predicate is picked from a stream derived from
-    ``seed`` and ``kind``, so the same call always corrupts the same spot.
-    The returned graph is built with ``validate=False`` — exactly how
-    corrupt statistics arrive in production: past the constructor, via a
-    path that skipped validation.
-    """
-    if kind not in CORRUPTION_KINDS:
-        raise ValueError(
-            f"unknown corruption kind {kind!r}; one of {CORRUPTION_KINDS}"
-        )
-    rng = derive_rng(seed, "corrupt-catalog", kind)
-    relations = list(graph.relations)
-    predicates = list(graph.predicates)
-    if kind in (ZERO_CARDINALITY, NEGATIVE_CARDINALITY, NAN_CARDINALITY):
-        victim = rng.randrange(len(relations))
-        corrupted_value = {
-            ZERO_CARDINALITY: 0,
-            NEGATIVE_CARDINALITY: -relations[victim].base_cardinality,
-            NAN_CARDINALITY: float("nan"),
-        }[kind]
-        relations[victim] = _corrupt_copy(
-            relations[victim], base_cardinality=corrupted_value
-        )
-    else:
-        if not predicates:
-            raise ValueError("graph has no predicates to corrupt")
-        index = rng.randrange(len(predicates))
-        victim_predicate = predicates[index]
-        corrupted_value = {
-            MISSING_DISTINCT: 0.0,
-            NEGATIVE_DISTINCT: -victim_predicate.left_distinct,
-            EXCESS_DISTINCT: 1e3
-            * graph.relations[victim_predicate.left].base_cardinality,
-        }[kind]
-        predicates[index] = _corrupt_copy(
-            victim_predicate, left_distinct=corrupted_value
-        )
-    return JoinGraph(relations, predicates, validate=False)
 
 
 class _TrippingEvaluator:

@@ -20,6 +20,8 @@ from repro.analysis.config import DetlintConfig, project_config
 from repro.analysis.engine import Analyzer
 from repro.analysis.reporting import render_json
 
+from .conftest import documented_exit_codes
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Marks the throwaway project's root; detlint reads nothing from it.
@@ -123,19 +125,8 @@ def test_list_rules_prints_all_codes(
 # Exit-code contract: docs/static-analysis.md is the source of truth
 
 
-def documented_exit_codes() -> dict[int, str]:
-    """Parse the exit-code table out of the user-facing docs."""
-    doc = (REPO_ROOT / "docs" / "static-analysis.md").read_text()
-    table: dict[int, str] = {}
-    for line in doc.splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) == 2 and cells[0].strip("`").isdigit():
-            table[int(cells[0].strip("`"))] = cells[1]
-    return table
-
-
 def test_docs_enumerate_exactly_the_three_exit_codes() -> None:
-    table = documented_exit_codes()
+    table = documented_exit_codes("static-analysis.md")
     assert set(table) == {0, 1, 2}
     assert "open finding" in table[1]
     assert "usage" in table[2]
@@ -145,7 +136,7 @@ def test_exit_codes_match_docs(
     project: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
     """Drive main() into each documented state; codes must line up."""
-    assert set(documented_exit_codes()) == {0, 1, 2}
+    assert set(documented_exit_codes("static-analysis.md")) == {0, 1, 2}
     write_module(project, CLEAN_MODULE)
     assert main(["src"]) == 0  # clean
     write_module(project, DIRTY_MODULE)

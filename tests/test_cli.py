@@ -1,8 +1,25 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _build_parser, main
+
+from .conftest import documented_exit_codes
+
+FIXTURES = Path(__file__).parent / "fixtures" / "cli"
+
+#: Parallel predicates the SQL frontend folds into one edge whose distinct
+#: counts exceed the tables' rows (a graph built with ``validate=False``).
+FOLD_QUERY = "SELECT * FROM a, b, c WHERE a.x = b.x AND a.x = b.y AND b.y = c.y"
+
+#: Two 1e300-row tables: every order's first join overflows.
+OVERFLOW_CATALOG = (
+    '{"tables": {'
+    '"a": {"cardinality": 1e300, "columns": {"k": {"distinct": 1e6}}}, '
+    '"b": {"cardinality": 1e300, "columns": {"k": {"distinct": 1e6}}}}}'
+)
 
 
 class TestMethodsCommand:
@@ -315,13 +332,73 @@ class TestExitCodes:
         assert "degraded" in captured.out
         assert "SPANNING" in captured.out
         assert "failure(s) during optimization" in captured.err
-        assert "fallback" in captured.err
+        assert "[attempt]" in captured.err
 
-    def test_non_resilient_tiny_budget_still_raises(self):
+    def test_non_resilient_tiny_budget_still_raises(self, capsys):
+        # The library still raises BudgetExhausted; the CLI reports it as
+        # exit 4 with one error line instead of a traceback.
         from repro.core.budget import BudgetExhausted
+        from repro.core.optimizer import optimize
+        from repro.workloads.benchmarks import DEFAULT_SPEC
+        from repro.workloads.generator import generate_query
 
         with pytest.raises(BudgetExhausted):
-            main(["optimize", "--joins", "8", "--time-factor", "0.0001"])
+            optimize(generate_query(DEFAULT_SPEC, 8, 0), time_factor=0.0001)
+        code = main(["optimize", "--joins", "8", "--time-factor", "0.0001"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["optimize", "--joins", "5", "--time-factor", "1e-9"],
+            ["optimize", "--joins", "5", "--time-factor", "1e-9",
+             "--workers", "2"],
+            ["compare", "--joins", "5", "--time-factor", "1e-9",
+             "--methods", "II"],
+        ),
+        ids=("optimize", "workers", "compare"),
+    )
+    def test_budget_for_no_evaluation_exits_four(self, argv, capsys):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "method", (["--method", "IAI"], ["--method", "EXACT"]), ids=("IAI", "EXACT")
+    )
+    def test_overflowing_catalog_exits_four(self, tmp_path, capsys, method):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(OVERFLOW_CATALOG)
+        code = main(
+            ["sql", "SELECT * FROM a, b WHERE a.k = b.k", "--catalog",
+             str(catalog)] + method
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_missing_catalog_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main(["sql", "SELECT * FROM a", "--catalog", str(missing)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+    def test_exit_codes_match_docs(self, tmp_path, capsys):
+        """Drive main() into each row of the documented table."""
+        table = documented_exit_codes("robustness.md")
+        assert set(table) == {0, 2, 3, 4}
+        assert "no plan" in table[4]
+        assert main(["optimize", "--joins", "5", "--time-factor", "1"]) == 0
+        missing = str(tmp_path / "missing.json")
+        assert main(["sql", "SELECT * FROM a", "--catalog", missing]) == 2
+        assert main(
+            ["optimize", "--joins", "8", "--time-factor", "0.0001",
+             "--resilient"]
+        ) == 3
+        assert main(["optimize", "--joins", "5", "--time-factor", "1e-9"]) == 4
+        capsys.readouterr()
 
     def test_no_valid_plan_exits_four(self, capsys, monkeypatch):
         import repro.cli as cli
@@ -336,21 +413,6 @@ class TestExitCodes:
         )
         assert code == 4
         assert "nothing verifies" in capsys.readouterr().err
-
-    def test_max_retries_flag_is_accepted(self, capsys):
-        code = main(
-            [
-                "optimize",
-                "--joins",
-                "8",
-                "--time-factor",
-                "1",
-                "--resilient",
-                "--max-retries",
-                "0",
-            ]
-        )
-        assert code == 0
 
     def test_sql_usage_error_exits_two(self, tmp_path, capsys):
         catalog = tmp_path / "catalog.json"
@@ -420,3 +482,14 @@ class TestExitCodes:
         )
         assert code == 0
         assert "plan cost" in capsys.readouterr().out
+
+    def test_sql_folded_predicates_resilient_matches_plain(self, capsys):
+        # The folded edge's distinct counts exceed its tables' rows by
+        # design; --resilient must plan the query as the plain run does.
+        argv = ["sql", FOLD_QUERY, "--catalog", str(FIXTURES / "catalog.json")]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--resilient"]) == 0
+        resilient = capsys.readouterr()
+        assert resilient.out == plain.out
+        assert resilient.err == plain.err == ""

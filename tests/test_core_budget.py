@@ -83,7 +83,7 @@ class TestBudget:
 
 
 class TestBudgetEdgeCases:
-    """Exact-at-limit semantics and the resilience carve."""
+    """Exact-at-limit semantics and the budget shares."""
 
     def test_charge_landing_exactly_on_limit_succeeds(self):
         budget = Budget(limit=10)
@@ -104,23 +104,6 @@ class TestBudgetEdgeCases:
         budget.charge(4)
         assert budget.can_afford(6)
         assert not budget.can_afford(6.0000001)
-
-    def test_carve_is_a_fraction_of_the_original_limit(self):
-        budget = Budget(limit=100)
-        budget.charge(90)  # nearly drained
-        carved = budget.carve(0.25)
-        assert carved.limit == 25  # original limit, not remaining
-        assert carved.spent == 0
-        # Spending the carve does not touch the parent.
-        carved.charge(10)
-        assert budget.spent == 90
-
-    def test_carve_has_a_floor_of_one_unit(self):
-        assert Budget(limit=2).carve(0.1).limit == 1.0
-
-    def test_carve_rejects_nonpositive_fraction(self):
-        with pytest.raises(ValueError):
-            Budget(limit=10).carve(0)
 
     def test_share_is_part_of_what_is_left(self):
         budget = Budget(limit=100)
@@ -188,18 +171,6 @@ class TestWallClockBudgetWithStalls:
         with pytest.raises(BudgetExhausted, match="wall-clock"):
             budget.charge(2.0)  # only one held-back unit is left
         assert (budget.spent, rest.spent) == (3.0, 1.0)
-
-    def test_carve_shares_the_injected_clock(self):
-        from repro.core.budget import WallClockBudget
-        from tests.faults import StallingClock
-
-        clock = StallingClock(tick=1.0)
-        budget = WallClockBudget(seconds=40.0, clock=clock)
-        carved = budget.carve(0.1)  # 4 seconds, starting now
-        with pytest.raises(BudgetExhausted):
-            for _ in range(100):
-                carved.charge(1.0)
-        assert not budget.exhausted  # parent has plenty of time left
 
     def test_share_is_part_of_the_seconds_left_from_now(self):
         from repro.core.budget import WallClockBudget

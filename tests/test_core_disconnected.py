@@ -3,7 +3,7 @@
 ``postpone_cross_products`` splits a disconnected graph, solves each
 component on a share of the budget proportional to its ``N^2`` and
 concatenates the component orders smallest result first.  ``optimize``
-and the resilient chain both go through it, so a wall clock works on a
+and the resilient path both go through it, so a wall clock works on a
 disconnected graph for every method, and unit-budget results keep the
 values pinned below.
 """
@@ -23,7 +23,7 @@ from repro.robustness import verify_plan
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
 
-from tests.faults import FaultSpec, FaultyCostModel, StallingClock
+from tests.faults import StallingClock
 
 from .conftest import disjoint_union, two_component_graph
 
@@ -166,32 +166,3 @@ def test_unit_budget_results_are_pinned(key, resilient):
         result.n_evaluations,
     ) == PINNED[key]
     assert not result.degraded
-
-
-def test_recovery_work_is_charged_before_later_components_share():
-    """A degraded component's retries run on carves of their own; the
-    caller is charged for them, so later components' shares, and so the
-    plan and its accounting, keep their pinned values."""
-    graph = disjoint_union(
-        generate_query(DEFAULT_SPEC, 4, 1).graph,
-        generate_query(DEFAULT_SPEC, 6, 3).graph,
-        generate_query(DEFAULT_SPEC, 5, 2).graph,
-    )
-    model = FaultyCostModel(
-        MainMemoryCostModel(), [FaultSpec("nan-cost", probability=0.02)],
-        seed=11,
-    )
-    budget = Budget.for_query(graph.n_joins, 1.0)
-    result = optimize(
-        graph, model=model, method="II", seed=11, budget=budget,
-        resilient=True,
-    )
-    assert result.degraded and len(result.failures) == 3
-    assert tuple(result.order) == (
-        12, 13, 16, 15, 14, 17, 0, 1, 4, 2, 3, 7, 10, 5, 8, 9, 6, 11,
-    )
-    assert result.cost == 4.798157255712512e16
-    assert (result.units_spent, result.n_evaluations) == (
-        6974.031296751823, 1349,
-    )
-    assert budget.spent == result.units_spent

@@ -559,7 +559,6 @@ def test_exact_strategy_answers_when_the_deadline_passes_mid_search():
 def test_exact_strategy_registered():
     strategy = make_strategy("EXACT")
     assert isinstance(strategy, ExactStrategy)
-    assert not strategy.stochastic
 
 
 def test_exact_in_compare_methods():
@@ -616,7 +615,6 @@ class _InjectedStart(Strategy):
 
     name = "INJECTED"
     description = "evaluates a single injected order"
-    stochastic = False
 
     def __init__(self, order: JoinOrder) -> None:
         self._order = order

@@ -528,11 +528,14 @@ class TestBudgetAccounting:
         assert budget_a.spent == budget_b.spent
 
 
-class TestResilientPathStaysOnOracle:
-    def test_resilient_optimize_never_instantiates_engine(
-        self, monkeypatch, small_query
+class TestResilientPathSharesTheEngine:
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("method", ("II", "SA", "IAI", "EXACT"))
+    def test_resilient_run_is_the_plain_run(
+        self, monkeypatch, small_query, method, model
     ):
-        """optimize(resilient=True) must use the full-cost oracle only."""
+        """optimize(resilient=True) searches on the plain run's evaluator:
+        the same result field for field, and as many engines built."""
         instantiated = []
         original_init = IncrementalEvaluator.__init__
 
@@ -541,12 +544,22 @@ class TestResilientPathStaysOnOracle:
             original_init(self, graph, model)
 
         monkeypatch.setattr(IncrementalEvaluator, "__init__", spying_init)
-        result = optimize(
-            small_query.graph, method="II", seed=0, resilient=True
+        plain = optimize(
+            small_query.graph, method=method, model=model, seed=0,
+            time_factor=1.0,
         )
-        assert result.cost > 0
-        assert instantiated == []
+        plain_engines = list(instantiated)
+        instantiated.clear()
+        resilient = optimize(
+            small_query.graph, method=method, model=model, seed=0,
+            time_factor=1.0, resilient=True,
+        )
+        assert resilient == plain
+        assert plain_engines
+        assert instantiated == plain_engines
 
+
+class TestResilientPathStaysOnOracle:
     def test_verification_gate_recomputes_with_full_oracle(self):
         """verify_plan goes through model.plan_cost, not the engine."""
         from repro.robustness.verify import verify_plan

@@ -142,6 +142,19 @@ def test_worker_count_does_not_change_counters(query, method) -> None:
     assert snapshots[1]["counters"]["evaluations"] > 0
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_counters_count_the_prepass_plan(query, workers) -> None:
+    # The orchestrator prices the spanning order once before fanning out
+    # and counts it in n_evaluations; the counters must see it too.
+    tracer = RecordingTracer()
+    result = optimize(
+        query, method="II", seed=5, workers=workers, restarts=4, trace=tracer
+    )
+    counters = tracer.metrics.snapshot()["counters"]
+    assert counters["evaluations"] == result.n_evaluations == 2157
+    assert counters["joins_charged"] == result.n_evaluations * query.n_joins
+
+
 # ---------------------------------------------------------------------------
 # Determinism of the trace itself
 

@@ -9,10 +9,9 @@ from repro.core.combinations import MethodParams, make_strategy
 from repro.core.state import Evaluator
 from repro.cost.memory import MainMemoryCostModel
 from repro.plans.join_order import JoinOrder
-from repro.robustness import InjectedFault, catalog_violations
+from repro.robustness import InjectedFault
 from repro.utils.rng import derive_rng
 from tests.faults import (
-    CORRUPTION_KINDS,
     COST_EXCEPTION,
     INF_COST,
     NAN_COST,
@@ -22,7 +21,6 @@ from tests.faults import (
     FaultyCostModel,
     FaultyStrategy,
     StallingClock,
-    corrupt_catalog,
 )
 
 
@@ -122,32 +120,6 @@ class TestStallingClock:
         budget.charge(1.0)  # call 2: clock at 0, fine
         with pytest.raises(BudgetExhausted, match="wall-clock"):
             budget.charge(1.0)  # call 3 hits the 60s stall
-
-
-class TestCorruptCatalog:
-    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
-    def test_every_kind_produces_detectable_corruption(self, medium_query, kind):
-        corrupted = corrupt_catalog(medium_query.graph, kind, seed=3)
-        assert catalog_violations(corrupted)
-        # Structure untouched: only statistics are corrupted.
-        assert corrupted.n_relations == medium_query.graph.n_relations
-        assert len(corrupted.predicates) == len(medium_query.graph.predicates)
-
-    def test_victim_choice_is_seed_deterministic(self, medium_query):
-        a = corrupt_catalog(medium_query.graph, "zero-cardinality", seed=9)
-        b = corrupt_catalog(medium_query.graph, "zero-cardinality", seed=9)
-        assert [r.base_cardinality for r in a.relations] == [
-            r.base_cardinality for r in b.relations
-        ]
-
-    def test_unknown_kind_rejected(self, chain):
-        with pytest.raises(ValueError, match="unknown corruption kind"):
-            corrupt_catalog(chain, "gremlins")
-
-    def test_original_graph_is_untouched(self, chain):
-        before = [r.base_cardinality for r in chain.relations]
-        corrupt_catalog(chain, "nan-cardinality", seed=0)
-        assert [r.base_cardinality for r in chain.relations] == before
 
 
 class TestFaultyStrategy:

@@ -17,8 +17,9 @@ from repro.experiments.sensitivity import perturb_graph
 from repro.robustness import NoValidPlanError, verify_plan
 from repro.robustness.resilience import FailureLog
 from repro.utils.rng import derive_rng
+from repro.workloads.benchmarks import DEFAULT_SPEC
+from repro.workloads.generator import generate_query
 from tests.faults import (
-    CORRUPTION_KINDS,
     COST_EXCEPTION,
     INF_COST,
     NAN_COST,
@@ -26,7 +27,6 @@ from tests.faults import (
     FaultyCostModel,
     FaultyStrategy,
     StallingClock,
-    corrupt_catalog,
 )
 
 MODEL = MainMemoryCostModel()
@@ -35,6 +35,23 @@ MODEL = MainMemoryCostModel()
 def assert_gate_passes(result, graph, model=None):
     report = verify_plan(result.order, result.cost, graph, model or MODEL)
     assert report.ok, report.violations
+
+
+def assert_plan_or_no_valid_plan(run, graph):
+    """The resilient contract under a fault storm.
+
+    Either a plan that passes the gate against the clean model, with
+    ``degraded`` agreeing with the log, or ``NoValidPlanError`` whose
+    log names both guards: the attempt and the last resort.
+    """
+    try:
+        result = run()
+    except NoValidPlanError as exc:
+        stages = {record.stage for record in exc.failures}
+        assert {"attempt", "last-resort"} <= stages, stages
+        return
+    assert_gate_passes(result, graph, model=MODEL)
+    assert result.degraded == bool(result.failures)
 
 
 class TestCleanRuns:
@@ -55,10 +72,6 @@ class TestCleanRuns:
         assert result.cost == 0.0
         assert not result.degraded
 
-    def test_rejects_negative_max_retries(self, chain):
-        with pytest.raises(ValueError, match="max_retries"):
-            optimize(chain, resilient=True, max_retries=-1)
-
 
 class TestCostFaults:
     """NaN/inf cost storms and cost-model exceptions on a 20-join query."""
@@ -69,15 +82,16 @@ class TestCostFaults:
         model = FaultyCostModel(
             MODEL, [FaultSpec(kind=kind, probability=0.05)], seed=5
         )
-        result = optimize(
-            graph, method="IAI", seed=3, time_factor=1.0,
-            resilient=True, model=model,
+        # NaN/inf plans are skipped by the evaluator, but the storm goes
+        # on through the gate's re-price, so a plan may still be rejected.
+        assert_plan_or_no_valid_plan(
+            lambda: optimize(
+                graph, method="IAI", seed=3, time_factor=1.0,
+                resilient=True, model=model,
+            ),
+            graph,
         )
         assert model.n_injected > 0  # the storm actually happened
-        assert_gate_passes(result, graph, model=MODEL)
-        # NaN/inf plans were skipped by the evaluator; whether the run is
-        # flagged degraded must agree with the recorded failures.
-        assert result.degraded == bool(result.failures)
 
     def test_one_shot_nan_is_absorbed_cleanly(self, medium_query):
         graph = medium_query.graph
@@ -109,8 +123,8 @@ class TestCostFaults:
         assert any(f.stage == "attempt" for f in result.failures)
 
     def test_hopeless_model_raises_no_valid_plan(self, medium_query):
-        # Every join cost NaN: no stage, not even the spanning order, can
-        # produce a verifiable cost — the chain must say so, with the log.
+        # Every join cost NaN: neither the search nor the spanning order
+        # can produce a verifiable cost — both guards must say so.
         graph = medium_query.graph
         model = FaultyCostModel(
             MODEL, [FaultSpec(kind=NAN_COST, every=1)], seed=5
@@ -123,8 +137,7 @@ class TestCostFaults:
         failures = info.value.failures
         stages = {record.stage for record in failures}
         assert "attempt" in stages
-        assert any(stage.startswith("fallback-") for stage in stages)
-        assert any(stage.startswith("last-resort") for stage in stages)
+        assert "last-resort" in stages
 
 
 class TestStrategyFaults:
@@ -149,25 +162,9 @@ class TestStrategyFaults:
         )
         assert_gate_passes(result, graph)
         assert result.degraded
-        # Retries rerun the same (still crashing) wrapper, so recovery came
-        # from the method-degradation fallbacks.
-        assert result.method in ("AUG", "KBZ", "SPANNING")
-
-
-class TestCorruptedCatalogs:
-    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
-    def test_every_corruption_kind_recovers(self, medium_query, kind):
-        corrupted = corrupt_catalog(medium_query.graph, kind, seed=1)
-        result = optimize(
-            corrupted, method="IAI", seed=3, time_factor=1.0, resilient=True
-        )
-        assert result.degraded
-        preflight = [f for f in result.failures if f.stage == "preflight"]
-        assert len(preflight) == 1
-        assert preflight[0].kind == "corrupt-catalog"
-        # The plan verifies against the *sanitized* graph the result carries.
-        assert_gate_passes(result, result.graph)
-        assert result.graph.n_relations == corrupted.n_relations
+        # The attempt recorded no plan before it crashed, so the spanning
+        # order is the answer.
+        assert result.method == "SPANNING"
 
 
 class TestBudgetFaults:
@@ -182,10 +179,22 @@ class TestBudgetFaults:
         assert result.method == "SPANNING"
         assert all(f.kind == "no-plan" for f in result.failures)
 
+    def test_units_never_exceed_the_callers_limit(self):
+        # 19.5 units cannot pay for one 20-join evaluation.  Recovery runs
+        # on the caller's budget, so the report stays within its limit.
+        query = generate_query(DEFAULT_SPEC, 20, 1)
+        budget = Budget(limit=19.5)
+        result = optimize(
+            query, method="IAI", seed=3, resilient=True, budget=budget
+        )
+        assert_gate_passes(result, query.graph)
+        assert result.method == "SPANNING"
+        assert result.units_spent == budget.spent <= 19.5
+
     def test_wall_clock_stall_before_first_evaluation(self, medium_query):
         graph = medium_query.graph
-        # The machine stalls 100s on the attempt's very first budget check;
-        # the retry's carved allowance starts after the stall and succeeds.
+        # The machine stalls 100s on the attempt's very first budget check,
+        # so the attempt records no plan and the spanning order answers.
         clock = StallingClock(tick=0.01, jumps={2: 100.0})
         budget = WallClockBudget(seconds=5.0, clock=clock)
         result = optimize(
@@ -212,22 +221,18 @@ class TestReproducibility:
                 resilient=True, model=model,
             )
 
-        a, b = run(), run()
-        assert list(a.order) == list(b.order)
-        assert a.cost == b.cost
-        assert a.method == b.method
-        assert a.failures == b.failures
-        assert a.trajectory == b.trajectory
+        def outcome():
+            # The plan fields, or the raised log's records.
+            try:
+                result = run()
+            except NoValidPlanError as exc:
+                return exc.failures.as_tuple()
+            return (
+                tuple(result.order), result.cost, result.method,
+                result.failures, result.trajectory,
+            )
 
-    def test_retry_seeds_rotate_deterministically(self, medium_query):
-        graph = medium_query.graph
-        result = optimize(
-            graph, method="IAI", seed=3, resilient=True,
-            budget=Budget(limit=1.0),
-        )
-        seeds = [f.seed for f in result.failures if f.stage.startswith("retry")]
-        assert len(seeds) == 2
-        assert len(set(seeds + [3])) == 3  # all distinct from the root seed
+        assert outcome() == outcome()
 
 
 class TestDisconnectedResilience:
@@ -238,15 +243,6 @@ class TestDisconnectedResilience:
         )
         assert_gate_passes(result, two_components)
         assert not result.degraded
-
-    def test_disconnected_with_corrupt_component(self, two_components):
-        corrupted = corrupt_catalog(two_components, "zero-cardinality", seed=1)
-        result = optimize(
-            corrupted, method="II", seed=1, time_factor=1.0, resilient=True
-        )
-        assert result.degraded
-        assert any(f.kind == "corrupt-catalog" for f in result.failures)
-        assert_gate_passes(result, result.graph)
 
     def test_disconnected_budget_shared_when_component_falls_back(
         self, two_components
@@ -284,9 +280,10 @@ class TestFailureLog:
 
 class TestEstimateErrorInterplay:
     """Chaos interplay: lying cardinality estimates *and* injected cost
-    faults at the same time. The resilience chain must still return a
+    faults at the same time. The resilient path must still return a
     plan that verifies against the catalog it optimized (the lying one),
-    and the failure log must record what was absorbed."""
+    or say that none verified, and the failure log must record what was
+    absorbed."""
 
     def test_fault_storm_on_perturbed_catalog_yields_verified_plan(
         self, medium_query
@@ -297,13 +294,14 @@ class TestEstimateErrorInterplay:
         model = FaultyCostModel(
             MODEL, [FaultSpec(kind=NAN_COST, probability=0.05)], seed=5
         )
-        result = optimize(
-            lying, method="IAI", seed=3, time_factor=1.0,
-            resilient=True, model=model,
+        assert_plan_or_no_valid_plan(
+            lambda: optimize(
+                lying, method="IAI", seed=3, time_factor=1.0,
+                resilient=True, model=model,
+            ),
+            lying,
         )
         assert model.n_injected > 0
-        assert_gate_passes(result, lying, model=MODEL)
-        assert result.degraded == bool(result.failures)
 
     def test_exception_on_perturbed_catalog_populates_failure_log(
         self, medium_query

@@ -1,24 +1,18 @@
-"""Tests for the plan-verification gate and catalog validation."""
+"""Tests for the plan-verification gate."""
 
 import math
 
 import pytest
 
-from repro.catalog.join_graph import JoinGraph
-from repro.catalog.predicates import JoinPredicate
-from repro.catalog.relation import Relation
 from repro.core.optimizer import optimize
 from repro.cost.memory import MainMemoryCostModel
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import first_invalid_position
 from repro.robustness import (
     PlanVerificationError,
-    catalog_violations,
-    sanitize_catalog,
     verify_or_raise,
     verify_plan,
 )
-from tests.faults import CORRUPTION_KINDS, corrupt_catalog
 
 
 class TestVerifyPlan:
@@ -102,45 +96,3 @@ class TestOptimizerGate:
             two_components, method="II", model=model, time_factor=1.0
         )
         assert verify_plan(result.order, result.cost, two_components, model).ok
-
-
-class TestCatalogValidation:
-    def test_healthy_graph_has_no_violations(self, chain, star, cycle):
-        for graph in (chain, star, cycle):
-            assert catalog_violations(graph) == []
-
-    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
-    def test_each_corruption_kind_is_detected(self, medium_query, kind):
-        corrupted = corrupt_catalog(medium_query.graph, kind, seed=1)
-        assert catalog_violations(corrupted)
-
-    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
-    def test_sanitize_repairs_every_kind(self, medium_query, kind):
-        corrupted = corrupt_catalog(medium_query.graph, kind, seed=1)
-        repaired = sanitize_catalog(corrupted)
-        assert catalog_violations(repaired) == []
-        # Structure is preserved: same vertices, same edges.
-        assert repaired.n_relations == corrupted.n_relations
-        assert len(repaired.predicates) == len(corrupted.predicates)
-
-    def test_sanitize_drops_invalid_selections(self):
-        # Corrupt a selection selectivity past the constructor, the way a
-        # stale serialized catalog would arrive.
-        import copy
-
-        from repro.catalog.relation import Selection
-
-        good_selection = Selection(0.5)
-        bad_selection = copy.copy(good_selection)
-        object.__setattr__(bad_selection, "selectivity", -2.0)
-        bad = copy.copy(Relation("R0", 100))
-        object.__setattr__(bad, "selections", (good_selection, bad_selection))
-        corrupted = JoinGraph(
-            [bad, Relation("R1", 200)],
-            [JoinPredicate(0, 1, 50, 100)],
-            validate=False,
-        )
-        assert catalog_violations(corrupted)
-        repaired = sanitize_catalog(corrupted)
-        assert catalog_violations(repaired) == []
-        assert repaired.relations[0].selections == (good_selection,)
