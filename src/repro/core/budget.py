@@ -110,7 +110,7 @@ class Budget:
         if self.spent + units > self.limit:
             self.spent = self.limit
             raise BudgetExhausted(
-                f"budget of {self.limit:.0f} units exhausted"
+                f"budget of {self.limit:g} units exhausted"
             )
         self.spent += units
 

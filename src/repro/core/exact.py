@@ -19,15 +19,37 @@ with ``==``):
   then the :func:`~repro.cost.cardinality.step` that ``plan_cost``
   folds), so a completed chain's cost is the identical float
   ``plan_cost`` returns for that order.
-* **Pruning uses only the running prefix cost.**  A node is discarded
-  when its accumulated cost ``g`` already reaches the incumbent: join
-  costs are non-negative, and float addition of non-negative terms is
-  monotone, so every completion of the node computes a total ``>= g``
-  *in float arithmetic*.  The admissible-looking remainder estimate
-  ``h`` (each unplaced relation's cheapest conceivable join) orders the
-  frontier — best-first — but is never used to prune, because ``g + h``
-  re-associates the final sum and could exceed a completion's computed
-  total by an ulp near ties.
+* **Pruning uses the running prefix cost, and the remainder floor past
+  a proven rounding margin.**  A node is discarded when its accumulated
+  cost ``g`` already reaches the incumbent: join costs are
+  non-negative, and float addition of non-negative terms is monotone,
+  so every completion of the node computes a total ``>= g`` *in float
+  arithmetic*.  The remainder floor ``h`` — the sum, over unplaced
+  relations, of ``floors[v] = join_cost(1, N_v, 1)`` — orders the
+  frontier (best-first on ``g + h``) and discards a node, at generation
+  and at pop, when ``g + h - total_floor * 1e-12`` exceeds the
+  incumbent times ``1 + 1e-9``.  No completion of such a node prices at
+  or below the incumbent:
+
+  1. every unplaced relation is joined exactly once, as an inner, with
+     outer and result sizes of at least one tuple (the clamp);
+  2. every shipped ``join_cost`` is non-negative and non-decreasing in
+     outer and result size (:meth:`CostModel.join_cost`'s contract), so
+     each such join prices ``>= floors[v]``, in floats; a floor that
+     could not be priced is 0.0, still a lower bound;
+  3. a completion's total is a left-to-right float sum of ``k``
+     non-negative terms after ``g``, so it is at least their real sum
+     times ``1 - k u``, with ``u = 2**-53``;
+  4. the running subtraction that maintains ``h`` stays within about
+     ``2 n u total_floor`` of the real floor sum, inside the slack for
+     ``n`` up to the thousands.
+
+  So every completion prices strictly above the incumbent, and no order
+  that could become or tie it is discarded.  Without the margin ``g +
+  h`` re-associates the final sum and can exceed a completion's total
+  by an ulp at a tie, losing the bitwise minimum.  When the floor sum
+  overflows (relations near the float ceiling), the floor prunes
+  nothing.
 * **Dominance memoization.**  Two prefixes over the same relation set
   are compared componentwise, by a test written inline in
   :func:`_branch_and_bound`'s expansion loop; a dominated prefix cannot
@@ -42,7 +64,8 @@ The frontier is seeded with the greedy order.  KBZ and augmentation
 incumbents polished by a short iterative-improvement descent join it
 only when the budget cannot cover the search's worst case: a search
 sure to complete expands the same nodes from any incumbent (best-first
-on an admissible floor), so there they could only add work.
+on an admissible floor, up to the rounding of ``h``; see
+``docs/exact.md``), so there they could only add work.
 Feasibility: exhaustive enumeration dies around 10 relations; the
 branch-and-bound is comfortable to N≈15–18 depending on graph shape (see
 ``docs/exact.md`` and ``benchmarks/test_perf_exact.py``).  Beyond
@@ -115,6 +138,17 @@ DEFAULT_MAX_EXACT = 16
 #: Budget units charged per node extension — one join-cost evaluation,
 #: the same unit every other method's accounting is denominated in.
 _EXTEND_CHARGE = 1.0
+
+#: The remainder floor prunes a node only when ``g + h``, less
+#: ``total_floor * _FLOOR_SLACK``, exceeds the incumbent times
+#: ``_FLOOR_GROW``.  The slack covers the rounding of ``h``'s running
+#: subtraction (about ``2 n u`` of ``total_floor``, ``u = 2**-53``) and
+#: the relative margin covers the rounding of a completion's float sum
+#: (about ``n u``), each with orders of magnitude to spare for ``n`` up
+#: to the thousands; the module docstring gives the proof.  Change them
+#: only together with it.
+_FLOOR_SLACK = 1e-12
+_FLOOR_GROW = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -248,23 +282,31 @@ def _branch_and_bound(
 
     # Frontier priority: g + h with h the sum, over unplaced relations,
     # of the cheapest join that could ever involve them (outer and
-    # result collapsed to one tuple).  Ordering only — never pruning.
+    # result collapsed to one tuple).  It also prunes, past the rounding
+    # margin the module docstring proves; a floor sum that overflows
+    # prunes nothing.
     floors: list[float] = []
     for vertex in range(n):
         try:
             floor = model.join_cost(1.0, graph.cardinality(vertex), 1.0)
         # boundary: a model that cannot even price the floor join forfeits
-        # the heuristic ordering for this relation, nothing else.
+        # this relation's share of the floor (0.0 still bounds it below),
+        # nothing else.
         except (OverflowError, ValueError):
             floor = 0.0
         floors.append(floor if math.isfinite(floor) else 0.0)
     total_floor = sum(floors)
+    floor_prunes = math.isfinite(total_floor)
+    slack = total_floor * _FLOOR_SLACK if floor_prunes else 0.0
 
     best_cost = math.inf
     best_order: tuple[int, ...] | None = None
     if incumbent is not None:
         best_cost = incumbent.cost
         best_order = incumbent.order.positions
+    # A node whose g + h - slack exceeds this is discarded; infinite
+    # until there is an incumbent.
+    cutoff = best_cost * _FLOOR_GROW
 
     counter = 0
     # Heap entries: (priority, insertion counter, order, state, h,
@@ -282,8 +324,10 @@ def _branch_and_bound(
         store[state.mask] = [state]
 
     while heap:
-        _, _, order, state, h, adjacent = heapq.heappop(heap)
-        if state.cost >= best_cost:
+        key, _, order, state, h, adjacent = heapq.heappop(heap)
+        if state.cost >= best_cost or (
+            floor_prunes and key - slack > cutoff
+        ):
             stats.pruned_bound += 1
             continue
         stats.nodes_expanded += 1
@@ -311,12 +355,17 @@ def _branch_and_bound(
             if not math.isfinite(child.cost):
                 stats.overflowed += 1
                 continue
-            if child.cost >= best_cost:
+            child_h = h - floors[vertex]
+            child_key = child.cost + child_h
+            if child.cost >= best_cost or (
+                floor_prunes and child_key - slack > cutoff
+            ):
                 stats.pruned_bound += 1
                 continue
             child_mask = child.mask
             if child_mask == full:
                 best_cost = child.cost
+                cutoff = best_cost * _FLOOR_GROW
                 best_order = order + (vertex,)
                 stats.incumbent_updates += 1
                 if tracer.enabled:
@@ -326,9 +375,10 @@ def _branch_and_bound(
             # or size and no smaller caps completes every suffix at no
             # higher cost, bitwise: the walk is float-monotone in each
             # (caps clamp through min in a fixed adjacency order, sizes
-            # multiply by positive factors, and both stock join costs
-            # rise with outer and result size).  Equal masks give equal
-            # cap key sets; the key checks only guard that.
+            # multiply by positive factors, and join_cost rises with
+            # outer and result size, as CostModel.join_cost requires).
+            # Equal masks give equal cap key sets; the key checks only
+            # guard that.
             bucket = store.setdefault(child_mask, [])
             cost, size, caps = child.cost, child.size, child.caps
             dominated = False
@@ -349,11 +399,10 @@ def _branch_and_bound(
                 stats.pruned_dominated += 1
                 continue
             bucket.append(child)
-            child_h = h - floors[vertex]
             heapq.heappush(
                 heap,
                 (
-                    child.cost + child_h,
+                    child_key,
                     counter,
                     order + (vertex,),
                     child,

@@ -254,12 +254,15 @@ def _optimize(
     restarts: int | None,
     trace: Tracer | str | None,
     record_floor: float | None = None,
+    nested: bool = False,
 ) -> OptimizationResult:
     """:func:`optimize`, plus the orchestrator's pre-pass floor.
 
     ``record_floor`` is a trusted upper bound on the cost that still
     matters: on a connected graph, start states pricier than it are
-    skipped.
+    skipped.  ``nested`` marks one component's run inside a disconnected
+    one: its events go to the caller's tracer, which folds them into
+    provenance once, at the end of the whole run.
     """
     graph = query.graph if isinstance(query, Query) else query
     if model is None:
@@ -363,9 +366,12 @@ def _optimize(
         def solve(
             component: tuple[int, ...], subgraph: JoinGraph, share: Budget
         ) -> JoinOrder:
-            piece = optimize(
-                subgraph, method=method, model=model, seed=seed,
-                budget=share, params=params, trace=tracer,
+            piece = _optimize(
+                subgraph, method=method, model=model,
+                time_factor=time_factor, units_per_n2=units_per_n2,
+                seed=seed, budget=share, params=params, stop_at_bound=False,
+                bound_tolerance=bound_tolerance, resilient=False,
+                workers=None, restarts=None, trace=tracer, nested=True,
             )
             pieces.append(piece)
             return piece.order
@@ -384,7 +390,9 @@ def _optimize(
     from repro.robustness.verify import verify_or_raise
 
     verify_or_raise(result.order, result.cost, graph, model)
-    return _finish_trace(result, tracer, trace_path, budget)
+    return _finish_trace(
+        result, tracer, trace_path, budget, provenance=not nested
+    )
 
 
 def _finish_trace(
@@ -392,6 +400,7 @@ def _finish_trace(
     tracer: Tracer,
     trace_path: str | None,
     budget: Budget,
+    provenance: bool = True,
 ) -> OptimizationResult:
     """Emit the run's closing event, attach provenance, flush the sink."""
     if tracer.enabled:
@@ -404,7 +413,7 @@ def _finish_trace(
             degraded=result.degraded,
         )
         events = getattr(tracer, "events", None)
-        if events is not None:
+        if events is not None and provenance:
             # Reconstructed from the trace just closed — a pure fold
             # over the events, so the result object itself stays
             # byte-identical to an untraced run's (the field is

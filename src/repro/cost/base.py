@@ -37,7 +37,16 @@ class CostModel(ABC):
     def join_cost(
         self, outer_size: float, inner_size: float, result_size: float
     ) -> float:
-        """Cost of one hash join with the given estimated sizes."""
+        """Cost of one hash join with the given estimated sizes.
+
+        The contract every model keeps: the cost is non-negative and
+        non-decreasing in ``outer_size`` and in ``result_size``, in
+        float arithmetic.  The exact search rests on it twice.  Its
+        dominance rule needs it (a prefix no larger and no costlier
+        completes no costlier), and so does its remainder floor: outer
+        and result sizes never fall below one tuple, so every join with
+        inner ``N`` prices at least ``join_cost(1, N, 1)``.
+        """
 
     def plan_cost(self, order: JoinOrder, graph: JoinGraph) -> float:
         """Total cost of the outer-linear plan given by ``order``.

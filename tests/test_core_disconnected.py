@@ -10,6 +10,8 @@ values pinned below.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.catalog.join_graph import JoinGraph
@@ -18,6 +20,9 @@ from repro.core.budget import Budget, WallClockBudget
 from repro.core.optimizer import optimize, postpone_cross_products
 from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
+from repro.obs import RecordingTracer
+from repro.obs import provenance as provenance_module
+from repro.obs.writer import write_trace
 from repro.plans.join_order import JoinOrder
 from repro.robustness import verify_plan
 from repro.workloads.benchmarks import DEFAULT_SPEC
@@ -143,7 +148,7 @@ PINNED = {
     ),
     ("four-parts", "EXACT", "memory"): (
         (5, 6, 14, 0, 1, 4, 2, 3, 9, 12, 7, 10, 11, 8, 13),
-        2620915793181142.0, 423.7999999999997, 3,
+        2620915793181142.0, 422.7999999999997, 3,
     ),
     ("four-parts", "EXACT", "disk"): (
         (6, 5, 14, 1, 0, 4, 2, 3, 12, 9, 7, 10, 11, 8, 13),
@@ -166,3 +171,40 @@ def test_unit_budget_results_are_pinned(key, resilient):
         result.n_evaluations,
     ) == PINNED[key]
     assert not result.degraded
+
+
+#: SHA-256 of II's trace file and provenance JSON on ``_four_parts``
+#: (seed 3, ``time_factor=2.0``), as recorded when every component's
+#: run folded the trace into a provenance of its own and dropped it.
+FOUR_PARTS_II_TRACE = (
+    "79a1bfae8af6baf56d85da0796402650f6b9feda782e8d212abcc07de1080aa4"
+)
+FOUR_PARTS_II_PROVENANCE = (
+    "96478df4486d89d322d22e1f8825810c3913ebeb15ca70f52bb843884e5eb079"
+)
+
+
+def test_a_traced_run_folds_provenance_once(monkeypatch, tmp_path):
+    """The components record into the caller's tracer; only the whole
+    run folds the trace, and the trace and provenance are unchanged."""
+    folds = []
+    build = provenance_module.build_provenance
+
+    def counting(events):
+        folds.append(len(events))
+        return build(events)
+
+    monkeypatch.setattr(provenance_module, "build_provenance", counting)
+    tracer = RecordingTracer()
+    result = optimize(
+        _four_parts(), method="II", seed=3, time_factor=2.0, trace=tracer
+    )
+    assert folds == [len(tracer.events)] == [1953]
+    path = tmp_path / "trace.jsonl"
+    write_trace(tracer.events, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FOUR_PARTS_II_TRACE
+    rendered = provenance_module.provenance_json(result.provenance)
+    assert (
+        hashlib.sha256(rendered.encode()).hexdigest()
+        == FOUR_PARTS_II_PROVENANCE
+    )

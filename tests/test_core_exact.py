@@ -17,6 +17,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog.join_graph import JoinGraph
 from repro.catalog.predicates import JoinPredicate
@@ -44,13 +45,21 @@ from repro.core.iterative import default_patience
 from repro.core.optimizer import optimize
 from repro.core.state import make_evaluator
 from repro.cost.cardinality import (
+    MAX_CARDINALITY,
     CostOverflowError,
+    PrefixState,
     QueryContext,
     extend_state,
     start_state,
+    step,
 )
 from repro.cost.disk import DiskCostModel
 from repro.cost.memory import MainMemoryCostModel
+from repro.cost.methods import (
+    MultiMethodCostModel,
+    NestedLoopCostModel,
+    SortMergeCostModel,
+)
 from repro.cost.static import StaticCostModel
 from repro.obs import NULL_TRACER, RecordingTracer
 from repro.plans.join_order import JoinOrder
@@ -68,9 +77,18 @@ from tests.conftest import (
     star_graph,
     two_component_graph,
 )
+from tests.test_property_invariants import graphs_with_orders
 
 MODELS = [MainMemoryCostModel(), DiskCostModel()]
 MODEL_IDS = ["memory", "disk"]
+#: Every shipped model: the two the paper's methods search, and the
+#: three §7 join methods, which price through ``join_cost`` itself.
+ORACLE_MODELS = MODELS + [
+    NestedLoopCostModel(),
+    SortMergeCostModel(),
+    MultiMethodCostModel(),
+]
+ORACLE_IDS = MODEL_IDS + ["nested-loop", "sort-merge", "multi-method"]
 
 
 def brute_force_optimum(graph: JoinGraph, model) -> float:
@@ -93,6 +111,24 @@ def brute_force_optimum(graph: JoinGraph, model) -> float:
     return best
 
 
+def mixed_magnitude_graph(huge: bool) -> JoinGraph:
+    """A 1e15-row relation among 1-row ones, with or without a 1e300-row
+    one: the small floors fall below the rounding of the floor sum."""
+    cards = [1e15, 1, 1, 1, 1]
+    predicates = [
+        JoinPredicate(0, 1, 1e6, 1),
+        JoinPredicate(0, 2, 1e9, 1),
+        JoinPredicate(2, 3, 1, 1),
+        JoinPredicate(1, 4, 1, 1),
+    ]
+    if huge:
+        cards.append(1e300)
+        predicates += [JoinPredicate(3, 5, 1, 1e12), JoinPredicate(4, 5, 1, 1e200)]
+    return JoinGraph(
+        [Relation(f"R{i}", card) for i, card in enumerate(cards)], predicates
+    )
+
+
 def shape_graphs() -> list[tuple[str, JoinGraph]]:
     return [
         ("chain", chain_graph()),
@@ -100,6 +136,8 @@ def shape_graphs() -> list[tuple[str, JoinGraph]]:
         ("cycle", cycle_graph()),
         ("two-components", two_component_graph()),
         ("selected", selected_graph()),
+        ("mixed-1e15", mixed_magnitude_graph(huge=False)),
+        ("mixed-1e15-1e300", mixed_magnitude_graph(huge=True)),
     ]
 
 
@@ -149,7 +187,7 @@ def all_connected_four_vertex_graphs() -> list[JoinGraph]:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
 def test_bitwise_equal_to_enumeration_on_shapes(model):
     for name, graph in shape_graphs():
         result = exact_optimum(graph, model)
@@ -161,7 +199,7 @@ def test_bitwise_equal_to_enumeration_on_shapes(model):
         assert model.plan_cost(result.order, graph) == result.cost
 
 
-@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
 def test_bitwise_equal_to_enumeration_on_random_graphs(model):
     for graph in random_graphs():
         result = exact_optimum(graph, model)
@@ -169,7 +207,7 @@ def test_bitwise_equal_to_enumeration_on_random_graphs(model):
         assert first_invalid_position(result.order, graph) is None
 
 
-@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
 def test_bitwise_equal_on_every_connected_four_vertex_graph(model):
     graphs = all_connected_four_vertex_graphs()
     assert len(graphs) == 38  # 38 connected labeled graphs on 4 vertices
@@ -228,6 +266,104 @@ def test_single_relation_and_max_relations_guard():
     big = generate_query(DEFAULT_SPEC, 20, 0).graph
     with pytest.raises(ValueError, match="max_relations"):
         exact_optimum(big, MainMemoryCostModel())
+
+
+# ----------------------------------------------------------------------
+# The remainder floor: what its pruning assumes, and where its rounding
+# margin has to hold
+# ----------------------------------------------------------------------
+
+
+@given(graphs_with_orders(), st.sampled_from(ORACLE_MODELS))
+@settings(max_examples=60, deadline=None)
+def test_every_join_the_step_prices_is_at_least_its_floor(graph_order, model):
+    """Each unplaced relation joins once, as an inner, against an outer
+    and a result of at least one tuple; the step prices that join at no
+    less than ``join_cost(1, inner, 1)``, in floats."""
+    graph, order = graph_order
+    context = QueryContext(graph, model)
+    state = start_state(context, order[0])
+    for inner in order.positions[1:]:
+        floor = model.join_cost(1.0, graph.cardinality(inner), 1.0)
+        # The join alone: the same step from a zero running cost.
+        alone = PrefixState(
+            state.mask, state.size, 0.0,
+            state.caps.copy(), state.unplaced.copy(),
+        )
+        step(context, alone, inner)
+        assert alone.cost >= floor >= 0.0
+        step(context, state, inner)
+
+
+@given(
+    st.sampled_from(ORACLE_MODELS),
+    st.floats(1.0, MAX_CARDINALITY),
+    st.floats(1.0, 1e300),
+    st.floats(1.0, MAX_CARDINALITY),
+)
+@settings(max_examples=200, deadline=None)
+def test_join_cost_is_at_least_its_floor(model, outer, inner, result):
+    """The same lemma over every outer and result size the clamp allows."""
+    floor = model.join_cost(1.0, inner, 1.0)
+    assert model.join_cost(outer, inner, result) >= floor >= 0.0
+
+
+def test_the_margin_keeps_an_optimum_one_ulp_below_a_tie():
+    """Orders (1 0 3 2) and (1 0 2 3) cost the same in real arithmetic,
+    but their float sums are 27.299999999999997 and 27.3.  Pruning on
+    ``g + h`` above the incumbent with no margin loses the cheaper one;
+    past the rounding margin the search keeps it."""
+    graph = JoinGraph(
+        [Relation(f"R{i}", card) for i, card in enumerate([1, 10, 7, 1])],
+        [JoinPredicate(0, 1, 1, 10), JoinPredicate(0, 3, 1, 1),
+         JoinPredicate(1, 2, 10, 7)],
+    )
+    model = MainMemoryCostModel()
+    assert model.plan_cost(JoinOrder([1, 0, 2, 3]), graph) == 27.3
+    result = exact_optimum(graph, model)
+    assert result.cost == brute_force_optimum(graph, model) == 27.299999999999997
+    assert result.order.positions == (1, 0, 3, 2)
+
+
+def test_an_overflowing_floor_sum_prunes_nothing_and_stays_exact():
+    """Two relations near the float ceiling: each floor is finite, their
+    sum is not, so the search runs on the running cost alone.  Two of
+    the four orders price finitely: each starts from one of the two
+    (clamped to MAX_CARDINALITY) and cuts it to one tuple before the
+    other, and the cheaper starts from the larger."""
+    graph = JoinGraph(
+        [Relation("A", 1.4e308), Relation("B", 1e307), Relation("C", 1)],
+        [JoinPredicate(0, 2, 1e150, 1), JoinPredicate(2, 1, 1, 1e307)],
+    )
+    model = MainMemoryCostModel()
+    floors = [model.join_cost(1.0, graph.cardinality(v), 1.0) for v in range(3)]
+    assert all(math.isfinite(floor) for floor in floors)
+    assert not math.isfinite(sum(floors))
+    result = exact_optimum(graph, model)
+    assert result.order.positions == (0, 2, 1)
+    assert result.cost == brute_force_optimum(graph, model)
+
+
+#: Generated 12-relation queries, (spec, seed, model), whose proof fits
+#: ``optimize``'s default budget of 9 N^2 only with the floor pruning:
+#: on the running cost alone the search spends the whole budget and
+#: returns its seed's plan.
+BUDGET_BOUND_PROOFS = [
+    (1, 5, "memory"), (1, 5, "disk"), (7, 1, "disk"), (7, 2, "disk"),
+    (7, 3, "memory"), (7, 3, "disk"), (8, 5, "disk"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, seed, model_name",
+    BUDGET_BOUND_PROOFS,
+    ids=[f"{spec}-{seed}-{model}" for spec, seed, model in BUDGET_BOUND_PROOFS],
+)
+def test_the_default_budget_proves_twelve_relations(spec, seed, model_name):
+    model = dict(zip(MODEL_IDS, MODELS))[model_name]
+    graph = generate_query(benchmark_specs()[spec], 11, seed).graph
+    result = optimize(graph, method="EXACT", model=model)
+    assert result.cost == exact_optimum(graph, model).cost
 
 
 # ----------------------------------------------------------------------
@@ -389,9 +525,10 @@ def test_the_incumbent_changes_no_expansion(model):
     the full seed's better incumbent.
 
     Nodes pop in ``g + h`` order with ``h`` never above the remainder, so
-    every prefix of the optimal order pops before any prefix whose ``g``
-    reaches the optimum; a better start only discards at generation the
-    children the search would discard at pop.  Which of several tied
+    every prefix of the optimal order pops before any prefix whose
+    ``g + h`` passes the optimum; a better start only discards at
+    generation the children the search would discard at pop (up to the
+    rounding of ``h``; see ``docs/exact.md``).  Which of several tied
     minima is reported may differ (bitwise ties are common under the
     disk model, and clamped sizes make them under either model).
     """
@@ -426,16 +563,16 @@ def test_the_incumbent_changes_no_expansion(model):
 
 
 #: ``exact_optimum`` on DEFAULT_SPEC queries under an unlimited budget:
-#: nodes expanded, pruned on the bound, pruned as dominated, cost
-#: evaluations, order and cost.  Any change to a pruning decision moves
-#: one of them.
+#: nodes expanded, pruned on the bound (the running cost or the
+#: remainder floor), pruned as dominated, cost evaluations, order and
+#: cost.  Any change to a pruning decision moves one of them.
 PINNED_SEARCHES = {
     (9, 0, "memory"): (
-        1136, 1049, 1241, 3427,
+        1135, 1050, 1238, 3424,
         (2, 7, 0, 4, 1, 5, 9, 3, 6, 8), 130827.36475423852,
     ),
     (9, 0, "disk"): (
-        1107, 974, 1243, 3325,
+        1107, 975, 1242, 3325,
         (2, 7, 0, 4, 1, 5, 9, 3, 6, 8), 6040.531087444876,
     ),
     (10, 1, "memory"): (
