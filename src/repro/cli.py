@@ -167,19 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=list(PAPER_METHODS),
         help="methods to compare",
     )
-    cmd.add_argument(
-        "--gap",
-        action="store_true",
-        help="also run the exact branch-and-bound and add a true-cost/"
-        "exact-optimum column (see docs/exact.md)",
-    )
-    cmd.add_argument(
-        "--max-exact",
-        type=int,
-        default=16,
-        help="relation ceiling for the exact pass; larger queries anchor "
-        "the gap to the best plan the compared methods found",
-    )
 
     cmd = sub.add_parser(
         "exact",
@@ -435,7 +422,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     model = _cost_model(args.model)
     for method in args.methods:
         make_strategy(method)  # validate the name before the long run
-    exact = _exact_reference(query, model, args) if args.gap else None
     failure_log = FailureLog()
     results = compare_methods(
         query,
@@ -450,41 +436,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(failure_log.summary(), file=sys.stderr)
     best = min(result.cost for result in results.values())
     ranked = sorted(results.items(), key=lambda kv: kv[1].cost)
-    if exact is None:
-        # Without an exact pass a gap column would repeat ``scaled``.
-        column_labels = ["scaled", "evals"]
-        values = [
-            [result.cost / best, float(result.n_evaluations)]
-            for _, result in ranked
-        ]
-    else:
-        from repro.core.exact import optimality_gap
-
-        column_labels = ["scaled", "gap", "evals"]
-        values = [
-            [
-                result.cost / best,
-                optimality_gap(result.cost, exact.cost),
-                float(result.n_evaluations),
-            ]
-            for _, result in ranked
-        ]
     print(
         render_matrix(
             f"{query.name}: scaled costs at {args.time_factor:g}N^2",
             row_labels=[method for method, _ in ranked],
-            column_labels=column_labels,
-            values=values,
+            column_labels=["scaled", "evals"],
+            values=[
+                [result.cost / best, float(result.n_evaluations)]
+                for _, result in ranked
+            ],
             row_header="method",
         )
     )
-    if exact is not None:
-        print(f"exact anchor: {exact.cost:,.2f} (proven optimum)")
-    elif args.gap:
-        print(
-            f"gap anchor: the best plan found, {best:,.2f} "
-            f"(no exact pass above --max-exact {args.max_exact})"
-        )
     return 0
 
 

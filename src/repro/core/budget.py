@@ -118,13 +118,6 @@ class Budget:
         """True when ``units`` more work fits within the limit."""
         return self.spent + units <= self.limit
 
-    def hold_back(self, units: float) -> "Budget":
-        """A fresh budget of what is left here less ``units`` (at least 1).
-
-        Add its ``spent`` back here once the work charged to it is done.
-        """
-        return Budget(limit=max(1.0, self.remaining - units))
-
     def share(self, part: float, whole: float) -> "Budget":
         """A fresh budget of ``part / whole`` of what is left here (at least 1).
 
@@ -165,8 +158,6 @@ class WallClockBudget(Budget):
         self.seconds = check_positive("seconds", seconds)
         self._clock = clock
         self._start = clock()
-        # Work units ``charge`` still lets through after the deadline.
-        self._held = 0.0
 
     @property
     def elapsed(self) -> float:
@@ -183,28 +174,14 @@ class WallClockBudget(Budget):
 
     def charge(self, units: float) -> None:
         if self.exhausted:
-            if units > self._held:
-                raise BudgetExhausted(
-                    f"wall-clock budget of {self.seconds:g}s exhausted"
-                )
-            self._held -= units
+            raise BudgetExhausted(
+                f"wall-clock budget of {self.seconds:g}s exhausted"
+            )
         self.spent += units
 
     def can_afford(self, units: float) -> bool:
         """Always False: a wall clock cannot promise that any work fits."""
         return False
-
-    def hold_back(self, units: float) -> "WallClockBudget":
-        """The rest of this budget's time, on its clock and deadline.
-
-        Time cannot be held back, so ``units`` are let through here after
-        the deadline instead.
-        """
-        rest = copy.copy(self)
-        rest.spent = 0.0
-        rest._held = 0.0
-        self._held = units
-        return rest
 
     def share(self, part: float, whole: float) -> "WallClockBudget":
         """``part / whole`` of the seconds left here, on this clock, from now.
@@ -214,7 +191,6 @@ class WallClockBudget(Budget):
         now = self._clock()
         sub = copy.copy(self)
         sub.spent = 0.0
-        sub._held = 0.0
         sub._start = now
         sub.seconds = max(0.0, self.seconds - (now - self._start)) * part / whole
         return sub

@@ -77,8 +77,7 @@ The optimality-gap surface (:func:`optimality_gap`,
 ``compare_methods`` result mapping into *true cost / exact optimum*
 ratios with a byte-stable JSON rendering; without an exact result it
 anchors on the best plan the compared methods found (the paper's §6.1
-scaling).  The CLI's ``repro gap`` and ``repro compare --gap`` are thin
-wrappers over it.
+scaling).  The CLI's ``repro gap`` is a thin wrapper over it.
 """
 
 from __future__ import annotations
@@ -99,19 +98,17 @@ from repro.core.combinations import (
 )
 from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
-from repro.core.state import Evaluation, Evaluator, make_evaluator
+from repro.core.state import DeltaEvaluator, Evaluator
 from repro.cost.base import CostModel
 from repro.cost.cardinality import (
     CostOverflowError,
     PrefixState,
-    QueryContext,
     extend_state,
     start_state,
 )
 from repro.cost.incremental import supports_incremental
 from repro.cost.memory import MainMemoryCostModel
-from repro.obs import events as obs_events
-from repro.obs.tracer import Tracer, as_tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import deterministic_fallback_order
 from repro.utils.rng import derive_rng
@@ -185,7 +182,6 @@ class _SearchStats:
     pruned_dominated: int = 0
     incumbent_updates: int = 0
     n_cost_evaluations: int = 0
-    overflowed: int = 0
 
 
 def _search_worst_case(n: int) -> int:
@@ -196,26 +192,19 @@ def _search_worst_case(n: int) -> int:
     return sum(math.perm(n, k) for k in range(2, n + 1))
 
 
-def _seed_incumbent(
-    graph: JoinGraph,
-    model: CostModel,
-    budget: Budget,
-    seed: int,
-    tracer: Tracer,
-) -> tuple[Evaluation | None, int]:
-    """Evaluate the greedy order, plus heuristic starts polished by II.
+def _seed_incumbent(evaluator: DeltaEvaluator, seed: int) -> None:
+    """Price the greedy order, plus heuristic starts polished by II.
 
     The KBZ and augmentation starts and the polish run only when the
     budget cannot cover the search's worst case, where the incumbent may
-    be the answer.  Returns the best evaluation found (``None`` only when
-    the budget expired before the first one completed) and the number of
-    join-cost evaluations spent.  All costs come from full evaluator
+    be the answer.  Every plan is priced through ``evaluator``, whose
+    ``best`` is then the incumbent (``None`` only when the budget expired
+    before the first one completed).  All costs come from full evaluator
     walks, so the incumbent's cost is bitwise comparable with the
     search's own chains.
     """
+    graph, budget = evaluator.graph, evaluator.budget
     n = graph.n_relations
-    evaluator = make_evaluator(graph, model, budget)
-    evaluator.tracer = tracer
     try:
         evaluator.evaluate(deterministic_fallback_order(graph))
         if not budget.can_afford(_search_worst_case(n)):
@@ -247,26 +236,20 @@ def _seed_incumbent(
     # search itself decides whether that is fatal.
     except (BudgetExhausted, CostOverflowError, OverflowError):
         pass
-    joins = getattr(
-        evaluator, "n_joins_evaluated",
-        evaluator.n_evaluations * graph.n_joins,
-    )
-    return evaluator.best, int(joins)
 
 
-def _branch_and_bound(
-    context: QueryContext,
-    budget: Budget,
-    incumbent: Evaluation | None,
-    tracer: Tracer,
-    stats: _SearchStats,
-) -> tuple[tuple[int, ...] | None, float]:
-    """Best-first search over valid prefixes; returns (order, cost).
+def _branch_and_bound(evaluator: DeltaEvaluator, stats: _SearchStats) -> None:
+    """Best-first search over valid prefixes, from ``evaluator.best``.
 
-    Raises :class:`BudgetExhausted` mid-search (the caller decides
-    whether the incumbent reached so far is an acceptable answer) and
-    returns ``(None, inf)`` only when every valid order overflowed.
+    Extends prefixes on the evaluator's compiled context, charges its
+    budget one unit per extension, and records each cheaper complete
+    order through :meth:`~repro.core.state.Evaluator.record`, so the
+    answer is ``evaluator.best``: ``None`` only when every valid order
+    overflowed.  Raises :class:`BudgetExhausted` mid-search (the caller
+    decides whether the incumbent reached so far is an acceptable
+    answer).
     """
+    context, budget = evaluator.engine.context, evaluator.budget
     graph, model = context.graph, context.model
     n = graph.n_relations
     full = (1 << n) - 1
@@ -299,11 +282,7 @@ def _branch_and_bound(
     floor_prunes = math.isfinite(total_floor)
     slack = total_floor * _FLOOR_SLACK if floor_prunes else 0.0
 
-    best_cost = math.inf
-    best_order: tuple[int, ...] | None = None
-    if incumbent is not None:
-        best_cost = incumbent.cost
-        best_order = incumbent.order.positions
+    best_cost = math.inf if evaluator.best is None else evaluator.best.cost
     # A node whose g + h - slack exceeds this is discarded; infinite
     # until there is an incumbent.
     cutoff = best_cost * _FLOOR_GROW
@@ -350,10 +329,8 @@ def _branch_and_bound(
             # plan_cost raises for all of them — the branch holds no
             # finite-cost orders to find.
             except (CostOverflowError, OverflowError):
-                stats.overflowed += 1
                 continue
             if not math.isfinite(child.cost):
-                stats.overflowed += 1
                 continue
             child_h = h - floors[vertex]
             child_key = child.cost + child_h
@@ -366,10 +343,8 @@ def _branch_and_bound(
             if child_mask == full:
                 best_cost = child.cost
                 cutoff = best_cost * _FLOOR_GROW
-                best_order = order + (vertex,)
                 stats.incumbent_updates += 1
-                if tracer.enabled:
-                    tracer.emit(obs_events.BEST, cost=child.cost)
+                evaluator.record(JoinOrder(order + (vertex,)), best_cost)
                 continue
             # A kept prefix over the same relations with no larger cost
             # or size and no smaller caps completes every suffix at no
@@ -411,21 +386,63 @@ def _branch_and_bound(
                 ),
             )
             counter += 1
-    return best_order, best_cost
+
+
+def _search(
+    evaluator: DeltaEvaluator, seed: int, allow_partial: bool
+) -> tuple[_SearchStats, bool]:
+    """Seed, then branch-and-bound, all on ``evaluator``; (stats, proven).
+
+    The answer is ``evaluator.best``.  A search the budget cuts short
+    raises :class:`BudgetExhausted` unless ``allow_partial`` is set and
+    an order was recorded, in which case it returns ``proven=False``.
+    """
+    tracer = evaluator.tracer
+    stats = _SearchStats()
+    if tracer.enabled:
+        tracer.phase_start("exact_seed")
+    try:
+        _seed_incumbent(evaluator, seed)
+    finally:
+        if tracer.enabled:
+            tracer.phase_end("exact_seed")
+    stats.n_cost_evaluations = evaluator.n_joins_evaluated
+    if tracer.enabled:
+        tracer.phase_start("exact_bnb")
+    proven = True
+    try:
+        _branch_and_bound(evaluator, stats)
+    except BudgetExhausted:
+        if not allow_partial or evaluator.best is None:
+            raise
+        proven = False
+    finally:
+        if tracer.enabled:
+            tracer.phase_end("exact_bnb")
+    if tracer.enabled:
+        metrics = tracer.metrics
+        metrics.inc("exact_nodes_expanded", float(stats.nodes_expanded))
+        metrics.inc("exact_nodes_pruned_bound", float(stats.pruned_bound))
+        metrics.inc(
+            "exact_nodes_pruned_dominated", float(stats.pruned_dominated)
+        )
+        metrics.inc(
+            "exact_incumbent_updates", float(stats.incumbent_updates)
+        )
+    return stats, proven
+
+
+def _refusal(model: CostModel) -> ValueError:
+    return ValueError(
+        f"cost model {model!r} overrides plan_cost with semantics the "
+        "exact search cannot replicate; use a model that inherits "
+        "CostModel.plan_cost"
+    )
 
 
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
-
-
-def _flush_trace(tracer: Tracer, sink: str | None) -> None:
-    """Write the trace file when the caller asked for one by path."""
-    if sink is None:
-        return
-    from repro.obs.writer import write_trace
-
-    write_trace(getattr(tracer, "events", []), sink)
 
 
 def exact_optimum(
@@ -436,7 +453,7 @@ def exact_optimum(
     max_relations: int = DEFAULT_MAX_EXACT,
     seed: int = 0,
     allow_partial: bool = False,
-    trace: Tracer | str | None = None,
+    trace: Tracer | None = None,
 ) -> ExactResult:
     """The provably cheapest valid outer-linear order under ``model``.
 
@@ -451,7 +468,8 @@ def exact_optimum(
     frontier.  A model that overrides ``plan_cost`` (such as
     :class:`~repro.cost.static.StaticCostModel`) raises
     :class:`ValueError`: the search folds the propagating step, so it
-    cannot reproduce that model's costs.
+    cannot reproduce that model's costs.  A ``trace`` tracer receives
+    the search's events on whatever clock its owner bound.
     """
     graph = query.graph if isinstance(query, Query) else query
     if model is None:
@@ -463,21 +481,10 @@ def exact_optimum(
             f"{max_relations}; raise it explicitly"
         )
     if not supports_incremental(model):
-        raise ValueError(
-            f"cost model {model!r} overrides plan_cost with semantics the "
-            "exact search cannot replicate; use a model that inherits "
-            "CostModel.plan_cost"
-        )
-    tracer, sink = as_tracer(trace)
+        raise _refusal(model)
     if budget is None:
         budget = Budget.unlimited()
-    if sink is not None:
-        # We own this tracer (a path was passed); stamp its events with
-        # this search's own logical clock.  A caller-owned tracer keeps
-        # whatever clock its owner bound.
-        tracer.bind_clock(budget)
     if n == 1:
-        _flush_trace(tracer, sink)
         return ExactResult(
             order=JoinOrder([0]),
             cost=0.0,
@@ -491,46 +498,17 @@ def exact_optimum(
             units_spent=budget.spent,
         )
 
-    stats = _SearchStats()
-    if tracer.enabled:
-        tracer.phase_start("exact_seed")
-    incumbent, seed_joins = _seed_incumbent(graph, model, budget, seed, tracer)
-    stats.n_cost_evaluations += seed_joins
-    if tracer.enabled:
-        tracer.phase_end("exact_seed")
-        tracer.phase_start("exact_bnb")
-    proven = True
-    try:
-        best_order, best_cost = _branch_and_bound(
-            QueryContext(graph, model), budget, incumbent, tracer, stats
-        )
-    except BudgetExhausted:
-        if not allow_partial or incumbent is None:
-            if tracer.enabled:
-                tracer.phase_end("exact_bnb")
-            raise
-        best_order, best_cost = incumbent.order.positions, incumbent.cost
-        proven = False
-    if tracer.enabled:
-        tracer.phase_end("exact_bnb")
-        metrics = tracer.metrics
-        metrics.inc("exact_nodes_expanded", float(stats.nodes_expanded))
-        metrics.inc("exact_nodes_pruned_bound", float(stats.pruned_bound))
-        metrics.inc(
-            "exact_nodes_pruned_dominated", float(stats.pruned_dominated)
-        )
-        metrics.inc(
-            "exact_incumbent_updates", float(stats.incumbent_updates)
-        )
-    if best_order is None:
+    evaluator = DeltaEvaluator(graph, model, budget)
+    evaluator.tracer = NULL_TRACER if trace is None else trace
+    stats, proven = _search(evaluator, seed, allow_partial)
+    if evaluator.best is None:
         raise CostOverflowError(
             f"every valid order of {n} relations overflows under "
             f"{model.name}; no finite-cost exact optimum exists"
         )
-    _flush_trace(tracer, sink)
     return ExactResult(
-        order=JoinOrder(best_order),
-        cost=best_cost,
+        order=evaluator.best.order,
+        cost=evaluator.best.cost,
         proven=proven,
         n_relations=n,
         nodes_expanded=stats.nodes_expanded,
@@ -695,10 +673,10 @@ def gap_report_json(report: GapReport) -> str:
 class ExactStrategy(Strategy):
     """Branch-and-bound as a first-class method behind ``optimize()``.
 
-    Deterministic; spends the evaluator's budget on the search, held
-    back (:meth:`~repro.core.budget.Budget.hold_back`) by what pricing
-    the answer through the evaluator costs: that records it into the
-    best/trajectory bookkeeping every other method uses.  Beyond
+    Deterministic; the seed and the search run on the evaluator it is
+    handed, so they charge its budget and record into the best/trajectory
+    bookkeeping every other method uses, and a search the budget cuts
+    short answers with the best order recorded.  Beyond
     :data:`DEFAULT_MAX_EXACT` relations it runs iterative improvement
     (II) on the same evaluator and random stream instead.
     """
@@ -712,20 +690,9 @@ class ExactStrategy(Strategy):
         rng: random.Random,
         params: MethodParams,
     ) -> None:
-        graph = evaluator.graph
-        if graph.n_relations > DEFAULT_MAX_EXACT:
+        if evaluator.graph.n_relations > DEFAULT_MAX_EXACT:
             IterativeImprovementStrategy().run(evaluator, rng, params)
             return
-        budget = evaluator.budget
-        sub = budget.hold_back(float(max(1, graph.n_joins)))
-        try:
-            result = exact_optimum(
-                graph,
-                evaluator.model,
-                budget=sub,
-                allow_partial=True,
-                trace=evaluator.tracer,
-            )
-        finally:
-            budget.spent = min(budget.limit, budget.spent + sub.spent)
-        evaluator.evaluate(result.order)
+        if not isinstance(evaluator, DeltaEvaluator):
+            raise _refusal(evaluator.model)
+        _search(evaluator, seed=0, allow_partial=True)

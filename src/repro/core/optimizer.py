@@ -14,8 +14,8 @@ combinatorial search proper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.catalog.join_graph import JoinGraph, Query
 from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
@@ -37,9 +37,6 @@ from repro.plans.join_order import JoinOrder
 from repro.plans.join_tree import JoinTree, build_join_tree
 from repro.utils.rng import derive_rng
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.obs.provenance import PlanProvenance
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -49,12 +46,6 @@ class OptimizationResult:
     least one failure to produce this result; ``failures`` holds
     the corresponding :class:`~repro.robustness.resilience.FailureRecord`
     entries, in the order they occurred (empty for clean runs).
-
-    ``provenance`` is the incumbent lineage reconstructed from the trace
-    (:mod:`repro.obs.provenance`) when tracing was on, else ``None``.
-    It is excluded from equality/hash so a traced result still compares
-    equal to its untraced twin — the differential determinism suite
-    relies on tracing never changing the result.
     """
 
     method: str
@@ -66,9 +57,6 @@ class OptimizationResult:
     trajectory: tuple[tuple[float, float], ...]
     degraded: bool = False
     failures: tuple = ()
-    provenance: "PlanProvenance | None" = field(
-        default=None, compare=False, repr=False
-    )
 
     def best_cost_within(self, units: float) -> float | None:
         """Best cost known once ``units`` had been spent (trajectory read)."""
@@ -254,15 +242,12 @@ def _optimize(
     restarts: int | None,
     trace: Tracer | str | None,
     record_floor: float | None = None,
-    nested: bool = False,
 ) -> OptimizationResult:
     """:func:`optimize`, plus the orchestrator's pre-pass floor.
 
     ``record_floor`` is a trusted upper bound on the cost that still
     matters: on a connected graph, start states pricier than it are
-    skipped.  ``nested`` marks one component's run inside a disconnected
-    one: its events go to the caller's tracer, which folds them into
-    provenance once, at the end of the whole run.
+    skipped.
     """
     graph = query.graph if isinstance(query, Query) else query
     if model is None:
@@ -314,7 +299,8 @@ def _optimize(
             bound_tolerance=bound_tolerance,
             tracer=tracer,
         )
-        return _finish_trace(result, tracer, trace_path, budget)
+        _finish_trace(result, tracer, trace_path, budget)
+        return result
 
     if resilient:
         # Imported lazily: robustness is a layer above core and importing
@@ -331,7 +317,8 @@ def _optimize(
             target_cost=target_cost,
             tracer=tracer,
         )
-        return _finish_trace(result, tracer, trace_path, budget)
+        _finish_trace(result, tracer, trace_path, budget)
+        return result
 
     if graph.n_relations == 1:
         result = _single_relation_result(graph, method)
@@ -371,7 +358,7 @@ def _optimize(
                 time_factor=time_factor, units_per_n2=units_per_n2,
                 seed=seed, budget=share, params=params, stop_at_bound=False,
                 bound_tolerance=bound_tolerance, resilient=False,
-                workers=None, restarts=None, trace=tracer, nested=True,
+                workers=None, restarts=None, trace=tracer,
             )
             pieces.append(piece)
             return piece.order
@@ -390,9 +377,8 @@ def _optimize(
     from repro.robustness.verify import verify_or_raise
 
     verify_or_raise(result.order, result.cost, graph, model)
-    return _finish_trace(
-        result, tracer, trace_path, budget, provenance=not nested
-    )
+    _finish_trace(result, tracer, trace_path, budget)
+    return result
 
 
 def _finish_trace(
@@ -400,9 +386,8 @@ def _finish_trace(
     tracer: Tracer,
     trace_path: str | None,
     budget: Budget,
-    provenance: bool = True,
-) -> OptimizationResult:
-    """Emit the run's closing event, attach provenance, flush the sink."""
+) -> None:
+    """Emit the run's closing event and flush the sink."""
     if tracer.enabled:
         tracer.bind_clock(budget)
         tracer.emit(
@@ -412,22 +397,12 @@ def _finish_trace(
             evaluations=result.n_evaluations,
             degraded=result.degraded,
         )
-        events = getattr(tracer, "events", None)
-        if events is not None and provenance:
-            # Reconstructed from the trace just closed — a pure fold
-            # over the events, so the result object itself stays
-            # byte-identical to an untraced run's (the field is
-            # excluded from equality).
-            from repro.obs.provenance import build_provenance
-
-            result = replace(result, provenance=build_provenance(events))
         if trace_path is not None:
             write_trace(
-                events if events is not None else [],
+                getattr(tracer, "events", []),
                 trace_path,
                 meta={"method": result.method, "n_relations": result.graph.n_relations},
             )
-    return result
 
 
 def postpone_cross_products(

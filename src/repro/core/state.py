@@ -108,9 +108,19 @@ class Evaluator:
             metrics.inc("evaluations")
             metrics.inc("joins_walked", float(self.graph.n_joins))
             metrics.inc("joins_charged", float(self.graph.n_joins))
+        self.record(order, cost)
+        return cost
+
+    def record(self, order: JoinOrder, cost: float) -> None:
+        """Record ``order`` at ``cost``, priced elsewhere; charges nothing.
+
+        For a search that prices complete orders itself (the exact
+        branch-and-bound): a cheaper one becomes ``best`` and a
+        trajectory point at the units spent so far, exactly as from
+        :meth:`evaluate`, and the early-stopping target is checked.
+        """
         self._record(order, cost)
         self._check_target()
-        return cost
 
     def _check_target(self) -> None:
         if (
@@ -246,8 +256,7 @@ class DeltaEvaluator(Evaluator):
         self.n_evaluations += 1
         if self.tracer.enabled:
             self._trace_evaluation(joins, pruned=False)
-        self._record(order, cost)
-        self._check_target()
+        self.record(order, cost)
         return cost
 
     def evaluate_candidate(

@@ -9,13 +9,10 @@ is a pure function of the event sequence, so it is byte-stable across
 repeated same-seed runs and invariant to the worker count (the
 orchestrator's merge already is).
 
-Surfaced two ways:
-
-* ``repro explain-trace RUN.jsonl`` renders the chain from a trace file;
-* :func:`repro.core.optimizer.optimize` attaches the chain to
-  ``OptimizationResult.provenance`` when tracing is on (the field is
-  excluded from equality, so a traced result still compares equal to
-  its untraced twin — tracing observes, never perturbs).
+Read from a trace after the run: ``repro explain-trace RUN.jsonl``
+renders the chain from a trace file, and :func:`build_provenance` folds
+a recording tracer's ``events`` in memory.  ``optimize`` itself never
+folds it, so a traced result is the untraced one.
 
 Traces that hold several runs (a caller may record many ``optimize``
 calls into one tracer) are handled by slicing the last balanced

@@ -244,31 +244,10 @@ class TestCompareGapFlag:
         "AGI",
     ]
 
-    def test_gap_adds_columns_and_anchor(self, capsys):
-        assert main([*self.BASE, "--gap"]) == 0
-        out = capsys.readouterr().out
-        assert "gap" in out
-        assert "exact anchor" in out
-
     def test_plain_output_unchanged_without_gap(self, capsys):
         assert main(self.BASE) == 0
         out = capsys.readouterr().out
         assert "gap" not in out
-        assert "exact anchor" not in out
-
-    def test_above_max_exact_prints_the_plain_table_and_the_anchor(
-        self, capsys
-    ):
-        """Without an exact pass a gap column would repeat ``scaled``."""
-        assert main(self.BASE) == 0
-        plain = capsys.readouterr().out
-        assert main([*self.BASE, "--gap", "--max-exact", "4"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith(plain)
-        extra = out[len(plain):].splitlines()
-        assert len(extra) == 1
-        assert "best plan found" in extra[0]
-        assert "--max-exact 4" in extra[0]
         assert "exact anchor" not in out
 
 

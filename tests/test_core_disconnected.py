@@ -128,8 +128,8 @@ PINNED = {
     ("two-chains", "II", "disk"): ((4, 3, 2, 1, 0), 6023.2, 806.4, 499),
     ("two-chains", "SA", "memory"): ((4, 3, 2, 1, 0), 129868.0, 806.4, 499),
     ("two-chains", "SA", "disk"): ((2, 3, 4, 1, 0), 6023.2, 806.4, 499),
-    ("two-chains", "EXACT", "memory"): ((4, 3, 2, 1, 0), 129868.0, 14.0, 2),
-    ("two-chains", "EXACT", "disk"): ((3, 2, 4, 0, 1), 4203.2, 14.0, 2),
+    ("two-chains", "EXACT", "memory"): ((4, 3, 2, 1, 0), 129868.0, 11.0, 2),
+    ("two-chains", "EXACT", "disk"): ((3, 2, 4, 0, 1), 4203.2, 11.0, 2),
     ("four-parts", "II", "memory"): (
         (5, 6, 14, 0, 1, 4, 2, 3, 9, 12, 7, 10, 11, 8, 13),
         2620915793181142.0, 9052.565157750343, 1926,
@@ -148,11 +148,11 @@ PINNED = {
     ),
     ("four-parts", "EXACT", "memory"): (
         (5, 6, 14, 0, 1, 4, 2, 3, 9, 12, 7, 10, 11, 8, 13),
-        2620915793181142.0, 422.7999999999997, 3,
+        2620915793181142.0, 411.7999999999997, 33,
     ),
     ("four-parts", "EXACT", "disk"): (
         (6, 5, 14, 1, 0, 4, 2, 3, 12, 9, 7, 10, 11, 8, 13),
-        126381756678040.56, 423.7999999999997, 3,
+        126381756678040.56, 412.7999999999997, 33,
     ),
 }
 GRAPHS = {"two-chains": two_component_graph, "four-parts": _four_parts}
@@ -185,8 +185,8 @@ FOUR_PARTS_II_PROVENANCE = (
 
 
 def test_a_traced_run_folds_provenance_once(monkeypatch, tmp_path):
-    """The components record into the caller's tracer; only the whole
-    run folds the trace, and the trace and provenance are unchanged."""
+    """The components record into the caller's tracer and ``optimize``
+    folds nothing; the trace and its provenance are unchanged."""
     folds = []
     build = provenance_module.build_provenance
 
@@ -196,14 +196,14 @@ def test_a_traced_run_folds_provenance_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(provenance_module, "build_provenance", counting)
     tracer = RecordingTracer()
-    result = optimize(
-        _four_parts(), method="II", seed=3, time_factor=2.0, trace=tracer
-    )
-    assert folds == [len(tracer.events)] == [1953]
+    optimize(_four_parts(), method="II", seed=3, time_factor=2.0, trace=tracer)
+    assert folds == [] and len(tracer.events) == 1953
     path = tmp_path / "trace.jsonl"
     write_trace(tracer.events, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FOUR_PARTS_II_TRACE
-    rendered = provenance_module.provenance_json(result.provenance)
+    provenance = provenance_module.build_provenance(tracer.events)
+    assert folds == [1953]
+    rendered = provenance_module.provenance_json(provenance)
     assert (
         hashlib.sha256(rendered.encode()).hexdigest()
         == FOUR_PARTS_II_PROVENANCE

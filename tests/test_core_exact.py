@@ -43,7 +43,7 @@ from repro.core.exact import (
 )
 from repro.core.iterative import default_patience
 from repro.core.optimizer import optimize
-from repro.core.state import make_evaluator
+from repro.core.state import DeltaEvaluator, make_evaluator
 from repro.cost.cardinality import (
     MAX_CARDINALITY,
     CostOverflowError,
@@ -61,7 +61,8 @@ from repro.cost.methods import (
     SortMergeCostModel,
 )
 from repro.cost.static import StaticCostModel
-from repro.obs import NULL_TRACER, RecordingTracer
+from repro.obs import RecordingTracer
+from repro.obs.profile import profile_events
 from repro.plans.join_order import JoinOrder
 from repro.plans.join_tree import build_join_tree
 from repro.plans.validity import first_invalid_position, valid_orders
@@ -409,6 +410,30 @@ def test_budget_too_small_even_for_partial():
         )
 
 
+def test_a_cut_search_answers_with_its_own_incumbent():
+    """Cut short after its last incumbent update, the search answers
+    with that order (here the optimum), not the seed's 133,780.88."""
+    graph = generate_query(DEFAULT_SPEC, 9, 0).graph
+    result = exact_optimum(
+        graph,
+        MainMemoryCostModel(),
+        budget=Budget(limit=2054.0),
+        allow_partial=True,
+    )
+    assert not result.proven
+    assert result.cost == PINNED_SEARCHES[(9, 0, "memory")][-1]
+
+
+def test_exact_cut_short_through_optimize_keeps_the_search_incumbent():
+    result = optimize(
+        generate_query(DEFAULT_SPEC, 9, 0),
+        method="EXACT",
+        budget=Budget(limit=3300.0),
+    )
+    assert result.cost == PINNED_SEARCHES[(9, 0, "memory")][-1]
+    assert result.trajectory[-1][1] == result.cost
+
+
 # ----------------------------------------------------------------------
 # Observability: counters exist, tracing perturbs nothing
 # ----------------------------------------------------------------------
@@ -442,6 +467,23 @@ def test_traced_run_identical_to_untraced():
     assert "exact_bnb" in phases
 
 
+def test_a_traced_exact_run_stamps_its_phases_on_the_run_clock():
+    """The seed and the search charge the run's own budget, and each
+    improvement is one ``best`` event."""
+    tracer = RecordingTracer()
+    result = optimize(
+        generate_query(DEFAULT_SPEC, 8, 5), method="EXACT", trace=tracer
+    )
+    exact = profile_events(tracer.events).root.children["EXACT"]
+    assert exact.children["exact_seed"].total_units() > 0.0
+    assert exact.children["exact_bnb"].total_units() > 0.0
+    bests = [event.data["cost"] for event in tracer.events
+             if event.kind == "best"]
+    assert len(bests) == len(result.trajectory) == 5
+    assert bests == sorted(set(bests), reverse=True)
+    assert bests[-1] == result.cost
+
+
 # ----------------------------------------------------------------------
 # Seeding: the heuristic starts run only where the budget may cut the
 # search off
@@ -449,7 +491,7 @@ def test_traced_run_identical_to_untraced():
 
 
 def _seed_evaluations(graph: JoinGraph, **kwargs) -> float:
-    """Plans the seed priced: the B&B never goes through the evaluator."""
+    """Plans the seed priced: the B&B records orders, it prices none."""
     tracer = RecordingTracer()
     exact_optimum(graph, MainMemoryCostModel(), trace=tracer, **kwargs)
     return tracer.metrics.snapshot()["counters"].get("evaluations", 0.0)
@@ -470,13 +512,10 @@ def test_bitwise_equal_to_enumeration_where_the_seed_flips(model):
 
 
 def _optimize_seed_evaluations(graph: JoinGraph, **kwargs) -> float:
-    """Plans EXACT's seed priced through ``optimize``.
-
-    ``optimize`` prices the answer once more, through its own evaluator.
-    """
+    """Plans EXACT's seed priced through ``optimize``."""
     tracer = RecordingTracer()
     optimize(graph, method="EXACT", trace=tracer, **kwargs)
-    return tracer.metrics.snapshot()["counters"]["evaluations"] - 1.0
+    return tracer.metrics.snapshot()["counters"]["evaluations"]
 
 
 def _seeding_budget() -> WallClockBudget:
@@ -493,8 +532,8 @@ def test_seed_is_the_greedy_order_alone_under_an_unlimited_budget(n_joins):
 
 def test_seed_flips_between_six_and_seven_relations_at_the_default_budget():
     """After the greedy order, a 6-relation search's worst case of 1,950
-    extensions fits the 6,740 units left; a 7-relation one's 13,692 does
-    not fit 9,708."""
+    extensions fits the 6,745 units left; a 7-relation one's 13,692 does
+    not fit 9,714."""
     six = generate_query(DEFAULT_SPEC, 5, 7).graph
     assert six.n_relations == 6 and six.is_connected
     assert _optimize_seed_evaluations(six) == 1.0
@@ -539,19 +578,14 @@ def test_the_incumbent_changes_no_expansion(model):
                 graph = generate_query(spec, n_joins, seed).graph
                 runs = []
                 for budget in (Budget.unlimited(), _seeding_budget()):
-                    incumbent, _ = _seed_incumbent(
-                        graph, model, budget, 0, NULL_TRACER
-                    )
+                    evaluator = DeltaEvaluator(graph, model, budget)
+                    _seed_incumbent(evaluator, 0)
+                    incumbent = evaluator.best.cost
                     stats = _SearchStats()
-                    order, cost = _branch_and_bound(
-                        QueryContext(graph, model),
-                        Budget.unlimited(),
-                        incumbent,
-                        NULL_TRACER,
-                        stats,
-                    )
-                    runs.append((cost, stats.nodes_expanded, order,
-                                 incumbent.cost))
+                    _branch_and_bound(evaluator, stats)
+                    best = evaluator.best
+                    runs.append((best.cost, stats.nodes_expanded,
+                                 best.order.positions, incumbent))
                 greedy, seeded = runs
                 key = (spec.name, n_joins, seed)
                 assert seeded[:2] == greedy[:2], key
@@ -688,9 +722,35 @@ def test_exact_strategy_answers_when_the_deadline_passes_mid_search():
     model = MainMemoryCostModel()
     assert verify_plan(result.order, result.cost, query.graph, model).ok
     counters = tracer.metrics.snapshot()["counters"]
-    assert counters["evaluations"] - 1.0 > 1.0  # the full seed ran
+    assert counters["evaluations"] > 1.0  # the full seed ran
     full = exact_optimum(query.graph, model)
     assert counters["exact_nodes_expanded"] < full.nodes_expanded
+
+
+def test_exact_returns_the_one_plan_a_budget_pays_for():
+    """Eight units price the greedy order of eight joins, and no more."""
+    result = optimize(
+        generate_query(DEFAULT_SPEC, 8, 0),
+        method="EXACT",
+        budget=Budget(limit=8.0),
+    )
+    assert result.cost == 2208340.9485102673
+    assert (result.units_spent, result.n_evaluations) == (8.0, 1)
+
+
+def test_exact_through_optimize_compiles_the_query_twice(monkeypatch):
+    """Once for the evaluator the seed and the search share, once for
+    the verify gate."""
+    compiles = []
+    init = QueryContext.__init__
+
+    def counting(self, *args, **kwargs):
+        compiles.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QueryContext, "__init__", counting)
+    optimize(generate_query(DEFAULT_SPEC, 8, 5), method="EXACT")
+    assert len(compiles) == 2
 
 
 def test_exact_strategy_registered():

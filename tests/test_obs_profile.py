@@ -20,6 +20,7 @@ from repro.cost.memory import MainMemoryCostModel
 from repro.obs import (
     RecordingTracer,
     TraceEvent,
+    build_provenance,
     collapsed_stacks,
     diff_traces,
     profile_events,
@@ -110,10 +111,8 @@ def test_traced_and_profiled_run_equals_untraced(query) -> None:
     traced = optimize(query, method="IAI", seed=9, trace=tracer)
     profile = profile_events(tracer.events)
     assert profile.n_events == len(tracer.events)
-    # provenance/profile are excluded from equality: results still match.
     assert traced == untraced
-    assert traced.provenance is not None
-    assert untraced.provenance is None
+    assert build_provenance(tracer.events).final_cost == traced.cost
 
 
 # ---------------------------------------------------------------------------
