@@ -501,41 +501,23 @@ def compare_methods(
     """Run several methods on one query; results keyed by method name.
 
     This is the multi-method comparison behind the paper's Figures 4–7
-    and the CLI ``compare`` command.  With ``workers`` set, the methods
-    run concurrently through :func:`repro.parallel.map_jobs` — each
-    method is an independent ``optimize()`` call with its own budget and
-    the *same* seed as the serial path, so the returned mapping is
-    bit-identical for every worker count.  A worker crash is logged to
-    ``failure_log`` (when given) and the method re-run serially.
+    and the CLI ``compare`` command.  Each method is an independent
+    ``optimize()`` call with its own budget and the same seed, run
+    through :func:`repro.parallel.map_jobs`: inline for one worker (the
+    default), across a process pool for more, and the returned mapping
+    is bit-identical for every worker count.  A worker crash is logged
+    to ``failure_log`` (when given) and the method re-run serially.
 
-    A method whose budget expires before any plan is evaluated raises
-    :class:`~repro.core.budget.BudgetExhausted`, exactly as the serial
-    loop would.
+    Once every method has run, the first whose budget expired before any
+    plan was evaluated raises
+    :class:`~repro.core.budget.BudgetExhausted`.
     """
-    # Imported lazily: the optimizer module imports this one.
-    from repro.core.optimizer import optimize
-
-    methods = list(methods)
-    if workers is None or workers <= 1 or len(methods) <= 1:
-        return {
-            name: optimize(
-                query,
-                method=name,
-                model=model,
-                time_factor=time_factor,
-                units_per_n2=units_per_n2,
-                seed=seed,
-                params=params,
-                stop_at_bound=stop_at_bound,
-                bound_tolerance=bound_tolerance,
-            )
-            for name in methods
-        }
-
+    # Imported lazily: repro.parallel sits above core.
     from repro.catalog.join_graph import Query as _Query
     from repro.cost.memory import MainMemoryCostModel
     from repro.parallel.orchestrator import OptimizeJob, map_jobs
 
+    methods = list(methods)
     graph = query.graph if isinstance(query, _Query) else query
     jobs = [
         OptimizeJob(
@@ -553,16 +535,14 @@ def compare_methods(
         )
         for index, name in enumerate(methods)
     ]
-    outcomes = map_jobs(jobs, workers, failure_log=failure_log)
+    outcomes = map_jobs(jobs, workers or 1, failure_log=failure_log)
     results = {}
     for name, outcome in zip(methods, outcomes):
         if outcome.result is None:
-            raise BudgetExhausted(
-                f"method {name}: {outcome.error or 'no plan evaluated'}"
-            )
+            raise BudgetExhausted(outcome.error)
         # The worker's result carries a pickled copy of the graph; swap
-        # the parent's object back in so the mapping compares equal to
-        # the serial path's (JoinGraph has identity semantics).
+        # the parent's object back in so the mapping compares equal
+        # whatever ran it (JoinGraph has identity semantics).
         results[name] = replace(outcome.result, graph=graph)
     return results
 

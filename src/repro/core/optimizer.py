@@ -9,13 +9,17 @@ combinatorial search proper:
   disconnected join graph is split into components, each optimized
   separately with a budget share proportional to its ``N^2``, and the
   component orders are concatenated smallest estimated result first.
+
+``_optimize`` is the one driver from a graph to an
+:class:`OptimizationResult`, plain or resilient: each component of a
+disconnected graph is a nested run of it, on its share of the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.catalog.join_graph import JoinGraph, Query
 from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
@@ -25,7 +29,7 @@ from repro.core.combinations import (
     available_method_names,
     make_strategy,
 )
-from repro.core.state import Evaluator, TargetReached, make_evaluator
+from repro.core.state import TargetReached, make_evaluator
 from repro.cost.base import CostModel
 from repro.cost.bounds import lower_bound
 from repro.cost.cardinality import CostOverflowError, prefix_cardinalities
@@ -35,7 +39,14 @@ from repro.obs.tracer import Tracer, as_tracer
 from repro.obs.writer import write_trace
 from repro.plans.join_order import JoinOrder
 from repro.plans.join_tree import JoinTree, build_join_tree
+from repro.plans.validity import deterministic_fallback_order
 from repro.utils.rng import derive_rng
+
+if TYPE_CHECKING:
+    from repro.robustness.resilience import FailureLog
+
+#: Method name reported when the deterministic spanning order is returned.
+SPANNING_METHOD = "SPANNING"
 
 
 @dataclass(frozen=True)
@@ -101,49 +112,6 @@ def _single_relation_result(
     )
 
 
-def _optimize_connected(
-    graph: JoinGraph,
-    method: str | Strategy,
-    model: CostModel,
-    budget: Budget,
-    seed: int,
-    params: MethodParams,
-    target_cost: float | None = None,
-    record_floor: float | None = None,
-    tracer: Tracer | None = None,
-    on_error: Callable[[Exception], None] | None = None,
-) -> Evaluator:
-    """Run one strategy on a connected graph; returns its evaluator.
-
-    With ``on_error`` (the resilient path's guard) any other exception the
-    strategy raises goes to it instead of the caller, and the evaluator
-    keeps the best plan recorded before it.
-    """
-    strategy = make_strategy(method)
-    # The RNG stream is keyed on the method *string* exactly as passed, so
-    # historical seeds stay bit-for-bit reproducible; Strategy instances
-    # key on their registered name.
-    rng_key = method if isinstance(method, str) else strategy.name
-    rng = derive_rng(seed, "optimize", rng_key, graph.n_relations)
-    evaluator = make_evaluator(
-        graph, model, budget, target_cost=target_cost,
-        record_floor=record_floor,
-    )
-    if tracer is not None:
-        evaluator.tracer = tracer
-    try:
-        strategy.run(evaluator, rng, params)
-    except (BudgetExhausted, TargetReached):
-        pass
-    # boundary: only the resilient guard swallows a crashing strategy;
-    # every other caller gets the exception back.
-    except Exception as exc:
-        if on_error is None:
-            raise
-        on_error(exc)
-    return evaluator
-
-
 def optimize(
     query: Query | JoinGraph,
     method: str | Strategy = "IAI",
@@ -182,13 +150,17 @@ def optimize(
         costs at most ``bound_tolerance`` times the lower bound on the
         optimum (see :func:`repro.cost.bounds.lower_bound`).
     resilient:
-        With ``resilient=True`` the same search runs once, guarded: a
-        strategy that raises still hands back the best plan its evaluator
+        Decides only what happens on a failure; the search, its
+        evaluator, random stream and budget are the plain run's.  Where
+        the plain run raises, ``resilient=True`` records the failure in
+        a :class:`~repro.robustness.resilience.FailureLog`: a strategy
+        that raises still hands back the best plan its evaluator
         recorded, and when no plan passes the verification gate the
-        deterministic spanning order is the last resort; see
-        :mod:`repro.robustness.resilience`.  A run where nothing fails
-        returns exactly the plain result.  The result's
-        ``degraded``/``failures`` fields record what happened, and
+        deterministic spanning order (method ``SPANNING``) is the last
+        resort, per component on a disconnected graph.  A run where
+        nothing fails returns exactly the plain result and records
+        exactly the plain trace.  The result's ``degraded``/``failures``
+        fields record what happened, and
         :class:`~repro.robustness.resilience.NoValidPlanError` is raised
         when not even the spanning order verifies.
     workers / restarts:
@@ -242,12 +214,16 @@ def _optimize(
     restarts: int | None,
     trace: Tracer | str | None,
     record_floor: float | None = None,
+    failures: FailureLog | None = None,
 ) -> OptimizationResult:
-    """:func:`optimize`, plus the orchestrator's pre-pass floor.
+    """:func:`optimize`, plus the orchestrator's pre-pass floor and the
+    log a resilient run shares with the runs of its components.
 
     ``record_floor`` is a trusted upper bound on the cost that still
     matters: on a connected graph, start states pricier than it are
-    skipped.
+    skipped.  ``failures`` is the caller's log when this run solves one
+    component of a resilient run's graph; the result then carries only
+    the records this run added.
     """
     graph = query.graph if isinstance(query, Query) else query
     if model is None:
@@ -302,81 +278,178 @@ def _optimize(
         _finish_trace(result, tracer, trace_path, budget)
         return result
 
+    # The plain run raises on a failure; a resilient run records it in
+    # ``failures`` and falls back.  Imported lazily: robustness sits
+    # above core, and importing it at module scope would be circular.
+    outer = failures is None
     if resilient:
-        # Imported lazily: robustness is a layer above core and importing
-        # it at module scope would be circular.
-        from repro.robustness.resilience import resilient_optimize
+        from repro.robustness.resilience import FailureLog, NoValidPlanError
+        from repro.robustness.verify import verify_plan
 
-        result = resilient_optimize(
-            graph,
-            method=method,
-            model=model,
-            budget=budget,
-            seed=seed,
-            params=params,
-            target_cost=target_cost,
-            tracer=tracer,
-        )
-        _finish_trace(result, tracer, trace_path, budget)
-        return result
-
+        if outer:
+            failures = FailureLog(tracer=tracer)
+        mark = len(failures)
+    label = _method_label(method)
+    # Set for an order no search priced (the spanning order, or the
+    # components' orders concatenated): what a resilient run records if
+    # pricing or gating it fails, as (stage, seed, what, message).
+    unpriced: tuple[str, int | None, str, str] | None = None
     if graph.n_relations == 1:
         result = _single_relation_result(graph, method)
-    elif graph.is_connected:
-        evaluator = _optimize_connected(
-            graph,
-            method,
-            model,
-            budget,
-            seed,
-            params,
-            target_cost,
-            record_floor=record_floor,
-            tracer=tracer,
-        )
-        if evaluator.best is None:
-            raise BudgetExhausted(
-                "budget expired before any plan could be evaluated"
-            )
-        result = OptimizationResult(
-            method=_method_label(method),
-            graph=graph,
-            order=evaluator.best.order,
-            cost=evaluator.best.cost,
-            units_spent=budget.spent,
-            n_evaluations=evaluator.n_evaluations,
-            trajectory=tuple(evaluator.trajectory),
-        )
     else:
-        pieces: list[OptimizationResult] = []
-
-        def solve(
-            component: tuple[int, ...], subgraph: JoinGraph, share: Budget
-        ) -> JoinOrder:
-            piece = _optimize(
-                subgraph, method=method, model=model,
-                time_factor=time_factor, units_per_n2=units_per_n2,
-                seed=seed, budget=share, params=params, stop_at_bound=False,
-                bound_tolerance=bound_tolerance, resilient=False,
-                workers=None, restarts=None, trace=tracer,
+        if graph.is_connected:
+            strategy = make_strategy(method)
+            # The RNG stream is keyed on the method *string* exactly as
+            # passed, so historical seeds stay bit-for-bit reproducible;
+            # Strategy instances key on their registered name.
+            rng_key = method if isinstance(method, str) else strategy.name
+            rng = derive_rng(seed, "optimize", rng_key, graph.n_relations)
+            evaluator = make_evaluator(
+                graph, model, budget, target_cost=target_cost,
+                record_floor=record_floor,
             )
-            pieces.append(piece)
-            return piece.order
+            evaluator.tracer = tracer
+            try:
+                strategy.run(evaluator, rng, params)
+            except (BudgetExhausted, TargetReached):
+                pass
+            # boundary: the first resilient guard; the best plan recorded
+            # before the strategy raised still counts.
+            except Exception as exc:
+                if failures is None:
+                    raise
+                failures.add(
+                    stage="attempt", method=label, seed=seed,
+                    kind="exception", detail=f"{type(exc).__name__}: {exc}",
+                    action="kept the best plan found so far"
+                    if evaluator.best is not None
+                    else "fell back to the spanning order",
+                )
+            best = evaluator.best
+            n_evaluations = evaluator.n_evaluations
+            if failures is None:
+                if best is None:
+                    raise BudgetExhausted(
+                        "budget expired before any plan could be evaluated"
+                    )
+            elif best is None:
+                if len(failures) == mark:  # the strategy raised nothing
+                    failures.add(
+                        stage="attempt", method=label, seed=seed,
+                        kind="no-plan",
+                        detail="budget exhausted before any finite-cost "
+                        "plan was recorded",
+                        action="fell back to the spanning order",
+                    )
+            else:
+                report = verify_plan(best.order, best.cost, graph, model)
+                if not report.ok:
+                    failures.add(
+                        stage="attempt", method=label, seed=seed,
+                        kind="verification",
+                        detail="; ".join(report.violations),
+                        action="discarded the plan",
+                    )
+                    best = None
+            if best is not None:
+                order, cost = best.order, best.cost
+                trajectory = tuple(evaluator.trajectory)
+            else:
+                # The second resilient guard: the spanning order, valid
+                # by construction.
+                label = SPANNING_METHOD
+                order = deterministic_fallback_order(graph)
+                unpriced = (
+                    "last-resort", None, "the spanning order",
+                    "neither the search nor the deterministic spanning "
+                    "order produced a verifiable plan",
+                )
+        else:
+            pieces: list[OptimizationResult] = []
 
-        order = postpone_cross_products(graph, budget, solve, tracer)
-        cost = model.plan_cost(order, graph)
+            def solve(
+                component: tuple[int, ...], subgraph: JoinGraph, share: Budget
+            ) -> JoinOrder:
+                piece = _optimize(
+                    subgraph, method=method, model=model,
+                    time_factor=time_factor, units_per_n2=units_per_n2,
+                    seed=seed, budget=share, params=params,
+                    stop_at_bound=False, bound_tolerance=bound_tolerance,
+                    resilient=resilient, workers=None, restarts=None,
+                    trace=tracer, failures=failures,
+                )
+                pieces.append(piece)
+                if failures is not None and piece.method == SPANNING_METHOD:
+                    failures.add(
+                        stage="component", method=label, seed=seed,
+                        kind="no-plan",
+                        detail=f"component {component} produced no "
+                        "verifiable plan",
+                        action="used its deterministic spanning order",
+                    )
+                return piece.order
+
+            order = postpone_cross_products(graph, budget, solve, tracer)
+            # Reported as the components' one method, if they agree.
+            sources = {piece.method for piece in pieces}
+            if len(sources) == 1:
+                label = sources.pop()
+            n_evaluations = sum(piece.n_evaluations for piece in pieces)
+            unpriced = (
+                "concatenation", seed, "the concatenated order",
+                "the concatenated per-component plan failed verification",
+            )
+        if unpriced is not None:
+            stage, logged_seed, what, message = unpriced
+            try:
+                cost = model.plan_cost(order, graph)
+            # boundary: a resilient run survives any fault pricing an
+            # order no search priced, and records it.
+            except Exception as exc:
+                if failures is None:
+                    raise
+                failures.add(
+                    stage=stage, method=label, seed=logged_seed,
+                    kind="exception",
+                    detail=f"pricing {what} raised "
+                    f"{type(exc).__name__}: {exc}",
+                    action="gave up",
+                )
+                raise NoValidPlanError(message, failures) from exc
+            if failures is not None:
+                report = verify_plan(order, cost, graph, model)
+                if not report.ok:
+                    failures.add(
+                        stage=stage, method=label, seed=logged_seed,
+                        kind="verification",
+                        detail="; ".join(report.violations),
+                        action="gave up",
+                    )
+                    raise NoValidPlanError(message, failures)
+            trajectory = ((budget.spent, cost),)
+        logged = () if failures is None else tuple(failures.records[mark:])
         result = OptimizationResult(
-            method=_method_label(method),
+            method=label,
             graph=graph,
             order=order,
             cost=cost,
             units_spent=budget.spent,
-            n_evaluations=sum(piece.n_evaluations for piece in pieces),
-            trajectory=((budget.spent, cost),),
+            n_evaluations=n_evaluations,
+            trajectory=trajectory,
+            degraded=bool(logged),
+            failures=logged,
         )
-    from repro.robustness.verify import verify_or_raise
+    if failures is None:
+        from repro.robustness.verify import verify_or_raise
 
-    verify_or_raise(result.order, result.cost, graph, model)
+        verify_or_raise(result.order, result.cost, graph, model)
+    elif outer and result.degraded and tracer.enabled:
+        tracer.emit(
+            obs_events.DEGRADED,
+            method=result.method,
+            failures=len(result.failures),
+        )
+        tracer.metrics.inc("degraded_runs")
     _finish_trace(result, tracer, trace_path, budget)
     return result
 

@@ -37,13 +37,3 @@ def lower_bound(graph: JoinGraph, model: CostModel) -> float:
     ]
     return sum(per_inner) - max(per_inner)
 
-
-def is_close_to_bound(cost: float, bound: float, tolerance: float = 1.05) -> bool:
-    """True when ``cost`` is within ``tolerance`` of the lower bound.
-
-    With ``tolerance = 1.05`` a plan costing at most 5% above the bound is
-    considered good enough to stop the optimizer early.
-    """
-    if bound <= 0:
-        return False
-    return cost <= bound * tolerance

@@ -188,14 +188,6 @@ class IncrementalEvaluator:
         if positions != self._positions:
             self.rebase(positions)
 
-    def joins_to_evaluate(self, order: Sequence[int]) -> int:
-        """Joins a (full, unaborted) evaluation of ``order`` would walk."""
-        positions = tuple(order)
-        shared = self._shared_prefix(positions, None)
-        if shared == len(positions):
-            return 0
-        return len(positions) - max(1, shared)
-
     # ------------------------------------------------------------------
     # The walk
     # ------------------------------------------------------------------

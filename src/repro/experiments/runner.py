@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.catalog.join_graph import Query
-from repro.core.budget import DEFAULT_UNITS_PER_N2
-from repro.core.optimizer import optimize
+from repro.core.budget import BudgetExhausted, DEFAULT_UNITS_PER_N2
 from repro.cost.base import CostModel
 from repro.cost.memory import MainMemoryCostModel
 from repro.experiments.scaling import OUTLIER_CAP, coerce_outlier
@@ -140,12 +139,15 @@ def _all_runs(
     """One trajectory-carrying run per (query, method, replicate).
 
     Every trial is an independent ``optimize()`` call seeded by
-    ``derive_seed(config.seed, query.name, method, replicate)``; with
-    ``workers`` set, the trials are fanned across a process pool through
-    :func:`repro.parallel.map_jobs` — same seeds, same budgets, so the
-    aggregate is bit-identical to the serial sweep.  A crashed worker is
-    logged to ``failure_log`` (when given) and its trial re-run serially.
+    ``derive_seed(config.seed, query.name, method, replicate)``, run
+    through :func:`repro.parallel.map_jobs`: inline for one worker (the
+    default), across a process pool for more — same seeds, same budgets,
+    so the aggregate is bit-identical for every worker count.  A crashed
+    worker is logged to ``failure_log`` (when given) and its trial re-run
+    serially.
     """
+    from repro.parallel.orchestrator import OptimizeJob, map_jobs
+
     methods = config.all_methods
     triples = [
         (query, method, replicate)
@@ -153,48 +155,28 @@ def _all_runs(
         for method in methods
         for replicate in range(config.replicates)
     ]
-    if workers is None or workers <= 1 or len(triples) <= 1:
-        results = [
-            optimize(
-                query,
-                method=method,
-                model=config.model,
-                time_factor=config.max_factor,
-                units_per_n2=config.units_per_n2,
-                seed=derive_seed(config.seed, query.name, method, replicate),
-            )
-            for query, method, replicate in triples
-        ]
-    else:
-        from repro.parallel.orchestrator import OptimizeJob, map_jobs
-
-        jobs = [
-            OptimizeJob(
-                graph=query.graph,
-                method=method,
-                model=config.model,
-                seed=derive_seed(config.seed, query.name, method, replicate),
-                index=index,
-                tag=f"{query.name}/{method}/r{replicate}",
-                time_factor=config.max_factor,
-                units_per_n2=config.units_per_n2,
-            )
-            for index, (query, method, replicate) in enumerate(triples)
-        ]
-        outcomes = map_jobs(jobs, workers, failure_log=failure_log)
-        results = []
-        for (query, method, replicate), outcome in zip(triples, outcomes):
-            if outcome.result is None:
-                from repro.core.budget import BudgetExhausted
-
-                raise BudgetExhausted(
-                    f"{query.name}/{method}/r{replicate}: "
-                    f"{outcome.error or 'no plan evaluated'}"
-                )
-            # Swap the parent's graph object back in (the worker's copy
-            # came through pickle; JoinGraph has identity semantics) so
-            # trial results compare equal to the serial sweep's.
-            results.append(replace(outcome.result, graph=query.graph))
+    jobs = [
+        OptimizeJob(
+            graph=query.graph,
+            method=method,
+            model=config.model,
+            seed=derive_seed(config.seed, query.name, method, replicate),
+            index=index,
+            tag=f"{query.name}/{method}/r{replicate}",
+            time_factor=config.max_factor,
+            units_per_n2=config.units_per_n2,
+        )
+        for index, (query, method, replicate) in enumerate(triples)
+    ]
+    outcomes = map_jobs(jobs, workers or 1, failure_log=failure_log)
+    results = []
+    for (query, _method, _replicate), outcome in zip(triples, outcomes):
+        if outcome.result is None:
+            raise BudgetExhausted(outcome.error)
+        # Swap the parent's graph object back in (a pool worker's copy
+        # came through pickle; JoinGraph has identity semantics) so trial
+        # results compare equal whatever ran them.
+        results.append(replace(outcome.result, graph=query.graph))
     per_trial = iter(results)
     all_runs: list[dict[str, list]] = []
     for query in queries:

@@ -154,9 +154,6 @@ class StatsCatalog:
                 f"unknown table {name!r}; registered: {sorted(self._tables)}"
             ) from None
 
-    def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
-
     def __len__(self) -> int:
         return len(self._tables)
 

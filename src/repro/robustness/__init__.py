@@ -1,4 +1,4 @@
-"""Robustness subsystem: verification, the resilient guards, injected faults.
+"""Robustness subsystem: verification, the failure log, injected faults.
 
 The paper's methods are anytime searches: they return the best valid plan
 found so far.  Under ``resilient=True`` a crashing strategy or an expired
@@ -9,10 +9,10 @@ exception; on every path, no plan reaches the caller unverified.
     The plan-verification gate every optimization result passes before it
     is returned.
 :mod:`repro.robustness.resilience`
-    The two guards behind ``optimize(..., resilient=True)``: the plain
-    search run once with its exceptions caught, and the deterministic
-    spanning order as the last resort, every failure recorded in a
-    structured ``FailureLog``.
+    The ``FailureLog`` of ``optimize(..., resilient=True)``: the one
+    driver runs the plain search once, and where the plain run raises,
+    a resilient run records the failure and keeps the search's best
+    plan or falls back to the deterministic spanning order.
 :mod:`repro.robustness.faults`
     :class:`InjectedFault`, the error the test suite's fault-injection
     doubles raise and the orchestrator's pre-pass catches.
@@ -24,7 +24,6 @@ from repro.robustness.resilience import (
     FailureLog,
     FailureRecord,
     NoValidPlanError,
-    resilient_optimize,
 )
 from repro.robustness.verify import (
     PlanVerificationError,
@@ -39,7 +38,6 @@ __all__ = [
     "FailureRecord",
     "NoValidPlanError",
     "deterministic_fallback_order",
-    "resilient_optimize",
     "PlanVerificationError",
     "VerificationReport",
     "verify_or_raise",

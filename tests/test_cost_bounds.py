@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cost.bounds import is_close_to_bound, lower_bound
+from repro.cost.bounds import lower_bound
 from repro.cost.memory import MainMemoryCostModel
 from repro.plans.validity import valid_orders
 
@@ -36,13 +36,3 @@ class TestLowerBound:
         # Exactly the cheapest single-inner charge: build the 50-tuple side.
         assert bound == pytest.approx(model.join_cost(1.0, 50.0, 1.0))
 
-
-class TestIsCloseToBound:
-    def test_within_tolerance(self):
-        assert is_close_to_bound(104.0, 100.0, tolerance=1.05)
-
-    def test_outside_tolerance(self):
-        assert not is_close_to_bound(106.0, 100.0, tolerance=1.05)
-
-    def test_zero_bound_never_close(self):
-        assert not is_close_to_bound(1.0, 0.0)

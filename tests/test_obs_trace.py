@@ -30,6 +30,9 @@ from repro.obs import (
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
 
+from .conftest import two_component_graph
+from .test_core_disconnected import _four_parts
+
 MODELS = {
     "memory": MainMemoryCostModel,
     "disk": DiskCostModel,
@@ -79,6 +82,34 @@ def test_trace_changes_nothing_resilient(query, method) -> None:
         query, method=method, seed=3, resilient=True, trace=tracer
     )
     assert result_fingerprint(traced) == result_fingerprint(untraced)
+
+
+GRAPHS = {
+    "connected": lambda: generate_query(DEFAULT_SPEC, 8, 3).graph,
+    "two-chains": two_component_graph,
+    "four-parts": _four_parts,
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("method", ("II", "SA", "EXACT"))
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_clean_resilient_trace_is_the_plain_trace(
+    graph_name, method, model_name
+) -> None:
+    # One driver: a resilient run where nothing fails records the plain
+    # run's events, a disconnected graph's components as nested runs.
+    graph = GRAPHS[graph_name]()
+    tracers = {}
+    for resilient in (False, True):
+        tracers[resilient] = RecordingTracer()
+        optimize(
+            graph, method=method, model=MODELS[model_name](), seed=3,
+            time_factor=2.0, resilient=resilient, trace=tracers[resilient],
+        )
+    plain, resilient = tracers[False], tracers[True]
+    assert diff_traces(plain.events, resilient.events) == []
+    assert plain.metrics.snapshot() == resilient.metrics.snapshot()
 
 
 # ---------------------------------------------------------------------------

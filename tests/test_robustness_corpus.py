@@ -11,13 +11,18 @@ the resilient run must return exactly that plan, not degraded.
 
 Run the whole corpus (5 specs, N in {1, 2, 3, 5, 8, 12}, seeds 0 and 1,
 seven forms, 16 methods, six budgets: 78,720 runs) and print its counts
-with ``PYTHONPATH=src python tests/test_robustness_corpus.py``.
+with ``PYTHONPATH=src python tests/test_robustness_corpus.py``.  Add
+``--dump FILE`` to also write one line per run, its key then the plain
+and the resilient outcome, so two trees can be compared run for run
+(see docs/testing.md).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 from collections import Counter
+from contextlib import nullcontext
 
 from repro.catalog.join_graph import JoinGraph
 from repro.core.budget import Budget, BudgetExhausted
@@ -101,7 +106,10 @@ def budgets(n_joins: int, full: bool) -> list[tuple[str, dict, float]]:
 
 
 def run(graph, method, model, seed, kwargs):
-    """The plain and resilient outcomes of one corpus run."""
+    """The plain and resilient outcomes of one corpus run.
+
+    Each is the result, or the error the contract lets that run raise.
+    """
 
     def call(resilient: bool):
         options = dict(kwargs)
@@ -114,19 +122,30 @@ def run(graph, method, model, seed, kwargs):
 
     try:
         plain = call(False)
-    except (BudgetExhausted, CostOverflowError):
-        plain = None
+    except (BudgetExhausted, CostOverflowError) as exc:
+        plain = exc
     try:
         resilient = call(True)
-    except NoValidPlanError:
-        resilient = None
+    except NoValidPlanError as exc:
+        resilient = exc
     return plain, resilient
+
+
+def describe(outcome) -> str:
+    """One outcome as a line fragment, every float by its repr."""
+    if isinstance(outcome, Exception):
+        return repr((type(outcome).__name__, str(outcome)))
+    return repr((
+        outcome.method, tuple(outcome.order), outcome.cost,
+        outcome.units_spent, outcome.n_evaluations, outcome.trajectory,
+        outcome.degraded, outcome.failures,
+    ))
 
 
 def check(graph, model, limit, plain, resilient) -> list[str]:
     """Every way one run breaks the contract (empty when it holds)."""
     problems = []
-    if resilient is not None:
+    if not isinstance(resilient, Exception):
         if resilient.graph is not graph:
             problems.append("result carries another graph")
         report = verify_plan(resilient.order, resilient.cost, graph, model)
@@ -136,9 +155,9 @@ def check(graph, model, limit, plain, resilient) -> list[str]:
             problems.append(
                 f"units {resilient.units_spent} above the limit {limit}"
             )
-    if plain is not None:
+    if not isinstance(plain, Exception):
         fields = ("order", "cost", "units_spent", "n_evaluations", "trajectory")
-        if resilient is None:
+        if isinstance(resilient, Exception):
             problems.append("resilient run lost the plain run's plan")
         else:
             for name in fields:
@@ -187,21 +206,33 @@ def test_hostile_slice_keeps_the_resilient_contract():
     assert failures == []
 
 
-def main() -> int:  # pragma: no cover - corpus script
+def main(argv=None) -> int:  # pragma: no cover - corpus script
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--dump", metavar="FILE",
+        help="also write one line per run: key, plain and resilient outcome",
+    )
+    args = parser.parse_args(argv)
+    sink = open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext()
     counts: Counter = Counter()
-    for key, graph, method, model, seed, kwargs, limit in corpus(full=True):
-        plain, resilient = run(graph, method, model, seed, kwargs)
-        problems = check(graph, model, limit, plain, resilient)
-        counts["runs"] += 1
-        counts["plain plan"] += plain is not None
-        if resilient is None:
-            counts["NoValidPlanError"] += 1
-        else:
-            counts["resilient plan"] += 1
-            counts["degraded"] += resilient.degraded
-        counts["contract broken"] += bool(problems)
-        for problem in problems:
-            print(key, problem)
+    with sink as dump:
+        for key, graph, method, model, seed, kwargs, limit in corpus(full=True):
+            plain, resilient = run(graph, method, model, seed, kwargs)
+            if dump is not None:
+                dump.write(
+                    f"{key!r}\t{describe(plain)}\t{describe(resilient)}\n"
+                )
+            problems = check(graph, model, limit, plain, resilient)
+            counts["runs"] += 1
+            counts["plain plan"] += not isinstance(plain, Exception)
+            if isinstance(resilient, Exception):
+                counts["NoValidPlanError"] += 1
+            else:
+                counts["resilient plan"] += 1
+                counts["degraded"] += resilient.degraded
+            counts["contract broken"] += bool(problems)
+            for problem in problems:
+                print(key, problem)
     for name, value in counts.items():
         print(f"{name}: {value:,}")
     return 1 if counts["contract broken"] else 0
